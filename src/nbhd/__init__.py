@@ -24,6 +24,7 @@ from .errors import (
     NotNeighbours,
     ParentMismatch,
     ParseError,
+    ReexpansionFailed,
     RingMismatch,
     ShapeMismatch,
     UnknownFormat,

@@ -464,9 +464,13 @@ def multi_diagonal_ideal(algebra: FpAlgebra, p: int) -> Ideal:
     if p < 1:
         raise ValueError("p must be at least 1")
     t, _ = tensor_power(algebra, p + 1)
-    ring = algebra.ring
-    n = len(algebra.varset)
-    variables = Polynomial.variables(t.varset, ring)
+    return Ideal(t.varset, t.ring, _multi_diagonal_generators(t, len(algebra.varset), p))
+
+
+def _multi_diagonal_generators(t: FpAlgebra, n: int, p: int) -> tuple[Polynomial, ...]:
+    """The generators of multi_diagonal_ideal, given the (p+1)-fold tensor
+    power t of an algebra with n generators."""
+    variables = Polynomial.variables(t.varset, t.ring)
     gens: list[Polynomial] = []
     for r in range(p + 1):
         for s in range(r + 1, p + 1):
@@ -475,7 +479,7 @@ def multi_diagonal_ideal(algebra: FpAlgebra, p: int) -> Ideal:
                 diffs[i] * diffs[j] for i in range(n) for j in range(i, n)
             )
     gens.extend(t.relations)
-    return Ideal(t.varset, ring, tuple(gens))
+    return tuple(gens)
 
 
 @dataclass(frozen=True)
@@ -560,9 +564,9 @@ def _tensor_representation(
         raise NonFieldCoefficients(
             f"the tensor representation needs field coefficients, got {ring}"
         )
-    squared = multi_diagonal_ideal(base, p)
     t, inclusions = tensor_power(base, p + 1)
-    quotient = FpAlgebra(ring, t.varset, squared.generators, "groebner", order, cap)
+    squared = _multi_diagonal_generators(t, len(base.varset), p)
+    quotient = FpAlgebra(ring, t.varset, squared, "groebner", order, cap)
     projection = AlgebraMap(
         t, quotient, Polynomial.variables(t.varset, ring)
     )

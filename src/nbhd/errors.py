@@ -86,5 +86,13 @@ class NotInDtilde(NbhdError):
     """A matrix fails the cross-product or row-product equations."""
 
 
+class ReexpansionFailed(NbhdError):
+    """A constructive decomposition did not multiply back out to its input.
+
+    Raised by the self-checks of decompose_difference and
+    rewrite_kernel_element; seeing it means the construction is wrong.
+    """
+
+
 class UnknownFormat(NbhdError):
     """An input file does not follow the documented line format."""

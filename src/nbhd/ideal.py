@@ -7,15 +7,30 @@ computed basis is the reduced Groebner basis (monic, auto-reduced), which is
 unique for a given ideal and monomial order, so results are deterministic
 regardless of generator order.
 
-A total-degree guard aborts runaway computations: if any intermediate
-polynomial exceeds the cap, DegreeGuardExceeded is raised with the offending
-degree in the message.
+Division (reduce_full) has one path.  The leading term of every divisor is
+read once, when its divisor list is built: a GroebnerBasis builds its list at
+construction, and buchberger extends its own as the basis grows.  The
+polynomial being divided is one mutable term dict with a heap of its
+monomials.  Its biggest term is reduced by the earliest divisor whose
+leading monomial divides it, found with per-variable bitsets.  Only that
+divisor's other terms are subtracted, in place, because its leading term
+cancels by construction.  A lead coefficient is inverted only once, and only
+for a divisor that is not monic.
+
+buchberger never queues a pair with coprime leading monomials (the product
+criterion) and skips a selected pair by Buchberger's chain criterion; see
+its docstring.
+
+A total-degree guard aborts runaway computations: DegreeGuardExceeded is
+raised, with the offending degree in the message, when an S-polynomial that
+buchberger forms, or a term that a division step creates, exceeds the cap.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .arith import RingSpec
@@ -107,19 +122,67 @@ def monomial_reduce(p: Polynomial, gens: Iterable) -> Polynomial:
     return Polynomial._raw(p.varset, p.ring, kept)
 
 
-def _reduce_once(p: Polynomial, basis: Sequence[Polynomial], order: MonomialOrder):
-    """One top-reduction step by the first basis element whose lead divides."""
-    lead = p.leading(order)
-    if lead is None:
-        return None
-    exps, value = lead
-    for g in basis:
-        g_exps, g_value = g.leading(order)  # basis polys are nonzero
-        if mono_divides(g_exps, exps):
-            ring = p.ring
-            factor = ring.mul(value, ring.invert(g_value))
-            return p - g.times_term(mono_div(exps, g_exps), factor)
-    return None
+def _lex_rank(exps: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(operator.neg, exps))
+
+
+def _degrevlex_rank(exps: tuple[int, ...]):
+    return (-sum(exps), exps[::-1])
+
+
+# Heap ranks: the smaller rank is the bigger monomial, so a min-heap pops
+# the leading term first.
+_RANKS = {MonomialOrder.LEX: _lex_rank, MonomialOrder.DEGREVLEX: _degrevlex_rank}
+
+
+class _Divisors:
+    """Divisor polynomials with their leading data, read once per element.
+
+    rows[i] holds, for polys[i]: the leading exponents, the inverse of the
+    leading coefficient (None when it is 1), the support bitmask of the
+    leading monomial, the other terms with negated values, and the largest
+    total degree among those terms.  excluded[v][x] is the bitset of the
+    divisors whose leading exponent in variable v exceeds x, so the divisors
+    whose leading monomial divides m are the bits left after removing the
+    union of excluded[v][m[v]] over v.
+    """
+
+    __slots__ = ("order", "polys", "rows", "excluded")
+
+    def __init__(self, polys: Iterable[Polynomial], order: MonomialOrder, nvars: int):
+        self.order = order
+        self.polys: list[Polynomial] = []
+        self.rows: list[tuple] = []
+        self.excluded: list[list[int]] = [[] for _ in range(nvars)]
+        for g in polys:
+            if not g.is_zero():  # zero has no leading term and divides nothing
+                self.append(g)
+
+    def append(self, g: Polynomial) -> None:
+        ring = g.ring
+        exps, value = g.leading(self.order)
+        inverse = None if value == ring.one() else ring.invert(value)
+        tail = [(e, ring.neg(v)) for e, v in g._terms.items() if e != exps]
+        tail_degree = max((mono_degree(e) for e, _ in tail), default=0)
+        bit = 1 << len(self.rows)
+        mask = 0
+        for v, x in enumerate(exps):
+            if x:
+                mask |= 1 << v
+                row = self.excluded[v]
+                row.extend([0] * (x - len(row)))
+                for y in range(x):
+                    row[y] |= bit
+        self.rows.append((exps, inverse, mask, tail, tail_degree))
+        self.polys.append(g)
+
+    def dividing(self, exps: tuple[int, ...]) -> int:
+        """Bitset of the divisors whose leading monomial divides exps."""
+        out = 0
+        for row, x in zip(self.excluded, exps):
+            if x < len(row):
+                out |= row[x]
+        return ((1 << len(self.rows)) - 1) & ~out
 
 
 def reduce_full(
@@ -131,39 +194,92 @@ def reduce_full(
     """Full remainder of p on division by basis (field coefficients).
 
     Every term of the result is outside the leading-term ideal of the basis.
-    The divisor tried first is always the earliest one in the sequence, so
-    the reduction path is deterministic.
+    The biggest remaining term is reduced first, always by the earliest
+    divisor in the sequence whose leading monomial divides it, so the
+    reduction path is deterministic.  The remainder in progress is one term
+    dict, changed in place.  DegreeGuardExceeded is raised when a step
+    creates a term of total degree above max(degree_cap, degree of p).
+    basis may also be a divisor list this module built for the same order
+    (a GroebnerBasis's, or buchberger's), whose leading terms are not read
+    again.
     """
+    if isinstance(basis, _Divisors):
+        if basis.order is not order:
+            raise ValueError(f"divisors prepared for {basis.order}, not {order}")
+        divisors = basis
+    else:
+        divisors = _Divisors(basis, order, len(p.varset))
     cap = max(degree_cap, p.total_degree())
     ring = p.ring
-    remainder_terms: dict[tuple[int, ...], object] = {}
-    work = p
-    while not work.is_zero():
-        if work.total_degree() > cap:
-            raise DegreeGuardExceeded(
-                f"intermediate degree {work.total_degree()} exceeds cap {cap}"
-            )
-        reduced = _reduce_once(work, basis, order)
-        if reduced is not None:
-            work = reduced
+    mul, add = ring.mul, ring.add
+    rank = _RANKS[order]
+    rows, dividing = divisors.rows, divisors.dividing
+    work = dict(p._terms)
+    heap = [(rank(e), e) for e in work]
+    heapq.heapify(heap)
+    remainder: dict[tuple[int, ...], object] = {}
+    while heap:
+        m = heapq.heappop(heap)[1]
+        value = work.pop(m, None)
+        if value is None:
+            continue  # cancelled, or the second heap entry of a done term
+        hits = dividing(m)
+        if not hits:
+            remainder[m] = value
             continue
-        exps, value = work.leading(order)
-        remainder_terms[exps] = value
-        work = Polynomial._raw(
-            work.varset, ring, {e: v for e, v in work._terms.items() if e != exps}
-        )
-    return Polynomial._raw(p.varset, p.ring, remainder_terms)
+        lead, inverse, _, tail, tail_degree = rows[(hits & -hits).bit_length() - 1]
+        shift = mono_div(m, lead)
+        factor = value if inverse is None else mul(value, inverse)
+        # the divisor's leading term cancels m by construction: only its
+        # tail is subtracted
+        for e, v in tail:
+            n = mono_mul(e, shift)
+            d = mul(factor, v)
+            old = work.get(n)
+            if old is None:
+                if d:
+                    work[n] = d
+                    heapq.heappush(heap, (rank(n), n))
+            else:
+                s = add(old, d)
+                if s:
+                    work[n] = s
+                else:
+                    del work[n]
+        # every term already present is within the cap, so only a new one
+        # can exceed it
+        if tail_degree + mono_degree(shift) > cap:
+            top = max(map(mono_degree, work), default=0)
+            if top > cap:
+                raise DegreeGuardExceeded(f"intermediate degree {top} exceeds cap {cap}")
+    return Polynomial._raw(p.varset, ring, remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEFAULT_ORDER) -> Polynomial:
-    """The classical S-polynomial, cancelling the two leading terms."""
+    """The classical S-polynomial, cancelling the two leading terms.
+
+    The two scaled leading terms cancel by construction and are never
+    formed; a monic input is not rescaled.
+    """
     f_exps, f_value = f.leading(order)
     g_exps, g_value = g.leading(order)
     lcm = mono_lcm(f_exps, g_exps)
     ring = f.ring
-    left = f.times_term(mono_div(lcm, f_exps), ring.invert(f_value))
-    right = g.times_term(mono_div(lcm, g_exps), ring.invert(g_value))
-    return left - right
+    one, zero = ring.one(), ring.zero()
+    terms: dict[tuple[int, ...], object] = {}
+    for p, lead, value, combine in ((f, f_exps, f_value, ring.add), (g, g_exps, g_value, ring.sub)):
+        shift = mono_div(lcm, lead)
+        scale = None if value == one else ring.invert(value)
+        for exps, v in p._terms.items():
+            if exps == lead:
+                continue
+            n = mono_mul(exps, shift)
+            s = combine(terms.get(n, zero), v if scale is None else ring.mul(v, scale))
+            if ring.is_zero(s):
+                terms.pop(n, None)
+            else:
+                terms[n] = s
+    return Polynomial._raw(f.varset, ring, terms)
 
 
 def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
@@ -171,26 +287,29 @@ def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     return p.scale(p.ring.invert(value))
 
 
-def _interreduce(basis: list[Polynomial], order: MonomialOrder, cap: int) -> list[Polynomial]:
-    """Minimalize then tail-reduce, producing the reduced basis."""
-    by_lead = sorted(basis, key=lambda g: order.key(g.leading(order)[0]))
-    minimal: list[Polynomial] = []
-    for g in by_lead:
-        g_exps = g.leading(order)[0]
-        if not any(mono_divides(h.leading(order)[0], g_exps) for h in minimal):
-            minimal.append(g)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(minimal):
-            others = minimal[:i] + minimal[i + 1 :]
-            r = reduce_full(g, others, order, cap)
-            if r != g:
-                minimal[i] = _monic(r, order)
-                changed = True
-    minimal = [_monic(g, order) for g in minimal]
-    minimal.sort(key=lambda g: order.key(g.leading(order)[0]), reverse=True)
-    return minimal
+def _interreduce(basis: _Divisors, cap: int) -> list[Polynomial]:
+    """Minimalize then tail-reduce a monic Groebner basis into the reduced one.
+
+    In a minimal basis no other leading monomial divides an element's lead,
+    and every term met while reducing its tail is below that lead, so the
+    tail can be reduced against the whole minimal basis, element included.
+    As the minimal basis is a Groebner basis, one pass gives normal forms.
+    """
+    order = basis.order
+    key = order.key
+    by_lead = sorted(range(len(basis.polys)), key=lambda i: key(basis.rows[i][0]))
+    minimal = _Divisors((), order, len(basis.excluded))
+    for i in by_lead:
+        if not minimal.dividing(basis.rows[i][0]):
+            minimal.append(basis.polys[i])
+    reduced = []
+    for g, (lead, *_) in zip(minimal.polys, minimal.rows):
+        value = g._terms[lead]
+        tail = Polynomial._raw(g.varset, g.ring, {e: v for e, v in g._terms.items() if e != lead})
+        r = reduce_full(tail, minimal, order, max(cap, g.total_degree()))
+        reduced.append(Polynomial._raw(g.varset, g.ring, {lead: value, **r._terms}))
+    reduced.reverse()
+    return reduced
 
 
 def buchberger(
@@ -200,45 +319,62 @@ def buchberger(
 ) -> "GroebnerBasis":
     """Compute the reduced Groebner basis of the ideal.
 
-    Pairs are processed in increasing (lcm degree, creation index) order and
-    reduction always picks the earliest matching divisor, so the run is fully
-    deterministic; by uniqueness of the reduced basis the output does not
-    depend on those choices anyway.
+    Pairs are selected in increasing (lcm degree, creation index) order.  A
+    pair whose leading monomials are coprime is never queued (Buchberger's
+    product criterion).  A selected pair (i, j) is skipped when some other
+    element k has a leading monomial dividing lcm(i, j) and neither (i, k)
+    nor (j, k) is still queued (Buchberger's chain criterion).  Every other
+    pair has its S-polynomial formed and fully reduced by the basis so far;
+    a nonzero remainder is made monic and joins the basis.  The degree
+    guard applies to every S-polynomial formed and to every division.  By
+    uniqueness of the reduced basis, the output does not depend on these
+    choices.
     """
     if not ideal.ring.is_field:
         raise NonFieldCoefficients(
             f"Groebner bases need field coefficients, got {ideal.ring}"
         )
-    basis = [_monic(g, order) for g in ideal.generators]
+    basis = _Divisors((), order, len(ideal.varset))
+    rows, polys = basis.rows, basis.polys
     pairs: list[tuple[int, int, int]] = []
-    for j in range(len(basis)):
-        for i in range(j):
-            lcm = mono_lcm(basis[i].leading(order)[0], basis[j].leading(order)[0])
-            heapq.heappush(pairs, (mono_degree(lcm), i, j))
+    queued: set[tuple[int, int]] = set()
+
+    def join(g: Polynomial) -> None:
+        basis.append(g)
+        k = len(rows) - 1
+        lead, _, mask, _, _ = rows[k]
+        for i in range(k):
+            if rows[i][2] & mask:
+                heapq.heappush(pairs, (mono_degree(mono_lcm(rows[i][0], lead)), i, k))
+                queued.add((i, k))
+
+    def chained(i: int, j: int) -> bool:
+        hits = basis.dividing(mono_lcm(rows[i][0], rows[j][0])) & ~(1 << i | 1 << j)
+        while hits:
+            low = hits & -hits
+            k = low.bit_length() - 1
+            hits ^= low
+            if (min(i, k), max(i, k)) not in queued and (min(j, k), max(j, k)) not in queued:
+                return True
+        return False
+
+    for g in ideal.generators:
+        join(_monic(g, order))
     while pairs:
         _, i, j = heapq.heappop(pairs)
-        fi, fj = basis[i], basis[j]
-        lead_i, lead_j = fi.leading(order)[0], fj.leading(order)[0]
-        if mono_lcm(lead_i, lead_j) == mono_mul(lead_i, lead_j):
-            continue  # coprime leads: S-polynomial reduces to zero
-        s = s_polynomial(fi, fj, order)
+        queued.discard((i, j))
+        if chained(i, j):
+            continue
+        s = s_polynomial(polys[i], polys[j], order)
         if s.total_degree() > degree_cap:
             raise DegreeGuardExceeded(
                 f"intermediate degree {s.total_degree()} exceeds cap {degree_cap}"
             )
         r = reduce_full(s, basis, order, degree_cap)
-        if r.is_zero():
-            continue
-        r = _monic(r, order)
-        basis.append(r)
-        k = len(basis) - 1
-        for i in range(k):
-            lcm = mono_lcm(basis[i].leading(order)[0], r.leading(order)[0])
-            heapq.heappush(pairs, (mono_degree(lcm), i, k))
-    if not basis:
-        return GroebnerBasis(ideal.varset, ideal.ring, order, (), degree_cap)
-    reduced = _interreduce(basis, order, degree_cap)
-    return GroebnerBasis(ideal.varset, ideal.ring, order, tuple(reduced), degree_cap)
+        if not r.is_zero():
+            join(_monic(r, order))
+    reduced = tuple(_interreduce(basis, degree_cap))
+    return GroebnerBasis(ideal.varset, ideal.ring, order, reduced, degree_cap)
 
 
 @dataclass(frozen=True)
@@ -250,13 +386,18 @@ class GroebnerBasis:
     order: MonomialOrder
     basis: tuple[Polynomial, ...]
     degree_cap: int = DEFAULT_DEGREE_CAP
+    _divisors: _Divisors = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        divisors = _Divisors(self.basis, self.order, len(self.varset))
+        object.__setattr__(self, "_divisors", divisors)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.varset != self.varset:
             raise VarSetMismatch(f"{p.varset} vs {self.varset}")
         if p.ring != self.ring:
             raise RingMismatch(f"{p.ring} vs {self.ring}")
-        return reduce_full(p, self.basis, self.order, self.degree_cap)
+        return reduce_full(p, self._divisors, self.order, self.degree_cap)
 
     def contains(self, p: Polynomial) -> bool:
         return self.normal_form(p).is_zero()

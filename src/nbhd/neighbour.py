@@ -31,6 +31,7 @@ from .errors import (
     NotInDtilde,
     NotInKernel,
     NotNeighbours,
+    ReexpansionFailed,
     ShapeMismatch,
 )
 from .algebra import (
@@ -509,7 +510,10 @@ def decompose_difference(p: Polynomial) -> tuple[Polynomial, ...]:
     actual = Polynomial.zero(pvs, ring)
     for i in range(n):
         actual = actual + qs[i] * (copy1[i] - copy0[i])
-    assert actual == expected, "difference decomposition failed to re-expand"
+    if actual != expected:
+        raise ReexpansionFailed(
+            f"difference decomposition of {p} re-expands to {actual}, not {expected}"
+        )
     return tuple(qs)
 
 
@@ -553,7 +557,8 @@ def rewrite_kernel_element(
     total = tensor_algebra.zero()
     for coefficient, generator in pairs:
         total = total + coefficient * generator
-    assert total == t, "kernel rewriting failed to re-expand"
+    if total != t:
+        raise ReexpansionFailed(f"kernel rewriting of {t} re-expands to {total}")
     return pairs
 
 
@@ -632,8 +637,16 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
 
 
 def transpose(matrix: SimplexMatrix) -> SimplexMatrix:
-    """Matrix transpose; membership in the difference variety is preserved
-    because the defining equation families are swap-symmetric."""
+    """Matrix transpose.
+
+    Membership in the difference variety is preserved when 2 is a
+    non-zero-divisor in the codomain, not in general.  The cross-product
+    equations with i < j and the squares a_ri^2 map onto themselves, but a
+    cross-product equation with i = j only says 2*a_ri*a_si = 0, while the
+    transpose needs the column product a_ri*a_si = 0 itself.  Over
+    Z/2[e1,e2]/(e1^2,e2^2) the matrix [[e1+e2, e1*e2+e1], [0, 0]] is not in
+    the variety (its row product is e1*e2), but its transpose is.
+    """
     return matrix.transpose()
 
 

@@ -8,6 +8,7 @@ defines the two supported monomial orders and the textual polynomial format
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -99,20 +100,20 @@ DEFAULT_ORDER = MonomialOrder.DEGREVLEX
 
 
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
     """Whether the monomial with exponents a divides the one with exponents b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_degree(a: tuple[int, ...]) -> int:
@@ -333,19 +334,24 @@ class Polynomial:
             return Polynomial.constant(self.varset, self.ring, other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+    def _combine(self, other: "Polynomial", op) -> "Polynomial":
+        """Termwise self op other, for op the ring's add or sub."""
         ring = self.ring
+        zero = ring.zero()
         terms = dict(self._terms)
-        for exps, value in o._terms.items():
-            s = ring.add(terms.get(exps, ring.zero()), value)
+        for exps, value in other._terms.items():
+            s = op(terms.get(exps, zero), value)
             if ring.is_zero(s):
                 terms.pop(exps, None)
             else:
                 terms[exps] = s
         return Polynomial._raw(self.varset, ring, terms)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._combine(o, self.ring.add)
 
     __radd__ = __add__
 
@@ -353,13 +359,13 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        return self._combine(o, self.ring.sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o._combine(self, self.ring.sub)
 
     def __neg__(self) -> "Polynomial":
         ring = self.ring

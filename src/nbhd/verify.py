@@ -1232,7 +1232,36 @@ def check_determinant_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutc
     return CheckOutcome("pass", None, {"field": name, "determinant": str(det)})
 
 
+def _symmetric_equations_hold(matrix: SimplexMatrix) -> bool:
+    """Whether the transposition-invariant part of the in_dtilde equations
+    vanishes: the cross products, the doubled off-diagonal row products and
+    the squares a_ri^2.  Transposition maps this family onto itself (a
+    cross product with i = j is twice a column product), and every member
+    of the difference variety satisfies it, in any characteristic."""
+    a = matrix.entry
+    rows, cols = matrix.rows, matrix.cols
+    for r in range(rows):
+        for i in range(cols):
+            if not (a(r, i) * a(r, i)).is_zero():
+                return False
+            for j in range(i + 1, cols):
+                if not (a(r, i) * a(r, j) * 2).is_zero():
+                    return False
+            for s in range(r + 1, rows):
+                for j in range(i, cols):
+                    if not (a(r, i) * a(s, j) + a(s, i) * a(r, j)).is_zero():
+                        return False
+    return True
+
+
 def check_transposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
+    """Transposition keeps membership in the difference variety when 2 is a
+    non-zero-divisor: over Q and Z/m with m odd (2 invertible) and over Z
+    (the corpus algebras over Z are monomial quotients, free Z-modules).
+    Otherwise a cross product with i = j only gives 2*a_ri*a_si = 0, so
+    membership can change (see neighbour.transpose); there the check asks
+    that a member or a transposed member satisfies the transposition-invariant
+    equations, and that a matrix and its transpose agree on them."""
     primary = _primary_field(config)
     instances = 0
     if primary is not None:
@@ -1268,8 +1297,21 @@ def check_transposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
                     for _ in range(p)
                 ],
             )
-        if in_dtilde(matrix).ok != in_dtilde(matrix.transpose()).ok:
-            return CheckOutcome("fail", f"instance {i}: transpose changed the verdict")
+        flipped = matrix.transpose()
+        direct, transposed = in_dtilde(matrix).ok, in_dtilde(flipped).ok
+        if ring.two_invertible or ring.kind == "Z":
+            if direct != transposed:
+                return CheckOutcome("fail", f"instance {i}: transpose changed the verdict")
+        else:
+            symmetric = _symmetric_equations_hold(matrix)
+            if symmetric != _symmetric_equations_hold(flipped):
+                return CheckOutcome(
+                    "fail", f"instance {i}: transpose changed the symmetric equations"
+                )
+            if (direct or transposed) and not symmetric:
+                return CheckOutcome(
+                    "fail", f"instance {i}: a member violates the symmetric equations"
+                )
         instances += 1
     return CheckOutcome("pass", None, {"instances": instances})
 

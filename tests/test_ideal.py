@@ -18,6 +18,8 @@ from nbhd.ideal import (
     contains,
     monomial_reduce,
     normal_form,
+    reduce_full,
+    s_polynomial,
 )
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
 
@@ -157,6 +159,34 @@ def test_random_ideals_agree_with_reference():
             assert ref_remainder(g, list(gb.basis), order).is_zero()
 
 
+def _random_poly(rng, varset, ring, terms, top):
+    def coefficient():
+        if ring.kind == "Q":
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randrange(ring.modulus)
+
+    return Polynomial(
+        varset,
+        ring,
+        [
+            (tuple(rng.randint(0, top) for _ in varset), coefficient())
+            for _ in range(rng.randint(1, terms))
+        ],
+    )
+
+
+def test_s_polynomial_matches_reference():
+    rng = random.Random("ideal-spoly")
+    for trial in range(40):
+        ring = (QQ, Z5)[trial % 2]
+        order = list(MonomialOrder)[trial // 2 % 2]
+        f, g = (_random_poly(rng, XYZ, ring, 4, 2) for _ in range(2))
+        if f.is_zero() or g.is_zero():
+            continue
+        assert s_polynomial(f, g, order) == ref_spoly(f, g, order)
+        assert s_polynomial(f, f, order).is_zero()
+
+
 # -- canonicality and normal forms -------------------------------------------
 
 
@@ -281,3 +311,42 @@ def test_zero_generators_dropped():
     assert len(ideal) == 1
     assert buchberger(Ideal(XY, QQ, ())).basis == ()
     assert GroebnerBasis(XY, QQ, MonomialOrder.DEGREVLEX, ()).normal_form(P("X")) == P("X")
+    zero = Polynomial.zero(XY, QQ)
+    assert reduce_full(P("X^2 + Y"), [zero, P("X - 1")]) == P("Y + 1")
+    assert GroebnerBasis(XY, QQ, MonomialOrder.DEGREVLEX, (zero,)).normal_form(P("X")) == P("X")
+
+
+# -- differential test against sympy ------------------------------------------
+
+
+@pytest.mark.parametrize("ring", [QQ, Z5, RingSpec.modular(7)], ids=str)
+@pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
+def test_buchberger_matches_sympy_groebner(ring, order):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(f"sympy-{ring}-{order.value}")
+    options = {"order": "grevlex" if order is MonomialOrder.DEGREVLEX else "lex"}
+    if ring.kind == "Q":
+        options["domain"] = sympy.QQ
+    else:
+        options["modulus"] = ring.modulus
+    compared = 0
+    for trial in range(16):
+        varset = XY if trial % 2 else XYZ
+        gens = [_random_poly(rng, varset, ring, 3, 2) for _ in range(rng.randint(1, 3))]
+        ideal = Ideal(varset, ring, tuple(gens))
+        if not ideal.generators:
+            continue
+        got = {frozenset(g._terms.items()) for g in buchberger(ideal, order).basis}
+        symbols = sympy.symbols(varset.names)
+        names = dict(zip(varset.names, symbols))
+        exprs = [sympy.sympify(str(g).replace("^", "**"), locals=names) for g in ideal]
+        def value(c):
+            return ring.normalize(Fraction(int(c.p), int(c.q)) if ring.kind == "Q" else int(c))
+
+        expected = {
+            frozenset((exps, value(c)) for exps, c in sympy.Poly(g, *symbols).terms())
+            for g in sympy.groebner(exprs, *symbols, **options).exprs
+        }
+        assert got == expected, [str(g) for g in ideal]
+        compared += 1
+    assert compared >= 12

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbhd import algebra
 from nbhd.algebra import (
     AlgebraMap,
     FpAlgebra,
@@ -20,6 +21,7 @@ from nbhd.errors import (
     NotInDtilde,
     NotInKernel,
     NotNeighbours,
+    ReexpansionFailed,
     ShapeMismatch,
 )
 from nbhd.neighbour import (
@@ -255,6 +257,20 @@ def test_transpose_involution_and_stability():
     assert in_dtilde(transpose(matrix))
 
 
+def test_transpose_can_change_membership_in_characteristic_two():
+    # a cross product with i = j only says 2*a_ri*a_si = 0, which is empty
+    # over Z/2, while the transpose needs a_ri*a_si = 0
+    weil = FpAlgebra(Z2, ("e1", "e2"), ["e1^2", "e2^2"])
+    matrix = SimplexMatrix(weil, [["e1 + e2", "e1*e2 + e1"], ["0", "0"]])
+    verdict = in_dtilde(matrix)
+    assert not verdict
+    assert verdict.witness.value == weil.element("e1*e2")
+    assert in_dtilde(transpose(matrix))
+    over_q = FpAlgebra(QQ, ("e1", "e2"), ["e1^2", "e2^2"])
+    same = SimplexMatrix(over_q, [["e1 + e2", "e1*e2 + e1"], ["0", "0"]])
+    assert not in_dtilde(same) and not in_dtilde(transpose(same))
+
+
 # -- affine combinations --------------------------------------------------------
 
 
@@ -431,6 +447,16 @@ def test_decompose_difference_random_any_ring():
                 assert total == p.substitute(copy1) - p.substitute(copy0)
 
 
+def test_decompose_difference_mismatch_raises_typed_error(monkeypatch):
+    # the self-check compares against P(copy 1) - P(copy 0); spoil that side
+    def spoiled(self, images, varset=None):
+        return Polynomial.zero(images[0].varset, self.ring)
+
+    monkeypatch.setattr(Polynomial, "substitute", spoiled)
+    with pytest.raises(ReexpansionFailed):
+        decompose_difference(parse_poly("X^2*Y + X", VarSet(("X", "Y")), QQ))
+
+
 # -- kernel rewriting -------------------------------------------------------------
 
 
@@ -459,6 +485,15 @@ def test_rewrite_kernel_element_rejects_non_kernel():
         rewrite_kernel_element(D, "X_0")
     with pytest.raises(NotInKernel):
         rewrite_kernel_element(D, 1)
+
+
+def test_rewrite_kernel_element_mismatch_raises_typed_error(monkeypatch):
+    # every map now sends everything to zero: the element still passes the
+    # kernel test, but the standard generators vanish and cannot rebuild it
+    D = FpAlgebra(QQ, ("X",), ["X^2"])
+    monkeypatch.setattr(algebra.AlgebraMap, "apply", lambda self, x: self.codomain.zero())
+    with pytest.raises(ReexpansionFailed):
+        rewrite_kernel_element(D, "X_1 - X_0")
 
 
 def test_rewrite_kernel_element_random():

@@ -11,6 +11,7 @@ from nbhd.verify import (
     SuiteConfig,
     WEIL_PATTERNS,
     build_corpus,
+    check_transposition,
     emit_report,
     fail_injection_flips,
     random_weil_algebra,
@@ -271,3 +272,13 @@ def test_shrink_failing_matrix_drops_tail_first():
     full = square_zero_full(QQ, 2)
     good = SimplexMatrix(full, [["e1", "0"]])
     assert shrink_failing_matrix(good, lambda m: not in_dtilde(m).ok) == good
+
+
+@pytest.mark.parametrize("seed", [783424, 42])
+def test_transposition_check_at_regression_seeds(seed):
+    # at seed 783424 instance 17 is a Z/2 matrix whose transpose leaves the
+    # difference variety; the check must not claim stability there
+    config = SuiteConfig(seed=seed)
+    outcome = check_transposition(config, build_corpus(config))
+    assert outcome.verdict == "pass", outcome.witness
+    assert outcome.params == {"instances": 46}
