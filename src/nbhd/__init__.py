@@ -16,6 +16,7 @@ from .errors import (
     DegreeGuardExceeded,
     DomainMismatch,
     IllDefinedMap,
+    InvalidExponent,
     NbhdError,
     NonFieldCoefficients,
     NonMonomialRelations,
@@ -91,7 +92,6 @@ from .neighbour import (
     matrix_of_maps,
     pair_varset,
     rewrite_kernel_element,
-    transpose,
     universal_dtilde,
     vectors_neighbour,
 )

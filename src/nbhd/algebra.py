@@ -438,24 +438,20 @@ def diagonal_ideal(algebra: FpAlgebra, power: int = 1) -> Ideal:
     """The kernel ideal of the multiplication map, or its square.
 
     power=1 gives the generators g_1 - g_0 (one per generator of the
-    algebra); power=2 gives all pairwise products of those differences.  For
-    a presented algebra the embedded relation polynomials of both copies are
-    included, which presents the same ideal of the tensor algebra pulled back
-    along the presentation.
+    algebra); power=2 gives all pairwise products of those differences, which
+    is multi_diagonal_ideal(algebra, 1).  For a presented algebra the
+    embedded relation polynomials of both copies are included, which presents
+    the same ideal of the tensor algebra pulled back along the presentation.
     """
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
+    if power == 2:
+        return multi_diagonal_ideal(algebra, 1)
     t, _, _ = tensor(algebra, algebra)
-    ring = algebra.ring
     n = len(algebra.varset)
-    variables = Polynomial.variables(t.varset, ring)
+    variables = Polynomial.variables(t.varset, t.ring)
     diffs = [variables[n + i] - variables[i] for i in range(n)]
-    if power == 1:
-        gens = list(diffs)
-    else:
-        gens = [diffs[i] * diffs[j] for i in range(n) for j in range(i, n)]
-    gens.extend(t.relations)
-    return Ideal(t.varset, ring, tuple(gens))
+    return Ideal(t.varset, t.ring, (*diffs, *t.relations))
 
 
 def multi_diagonal_ideal(algebra: FpAlgebra, p: int) -> Ideal:
@@ -467,19 +463,30 @@ def multi_diagonal_ideal(algebra: FpAlgebra, p: int) -> Ideal:
     return Ideal(t.varset, t.ring, _multi_diagonal_generators(t, len(algebra.varset), p))
 
 
+def _difference_products(rows: Sequence[Sequence]):
+    """Yield ((r, s, i, j), (x_si - x_ri) * (x_sj - x_rj)) for rows r < s
+    and columns i <= j, in that nesting order, 0-based.
+
+    The products of two differences are the equations of the neighbour
+    relation and the relations of the universal simplices.  Each pair of
+    rows has its differences formed once; the entries may be Polynomials or
+    AlgebraElements.
+    """
+    for r, low in enumerate(rows):
+        for s in range(r + 1, len(rows)):
+            diffs = [b - a for a, b in zip(low, rows[s])]
+            for i, d in enumerate(diffs):
+                for j in range(i, len(diffs)):
+                    yield (r, s, i, j), d * diffs[j]
+
+
 def _multi_diagonal_generators(t: FpAlgebra, n: int, p: int) -> tuple[Polynomial, ...]:
     """The generators of multi_diagonal_ideal, given the (p+1)-fold tensor
-    power t of an algebra with n generators."""
+    power t of an algebra with n generators: the difference products of the
+    copies' variables, then the relations of t."""
     variables = Polynomial.variables(t.varset, t.ring)
-    gens: list[Polynomial] = []
-    for r in range(p + 1):
-        for s in range(r + 1, p + 1):
-            diffs = [variables[s * n + i] - variables[r * n + i] for i in range(n)]
-            gens.extend(
-                diffs[i] * diffs[j] for i in range(n) for j in range(i, n)
-            )
-    gens.extend(t.relations)
-    return tuple(gens)
+    copies = [variables[r * n : (r + 1) * n] for r in range(p + 1)]
+    return (*(product for _, product in _difference_products(copies)), *t.relations)
 
 
 @dataclass(frozen=True)
@@ -528,15 +535,10 @@ def _difference_representation(
     base_vars = variables[:n]
     blocks = [variables[n + (r - 1) * n : n + r * n] for r in range(1, p + 1)]
 
-    relations: list[Polynomial] = []
-    for block in blocks:
-        relations.extend(block[i] * block[j] for i in range(n) for j in range(i, n))
-    for r in range(len(blocks)):
-        for s in range(r + 1, len(blocks)):
-            diffs = [blocks[s][i] - blocks[r][i] for i in range(n)]
-            relations.extend(
-                diffs[i] * diffs[j] for i in range(n) for j in range(i, n)
-            )
+    # the zero row is the base point; its pairs with a block give the
+    # products of that block's displacements
+    anchored = [[Polynomial.zero(varset, ring)] * n, *blocks]
+    relations = [product for _, product in _difference_products(anchored)]
     if p == 1:
         quotient = FpAlgebra(ring, varset, relations, "monomial", order, cap)
     else:

@@ -120,14 +120,12 @@ def _cmd_nf(args):
 
 def _cmd_gb(args):
     order = _order_of(args)
+    algebra = _algebra_of(args)
     if args.gens:
-        algebra = _algebra_of(args)
         gens = parse_poly_list(args.gens, algebra.varset, algebra.ring, sep=";")
-        ideal = Ideal(algebra.varset, algebra.ring, gens)
     else:
-        algebra = _algebra_of(args)
-        ideal = Ideal(algebra.varset, algebra.ring, algebra.relations)
-    gb = buchberger(ideal, order, args.degree_bound)
+        gens = algebra.relations
+    gb = buchberger(Ideal(algebra.varset, algebra.ring, gens), order, args.degree_bound)
     basis = [str(p) for p in gb.basis]
     return (
         0,

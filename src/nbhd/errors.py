@@ -24,6 +24,10 @@ class ArityMismatch(NbhdError):
     """A sequence has the wrong length for the operation (images, rows, ...)."""
 
 
+class InvalidExponent(NbhdError, ValueError):
+    """A monomial exponent is negative or not an integer."""
+
+
 class ParseError(NbhdError):
     """Malformed textual input.  Carries a 0-based character position."""
 

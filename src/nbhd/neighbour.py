@@ -13,6 +13,14 @@ mutual neighbours, the rewriting of multiplication-kernel elements in terms
 of the standard kernel generators, the generic affine combination with
 formal coefficients, and row extensions of difference matrices.
 
+The difference products are enumerated in one place,
+algebra._difference_products, which also builds the relations of the
+universal simplices; vectors_neighbour (and so is_neighbour), is_simplex
+and the precondition of the affine combinations all scan it.  Weighted row sums
+(affine combinations, row extensions) are formed by _weighted_row_sum.  The
+product form, the square test and in_dtilde are independent second
+implementations, kept so that the verification suite can compare answers.
+
 Decision functions return a CheckResult, which is truthy on success and
 carries an explicit nonzero witness on failure.
 """
@@ -20,6 +28,8 @@ carries an explicit nonzero witness on failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Iterator, Sequence
 
 from .arith import RingSpec
@@ -39,6 +49,7 @@ from .algebra import (
     AlgebraMap,
     FpAlgebra,
     UniversalSimplex,
+    _difference_products,
     adjoin_variables,
     compose,
     free_algebra,
@@ -88,18 +99,6 @@ def _require_parallel(f: AlgebraMap, g: AlgebraMap) -> None:
         raise DomainMismatch(f"codomains differ: {f.codomain!r} vs {g.codomain!r}")
 
 
-def _difference_violation(
-    deltas: Sequence[AlgebraElement], label: str
-) -> Witness | None:
-    """First nonzero pairwise product delta_i * delta_j (i <= j), 1-based."""
-    for i in range(len(deltas)):
-        for j in range(i, len(deltas)):
-            product = deltas[i] * deltas[j]
-            if not product.is_zero():
-                return Witness((i + 1, j + 1), product, label)
-    return None
-
-
 def is_neighbour(f: AlgebraMap, g: AlgebraMap) -> CheckResult:
     """Decide the neighbour relation on generator images.
 
@@ -108,9 +107,7 @@ def is_neighbour(f: AlgebraMap, g: AlgebraMap) -> CheckResult:
     not transitive.
     """
     _require_parallel(f, g)
-    deltas = [gi - fi for fi, gi in zip(f.images, g.images)]
-    witness = _difference_violation(deltas, "difference product")
-    return CheckResult(witness is None, witness)
+    return vectors_neighbour(f.images, g.images)
 
 
 def is_neighbour_product_form(f: AlgebraMap, g: AlgebraMap) -> CheckResult:
@@ -179,9 +176,12 @@ def vectors_neighbour(
     """Neighbour test for coordinate vectors (rows of a would-be simplex)."""
     if len(a) != len(b):
         raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    deltas = [bi - ai for ai, bi in zip(a, b)]
-    witness = _difference_violation(deltas, "difference product")
-    return CheckResult(witness is None, witness)
+    for (_, _, i, j), product in _difference_products((a, b)):
+        if not product.is_zero():
+            return CheckResult(
+                False, Witness((i + 1, j + 1), product, "difference product")
+            )
+    return CheckResult(True)
 
 
 class SimplexMatrix:
@@ -221,6 +221,16 @@ class SimplexMatrix:
         return self.entries[i][j]
 
     def transpose(self) -> "SimplexMatrix":
+        """Matrix transpose.
+
+        Membership in the difference variety is preserved when 2 is a
+        non-zero-divisor in the codomain, not in general.  The cross-product
+        equations with i < j and the squares a_ri^2 map onto themselves, but
+        a cross-product equation with i = j only says 2*a_ri*a_si = 0, while
+        the transpose needs the column product a_ri*a_si = 0 itself.  Over
+        Z/2[e1,e2]/(e1^2,e2^2) the matrix [[e1+e2, e1*e2+e1], [0, 0]] is not
+        in the variety (its row product is e1*e2), but its transpose is.
+        """
         return SimplexMatrix(self.codomain, tuple(zip(*self.entries)))
 
     def prepend_zero_row(self) -> "SimplexMatrix":
@@ -274,26 +284,17 @@ def is_simplex(matrix: SimplexMatrix) -> CheckResult:
 
     The witness on failure names rows (r, s) and columns (i, j), 1-based.
     """
-    for r in range(matrix.rows):
-        for s in range(r + 1, matrix.rows):
-            deltas = [
-                matrix.entry(s, i) - matrix.entry(r, i) for i in range(matrix.cols)
-            ]
-            for i in range(matrix.cols):
-                for j in range(i, matrix.cols):
-                    product = deltas[i] * deltas[j]
-                    if not product.is_zero():
-                        return CheckResult(
-                            False,
-                            Witness(
-                                (r + 1, s + 1, i + 1, j + 1),
-                                product,
-                                "rows r,s columns i,j",
-                            ),
-                        )
+    for (r, s, i, j), product in _difference_products(matrix.entries):
+        if not product.is_zero():
+            return CheckResult(
+                False,
+                Witness((r + 1, s + 1, i + 1, j + 1), product, "rows r,s columns i,j"),
+            )
     return CheckResult(True)
 
 
+# Kept independent of the difference-product scan on purpose: the suite
+# compares it with is_simplex on the matrix with a zero row prepended.
 def in_dtilde(matrix: SimplexMatrix) -> CheckResult:
     """Membership in the zero-anchored difference variety.
 
@@ -378,14 +379,13 @@ class CoefficientVector:
         return ", ".join(str(x) for x in self.entries)
 
 
-def _require_mutual_neighbours(maps: Sequence[AlgebraMap]) -> None:
-    for r in range(len(maps)):
-        for s in range(r + 1, len(maps)):
-            verdict = is_neighbour(maps[r], maps[s])
-            if not verdict:
-                raise NotNeighbours(
-                    f"maps {r + 1} and {s + 1} are not neighbours: {verdict.witness}"
-                )
+def _weighted_row_sum(
+    weights: Sequence[AlgebraElement], rows: Sequence[Sequence[AlgebraElement]]
+) -> tuple[AlgebraElement, ...]:
+    """The row sum of t_r * row_r, column by column (at least one row)."""
+    return tuple(
+        reduce(add, (t * x for t, x in zip(weights, column))) for column in zip(*rows)
+    )
 
 
 def affine_combination(
@@ -400,25 +400,10 @@ def affine_combination(
     """
     if not maps:
         raise ShapeMismatch("need at least one map")
-    codomain = maps[0].codomain
     for f in maps[1:]:
         _require_parallel(maps[0], f)
-    if not isinstance(coefficients, CoefficientVector):
-        coefficients = CoefficientVector(codomain, coefficients)
-    elif coefficients.codomain != codomain:
-        raise DomainMismatch("coefficients live in a different algebra")
-    if len(coefficients) != len(maps):
-        raise ArityMismatch(f"{len(coefficients)} weights for {len(maps)} maps")
-    _require_mutual_neighbours(maps)
-    if not coefficients.is_affine():
-        raise CoefficientsNotAffine(f"weights sum to {coefficients.total()}, not 1")
-    images = []
-    for i in range(len(maps[0].images)):
-        acc = codomain.zero()
-        for t, f in zip(coefficients, maps):
-            acc = acc + t * f.images[i]
-        images.append(acc)
-    return AlgebraMap(maps[0].domain, codomain, images)
+    images = _affine_row_sum(maps[0].codomain, [f.images for f in maps], coefficients, "maps")
+    return AlgebraMap(maps[0].domain, maps[0].codomain, images)
 
 
 def affine_combination_rows(matrix: SimplexMatrix, coefficients) -> tuple[AlgebraElement, ...]:
@@ -427,29 +412,29 @@ def affine_combination_rows(matrix: SimplexMatrix, coefficients) -> tuple[Algebr
     Rows must be pairwise neighbouring vectors and the weights must sum
     to 1; returns the combined row.
     """
-    codomain = matrix.codomain
+    return _affine_row_sum(matrix.codomain, matrix.entries, coefficients, "rows")
+
+
+def _affine_row_sum(
+    codomain: FpAlgebra, rows: Sequence[Sequence[AlgebraElement]], coefficients, noun: str
+) -> tuple[AlgebraElement, ...]:
+    """The checks and the row sum of both affine combinations; noun names
+    the rows in messages.  Rows, not a SimplexMatrix: maps out of an algebra
+    with no generators have empty image rows, which a matrix does not allow.
+    """
     if not isinstance(coefficients, CoefficientVector):
         coefficients = CoefficientVector(codomain, coefficients)
     elif coefficients.codomain != codomain:
         raise DomainMismatch("coefficients live in a different algebra")
-    if len(coefficients) != matrix.rows:
-        raise ArityMismatch(f"{len(coefficients)} weights for {matrix.rows} rows")
-    for r in range(matrix.rows):
-        for s in range(r + 1, matrix.rows):
-            verdict = vectors_neighbour(matrix.row(r), matrix.row(s))
-            if not verdict:
-                raise NotNeighbours(
-                    f"rows {r + 1} and {s + 1} are not neighbours: {verdict.witness}"
-                )
+    if len(coefficients) != len(rows):
+        raise ArityMismatch(f"{len(coefficients)} weights for {len(rows)} {noun}")
+    for (r, s, i, j), product in _difference_products(rows):
+        if not product.is_zero():
+            pair = Witness((i + 1, j + 1), product, "difference product")
+            raise NotNeighbours(f"{noun} {r + 1} and {s + 1} are not neighbours: {pair}")
     if not coefficients.is_affine():
         raise CoefficientsNotAffine(f"weights sum to {coefficients.total()}, not 1")
-    combined = []
-    for j in range(matrix.cols):
-        acc = codomain.zero()
-        for t, row in zip(coefficients, matrix.entries):
-            acc = acc + t * row[j]
-        combined.append(acc)
-    return tuple(combined)
+    return _weighted_row_sum(coefficients, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -627,27 +612,8 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
     weights = [codomain.element(c) for c in coefficients]
     if len(weights) != matrix.rows:
         raise ArityMismatch(f"{len(weights)} weights for {matrix.rows} rows")
-    new_row = []
-    for j in range(matrix.cols):
-        acc = codomain.zero()
-        for c, row in zip(weights, matrix.entries):
-            acc = acc + c * row[j]
-        new_row.append(acc)
-    return SimplexMatrix(codomain, matrix.entries + (tuple(new_row),))
-
-
-def transpose(matrix: SimplexMatrix) -> SimplexMatrix:
-    """Matrix transpose.
-
-    Membership in the difference variety is preserved when 2 is a
-    non-zero-divisor in the codomain, not in general.  The cross-product
-    equations with i < j and the squares a_ri^2 map onto themselves, but a
-    cross-product equation with i = j only says 2*a_ri*a_si = 0, while the
-    transpose needs the column product a_ri*a_si = 0 itself.  Over
-    Z/2[e1,e2]/(e1^2,e2^2) the matrix [[e1+e2, e1*e2+e1], [0, 0]] is not in
-    the variety (its row product is e1*e2), but its transpose is.
-    """
-    return matrix.transpose()
+    new_row = _weighted_row_sum(weights, matrix.entries)
+    return SimplexMatrix(codomain, matrix.entries + (new_row,))
 
 
 def universal_dtilde(

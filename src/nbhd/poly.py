@@ -19,6 +19,7 @@ from typing import Iterable, Iterator, Sequence
 from .arith import Coefficient, RingSpec
 from .errors import (
     ArityMismatch,
+    InvalidExponent,
     ParseError,
     RingMismatch,
     UnknownVariable,
@@ -99,6 +100,12 @@ DEFAULT_ORDER = MonomialOrder.DEGREVLEX
 # raw exponent-tuple helpers (shared with the ideal machinery)
 
 
+def _check_exponents(exps: tuple) -> None:
+    for e in exps:
+        if not isinstance(e, int) or e < 0:
+            raise InvalidExponent(f"exponents must be non-negative integers, got {exps}")
+
+
 def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, a, b))
 
@@ -133,8 +140,7 @@ class Monomial:
             raise ArityMismatch(
                 f"{len(self.exps)} exponents for {len(self.varset)} variables"
             )
-        if any(not isinstance(e, int) or e < 0 for e in self.exps):
-            raise ValueError("exponents must be non-negative integers")
+        _check_exponents(self.exps)
 
     @property
     def degree(self) -> int:
@@ -202,6 +208,7 @@ class Polynomial:
                     raise ArityMismatch(
                         f"{len(exps)} exponents for {len(varset)} variables"
                     )
+                _check_exponents(exps)
                 value = ring.normalize(value)
                 if exps in clean:
                     value = ring.add(clean[exps], value)

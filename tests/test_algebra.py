@@ -286,6 +286,32 @@ def test_simplex_p2_presentation():
     assert (a.element("d_X_1") * a.element("d_X_2")).is_zero()
 
 
+def test_simplex_relations_in_order():
+    # both representations list the difference products by row pair, then
+    # by column pair i <= j; the difference form anchors copy 0 at zero
+    F = free_algebra(QQ, ("X", "Y"))
+    difference = universal_simplex(F, 2, "difference").algebra.relations
+    assert [str(r) for r in difference] == [
+        "d_X_1^2",
+        "d_X_1*d_Y_1",
+        "d_Y_1^2",
+        "d_X_2^2",
+        "d_X_2*d_Y_2",
+        "d_Y_2^2",
+        "d_X_1^2 - 2*d_X_1*d_X_2 + d_X_2^2",
+        "d_X_1*d_Y_1 - d_Y_1*d_X_2 - d_X_1*d_Y_2 + d_X_2*d_Y_2",
+        "d_Y_1^2 - 2*d_Y_1*d_Y_2 + d_Y_2^2",
+    ]
+    tensor_form = universal_simplex(free_algebra(QQ, ("X",)), 2, "tensor").algebra.relations
+    assert [str(r) for r in tensor_form] == [
+        "X_0^2 - 2*X_0*X_1 + X_1^2",
+        "X_0^2 - 2*X_0*X_2 + X_2^2",
+        "X_1^2 - 2*X_1*X_2 + X_2^2",
+    ]
+    A = FpAlgebra(QQ, ("X", "Y"), ["X^2"])
+    assert diagonal_ideal(A, 2) == multi_diagonal_ideal(A, 1)
+
+
 def test_simplex_guards():
     with pytest.raises(ValueError):
         universal_simplex(free_algebra(QQ, ("X",)), 0)

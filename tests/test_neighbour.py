@@ -42,7 +42,6 @@ from nbhd.neighbour import (
     matrix_of_maps,
     pair_varset,
     rewrite_kernel_element,
-    transpose,
     universal_dtilde,
     vectors_neighbour,
 )
@@ -252,9 +251,9 @@ def test_single_row_dtilde_is_neighbour_of_zero():
 def test_transpose_involution_and_stability():
     full = square_zero_full()
     matrix = SimplexMatrix(full, [["e1", "0", "e1"], ["0", "e2", "e2"]])
-    assert transpose(transpose(matrix)) == matrix
+    assert matrix.transpose().transpose() == matrix
     assert in_dtilde(matrix)
-    assert in_dtilde(transpose(matrix))
+    assert in_dtilde(matrix.transpose())
 
 
 def test_transpose_can_change_membership_in_characteristic_two():
@@ -265,10 +264,10 @@ def test_transpose_can_change_membership_in_characteristic_two():
     verdict = in_dtilde(matrix)
     assert not verdict
     assert verdict.witness.value == weil.element("e1*e2")
-    assert in_dtilde(transpose(matrix))
+    assert in_dtilde(matrix.transpose())
     over_q = FpAlgebra(QQ, ("e1", "e2"), ["e1^2", "e2^2"])
     same = SimplexMatrix(over_q, [["e1 + e2", "e1*e2 + e1"], ["0", "0"]])
-    assert not in_dtilde(same) and not in_dtilde(transpose(same))
+    assert not in_dtilde(same) and not in_dtilde(same.transpose())
 
 
 # -- affine combinations --------------------------------------------------------
@@ -359,6 +358,15 @@ def test_affine_combination_guards():
         affine_combination([], [])
     with pytest.raises(ShapeMismatch):
         CoefficientVector(full, [])
+
+
+def test_affine_combination_out_of_an_algebra_without_generators():
+    # the image rows are empty, which a SimplexMatrix would not allow
+    point = free_algebra(QQ, ())
+    f = AlgebraMap(point, squares_only(), [])
+    assert affine_combination([f, f], [2, -1]) == f
+    with pytest.raises(CoefficientsNotAffine):
+        affine_combination([f, f], [1, 1])
 
 
 def test_combination_of_combinations_composes_weights():
@@ -598,4 +606,4 @@ def test_universal_dtilde_guards():
 
 def test_universal_dtilde_transpose_stays_inside():
     _, matrix = universal_dtilde(2, 3, QQ)
-    assert in_dtilde(transpose(matrix))
+    assert in_dtilde(matrix.transpose())

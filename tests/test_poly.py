@@ -5,8 +5,15 @@ from fractions import Fraction
 import pytest
 
 from nbhd.arith import QQ, RingSpec, ZZ
-from nbhd.errors import ArityMismatch, ParseError, UnknownVariable, VarSetMismatch
+from nbhd.errors import (
+    ArityMismatch,
+    InvalidExponent,
+    ParseError,
+    UnknownVariable,
+    VarSetMismatch,
+)
 from nbhd.poly import (
+    Monomial,
     MonomialOrder,
     Polynomial,
     VarSet,
@@ -107,6 +114,20 @@ def test_order_parse():
 
 def test_product_of_conjugates():
     assert P("Z - Y") * P("Z + Y") == P("Z^2 - Y^2")
+
+
+@pytest.mark.parametrize("exps", [(-1,), (1.5,)])
+def test_constructors_reject_invalid_exponents(exps):
+    # before validation these built silently wrong objects: (-1,) printed as
+    # "1" and (1.5,) as "x^1.5"
+    vs = VarSet(("x",))
+    with pytest.raises(InvalidExponent):
+        Polynomial(vs, QQ, {exps: 1})
+    with pytest.raises(InvalidExponent):
+        Monomial(vs, exps)
+    with pytest.raises(ValueError):
+        Polynomial(vs, QQ, {exps: 1})
+    assert str(Polynomial(vs, QQ, {(2,): 1})) == "x^2"
 
 
 def test_pow_and_frobenius():

@@ -1,10 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
+import nbhd.verify
 from nbhd.arith import QQ, RingSpec
 from nbhd.errors import UnknownFormat
-from nbhd.neighbour import in_dtilde, is_neighbour, SimplexMatrix
+from nbhd.neighbour import CheckResult, in_dtilde, is_neighbour, SimplexMatrix
 from nbhd.verify import (
     ALLOWED_RINGS,
     CHECKS,
@@ -22,6 +24,7 @@ from nbhd.verify import (
     squares_only,
 )
 
+GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-seed42.json"
 SMALL = SuiteConfig(seed=7, p_max=1, n_max=2, degree_bound=2, rings=("Q", "Z/3"), case_count=20)
 
 
@@ -282,3 +285,18 @@ def test_transposition_check_at_regression_seeds(seed):
     outcome = check_transposition(config, build_corpus(config))
     assert outcome.verdict == "pass", outcome.witness
     assert outcome.params == {"instances": 46}
+
+
+def test_seed_42_report_matches_the_golden_bytes():
+    report = emit_report(run_suite(SuiteConfig(seed=42)), "json")
+    assert report == GOLDEN.read_text()
+
+
+def test_rejection_without_witness_fails_instead_of_asserting(monkeypatch):
+    # both checks read the witness of a rejected pair; a missing one must
+    # give a fail verdict, also under python -O
+    monkeypatch.setattr(nbhd.verify, "is_neighbour", lambda f, g: CheckResult(False, None))
+    config = SuiteConfig(seed=3, p_max=1, n_max=2, degree_bound=2, rings=("Z/2",), case_count=10)
+    verdicts = run_suite(config).verdicts()
+    assert verdicts["square-zero-char-two-separation"] == "fail"
+    assert verdicts["per-generator-squares-insufficient"] == "fail"
