@@ -19,7 +19,6 @@ from .errors import (
     InvalidExponent,
     NbhdError,
     NonFieldCoefficients,
-    NonMonomialRelations,
     NotInDtilde,
     NotInKernel,
     NotNeighbours,

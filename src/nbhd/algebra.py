@@ -1,12 +1,15 @@
 """Finitely presented commutative algebras and their maps.
 
 An FpAlgebra is a coefficient ring, an ordered variable set and a finite set
-of relation polynomials, together with a normal-form strategy:
+of relation polynomials.  The relations pick the normal-form engine:
 
-* "monomial": relations must be single terms with unit coefficients; normal
-  forms delete divisible terms and work over any ring,
-* "groebner": arbitrary relations over a field; normal forms reduce against
-  the reduced Groebner basis of the relation ideal.
+* when every relation is a single term with a unit coefficient (a monomial
+  ideal), normal forms delete divisible terms and work over any ring,
+* otherwise normal forms reduce against the reduced Groebner basis of the
+  relation ideal, which needs a field.
+
+For a monomial ideal the reduced Groebner basis is its minimal monomial
+generators, so the two engines agree wherever both apply.
 
 Elements always store their normal form, so equality of elements is equality
 of representatives.  Maps are given by generator images and are validated at
@@ -31,15 +34,12 @@ from .errors import (
     DomainMismatch,
     IllDefinedMap,
     NonFieldCoefficients,
-    NonMonomialRelations,
     ParentMismatch,
     RingMismatch,
     VarSetMismatch,
 )
-from .ideal import DEFAULT_DEGREE_CAP, GroebnerBasis, Ideal, buchberger, monomial_reduce
+from .ideal import DEFAULT_DEGREE_CAP, GroebnerBasis, Ideal, _Divisors, buchberger, monomial_reduce
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, VarSet, parse_poly
-
-STRATEGIES = ("monomial", "groebner")
 
 
 def _embed_poly(p: Polynomial, target: VarSet, offset: int, ring: RingSpec) -> Polynomial:
@@ -55,16 +55,21 @@ def _embed_poly(p: Polynomial, target: VarSet, offset: int, ring: RingSpec) -> P
 
 
 class FpAlgebra:
-    """A finitely presented commutative algebra with a normal-form engine."""
+    """A finitely presented commutative algebra with a normal-form engine.
+
+    The engine follows from the relations: monomial deletion when they
+    generate a monomial ideal (Ideal.is_monomial), over any ring; a reduced
+    Groebner basis otherwise, which raises NonFieldCoefficients over a ring
+    that is not a field.
+    """
 
     __slots__ = (
         "ring",
         "varset",
         "relations",
-        "strategy",
         "order",
         "degree_cap",
-        "_monomial_gens",
+        "_divisors",
         "_gb",
         "_signature",
         "_hash",
@@ -75,62 +80,45 @@ class FpAlgebra:
         ring: RingSpec,
         varset: VarSet | Sequence[str],
         relations: Iterable = (),
-        strategy: str = "monomial",
         order: MonomialOrder = DEFAULT_ORDER,
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
         if not isinstance(varset, VarSet):
             varset = VarSet(tuple(varset))
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-        self.ring = ring
-        self.varset = varset
         rels = []
         for r in relations:
             if isinstance(r, str):
                 r = parse_poly(r, varset, ring)
             if not isinstance(r, Polynomial):
                 raise TypeError(f"relation {r!r} is not a polynomial")
-            if r.varset != varset:
-                raise VarSetMismatch(f"{r.varset} vs {varset}")
-            if r.ring != ring:
-                raise RingMismatch(f"{r.ring} vs {ring}")
-            if not r.is_zero():
-                rels.append(r)
-        self.relations = tuple(rels)
-        self.strategy = strategy
+            rels.append(r)
+        ideal = Ideal(varset, ring, tuple(rels))
+        self.ring = ring
+        self.varset = varset
+        self.relations = ideal.generators
         self.order = order
         self.degree_cap = degree_cap
-        self._monomial_gens: tuple[tuple[int, ...], ...] | None = None
+        self._divisors: _Divisors | None = None
         self._gb: GroebnerBasis | None = None
-        if strategy == "monomial":
-            gens = []
-            for r in self.relations:
-                if len(r) != 1:
-                    raise NonMonomialRelations(
-                        f"relation {r} is not a single term; use the groebner strategy"
-                    )
-                exps, value = next(iter(r._terms.items()))
-                if not ring.is_unit(value):
-                    raise NonMonomialRelations(
-                        f"relation {r} has a non-unit coefficient over {ring}"
-                    )
-                gens.append(exps)
-            self._monomial_gens = tuple(gens)
+        if ideal.is_monomial():
+            self._divisors = _Divisors(self.relations, order, len(varset))
+        elif not ring.is_field:
+            offending = " ; ".join(
+                str(r) for r in self.relations if not Ideal(varset, ring, (r,)).is_monomial()
+            )
+            raise NonFieldCoefficients(
+                f"relations {offending} are not unit monomials, so they need "
+                f"a Groebner basis and field coefficients, got {ring}"
+            )
         else:
-            if not ring.is_field:
-                raise NonFieldCoefficients(
-                    f"the groebner strategy needs a field, got {ring}"
-                )
-            self._gb = buchberger(Ideal(varset, ring, self.relations), order, degree_cap)
-        self._signature = (
-            ring,
-            varset.names,
-            frozenset(self.relations),
-            strategy,
-            order,
-        )
+            self._gb = buchberger(ideal, order, degree_cap)
+        self._signature = (ring, varset.names, frozenset(self.relations), order)
         self._hash = hash(self._signature)
+
+    @property
+    def strategy(self) -> str:
+        """The engine the relations picked: "monomial" or "groebner"."""
+        return "monomial" if self._gb is None else "groebner"
 
     # -- identity ----------------------------------------------------------
 
@@ -156,9 +144,9 @@ class FpAlgebra:
             raise VarSetMismatch(f"{p.varset} vs {self.varset}")
         if p.ring != self.ring:
             raise RingMismatch(f"{p.ring} vs {self.ring}")
-        if self._monomial_gens is not None:
-            return monomial_reduce(p, self._monomial_gens)
-        return self._gb.normal_form(p)  # type: ignore[union-attr]
+        if self._gb is None:
+            return monomial_reduce(p, self._divisors)
+        return self._gb.normal_form(p)
 
     def element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
@@ -362,15 +350,14 @@ def compose(after: AlgebraMap, before: AlgebraMap) -> AlgebraMap:
 # tensor products
 
 
-def _merge_strategy(parts: Sequence[FpAlgebra]) -> tuple[str, MonomialOrder, int]:
-    strategy = "monomial"
+def _merge_order(parts: Sequence[FpAlgebra]) -> tuple[MonomialOrder, int]:
+    """The order of the last part with a Groebner basis (else of the first
+    part) and the largest degree cap."""
     order = parts[0].order
-    cap = max(p.degree_cap for p in parts)
     for p in parts:
-        if p.strategy == "groebner":
-            strategy = "groebner"
+        if p._gb is not None:
             order = p.order
-    return strategy, order, cap
+    return order, max(p.degree_cap for p in parts)
 
 
 def tensor_power(
@@ -412,8 +399,8 @@ def _tensor_many(parts: Sequence[FpAlgebra]) -> tuple[FpAlgebra, tuple[AlgebraMa
         for rel in part.relations:
             relations.append(_embed_poly(rel, varset, offset, ring))
         offset += len(part.varset)
-    strategy, order, cap = _merge_strategy(parts)
-    t = FpAlgebra(ring, varset, relations, strategy, order, cap)
+    order, cap = _merge_order(parts)
+    t = FpAlgebra(ring, varset, relations, order, cap)
     inclusions = []
     offset = 0
     for part in parts:
@@ -539,14 +526,7 @@ def _difference_representation(
     # products of that block's displacements
     anchored = [[Polynomial.zero(varset, ring)] * n, *blocks]
     relations = [product for _, product in _difference_products(anchored)]
-    if p == 1:
-        quotient = FpAlgebra(ring, varset, relations, "monomial", order, cap)
-    else:
-        if not ring.is_field:
-            raise NonFieldCoefficients(
-                f"simplices with p >= 2 need field coefficients, got {ring}"
-            )
-        quotient = FpAlgebra(ring, varset, relations, "groebner", order, cap)
+    quotient = FpAlgebra(ring, varset, relations, order, cap)
 
     t, inclusions = tensor_power(base, p + 1)
     proj_images = []
@@ -562,13 +542,9 @@ def _tensor_representation(
     base: FpAlgebra, p: int, order: MonomialOrder, cap: int
 ) -> UniversalSimplex:
     ring = base.ring
-    if not ring.is_field:
-        raise NonFieldCoefficients(
-            f"the tensor representation needs field coefficients, got {ring}"
-        )
     t, inclusions = tensor_power(base, p + 1)
     squared = _multi_diagonal_generators(t, len(base.varset), p)
-    quotient = FpAlgebra(ring, t.varset, squared, "groebner", order, cap)
+    quotient = FpAlgebra(ring, t.varset, squared, order, cap)
     projection = AlgebraMap(
         t, quotient, Polynomial.variables(t.varset, ring)
     )
@@ -587,9 +563,11 @@ def universal_simplex(
 
     The quotient of the (p+1)-fold tensor power by the sum of all pairwise
     squared diagonal ideals.  For a free base algebra the "difference"
-    representation rewrites copy r of generator g as g + d_g_r, which needs
-    no Groebner machinery at p=1 and therefore works over any ring there;
-    all other cases require field coefficients.
+    representation rewrites copy r of generator g as g + d_g_r.  At p=1 its
+    relations are the products of two displacements, unit monomials, so the
+    quotient uses monomial deletion and works over any ring; the other
+    presentations need a Groebner basis and raise NonFieldCoefficients over
+    a ring that is not a field.
     """
     if p < 1:
         raise ValueError("p must be at least 1")
@@ -663,7 +641,6 @@ def adjoin_variables(
         algebra.ring,
         varset,
         relations,
-        algebra.strategy,
         algebra.order,
         algebra.degree_cap,
     )

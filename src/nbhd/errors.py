@@ -46,10 +46,6 @@ class NonFieldCoefficients(NbhdError):
     """A Groebner-basis computation was requested over a non-field ring."""
 
 
-class NonMonomialRelations(NbhdError):
-    """The monomial-deletion strategy needs unit-coefficient monomial relations."""
-
-
 class DegreeGuardExceeded(NbhdError):
     """An intermediate polynomial outgrew the configured total-degree cap."""
 

@@ -5,7 +5,11 @@ Algebra files (UTF-8, one key per line, '#' starts a comment)::
     ring: Q            # or Z, or Z/5
     vars: e1 e2
     rels: e1^2 ; e2^2 ; e1*e2    # optional
-    strategy: monomial           # or groebner; optional, guessed from rels
+    strategy: monomial           # or groebner; optional, see below
+
+The relations pick the normal-form engine (see nbhd.algebra).  dump_algebra
+writes the engine as a strategy line for information; on input the line may
+say monomial or groebner and is otherwise ignored.
 
 Map files point at two algebra files and give semicolon-separated images::
 
@@ -70,17 +74,9 @@ def parse_algebra(text: str, order: MonomialOrder = DEFAULT_ORDER) -> FpAlgebra:
         for part in rel_text.split(";")
         if part.strip()
     ]
-    strategy = keys.get("strategy")
-    if strategy is None:
-        # guess: plain monomial relations need no Groebner machinery
-        monomial = all(
-            len(r) == 1 and ring.is_unit(next(iter(r._terms.values())))
-            for r in relations
-        )
-        strategy = "monomial" if monomial else "groebner"
-    elif strategy not in ("monomial", "groebner"):
-        raise UnknownFormat(f"algebra file: unknown strategy {strategy!r}")
-    return FpAlgebra(ring, varset, relations, strategy, order)
+    if keys.get("strategy", "monomial") not in ("monomial", "groebner"):
+        raise UnknownFormat(f"algebra file: unknown strategy {keys['strategy']!r}")
+    return FpAlgebra(ring, varset, relations, order)
 
 
 def load_algebra(path: str, order: MonomialOrder = DEFAULT_ORDER) -> FpAlgebra:

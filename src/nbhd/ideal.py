@@ -48,7 +48,6 @@ from .poly import (
     VarSet,
     mono_degree,
     mono_div,
-    mono_divides,
     mono_lcm,
     mono_mul,
 )
@@ -76,7 +75,11 @@ class Ideal:
         object.__setattr__(self, "generators", tuple(kept))
 
     def is_monomial(self) -> bool:
-        """True when every generator is a single term with a unit coefficient."""
+        """True when every generator is a single term with a unit coefficient.
+
+        This alone picks the normal-form engine of an FpAlgebra and of
+        contains: monomial deletion when it holds, a Groebner basis otherwise.
+        """
         return all(
             len(g) == 1 and self.ring.is_unit(next(iter(g._terms.values())))
             for g in self.generators
@@ -111,14 +114,19 @@ def monomial_reduce(p: Polynomial, gens: Iterable) -> Polynomial:
 
     This is the normal form modulo the monomial ideal they generate, valid
     over any coefficient ring.  Generators may be Monomial objects or raw
-    exponent tuples.
+    exponent tuples, which are checked against p's variables, or a divisor
+    list this module built from single-term polynomials (an FpAlgebra
+    builds one from its relations), which is not checked again.
     """
-    divisors = _monomial_exps(gens, p.varset)
-    kept = {
-        exps: value
-        for exps, value in p._terms.items()
-        if not any(mono_divides(d, exps) for d in divisors)
-    }
+    if not isinstance(gens, _Divisors):
+        one = p.ring.one()
+        gens = _Divisors(
+            (Polynomial._raw(p.varset, p.ring, {e: one}) for e in _monomial_exps(gens, p.varset)),
+            DEFAULT_ORDER,
+            len(p.varset),
+        )
+    dividing = gens.dividing
+    kept = {exps: value for exps, value in p._terms.items() if not dividing(exps)}
     return Polynomial._raw(p.varset, p.ring, kept)
 
 
@@ -430,6 +438,6 @@ def contains(
     if p.ring != ideal.ring:
         raise RingMismatch(f"{p.ring} vs {ideal.ring}")
     if ideal.is_monomial():
-        gens = [next(iter(g._terms)) for g in ideal.generators]
-        return monomial_reduce(p, gens).is_zero()
+        divisors = _Divisors(ideal.generators, order, len(ideal.varset))
+        return monomial_reduce(p, divisors).is_zero()
     return buchberger(ideal, order, degree_cap).contains(p)

@@ -37,7 +37,6 @@ from .errors import (
     ArityMismatch,
     CoefficientsNotAffine,
     DomainMismatch,
-    NonFieldCoefficients,
     NotInDtilde,
     NotInKernel,
     NotNeighbours,
@@ -629,14 +628,12 @@ def universal_dtilde(
     cross-product and row-product equations; the returned matrix of
     generators therefore satisfies in_dtilde tautologically, and any
     difference matrix over any algebra arises from it by specialization.
-    Needs field coefficients (the equations are not monomials).
+    For p = 1 the equations are the row products, unit monomials, so the
+    algebra works over any ring; for p >= 2 the cross products need a
+    Groebner basis and field coefficients (NonFieldCoefficients otherwise).
     """
     if p < 1 or n < 1:
         raise ValueError("matrix dimensions must be at least 1 x 1")
-    if not ring.is_field:
-        raise NonFieldCoefficients(
-            f"the generic difference matrix needs field coefficients, got {ring}"
-        )
     compact = p <= 9 and n <= 9
     names = tuple(
         f"a{i + 1}{j + 1}" if compact else f"a{i + 1}_{j + 1}"
@@ -659,7 +656,7 @@ def universal_dtilde(
         for i in range(n):
             for j in range(i, n):
                 relations.append(entry(r, i) * entry(r, j))
-    algebra = FpAlgebra(ring, varset, relations, "groebner", order, degree_cap)
+    algebra = FpAlgebra(ring, varset, relations, order, degree_cap)
     rows = [
         [algebra.generator(i * n + j) for j in range(n)] for i in range(p)
     ]

@@ -113,6 +113,12 @@ def _rng(config: SuiteConfig, label: str) -> random.Random:
     return random.Random(f"{config.seed}:{label}")
 
 
+def _ring_at(config: SuiteConfig, i: int) -> tuple[str, RingSpec]:
+    """The name and ring of case i when cases cycle through the rings."""
+    name = config.rings[i % len(config.rings)]
+    return name, RingSpec.parse(name)
+
+
 def _random_value(rng: random.Random, ring: RingSpec):
     if ring.kind == "Q":
         return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
@@ -897,8 +903,7 @@ def check_affine_multiplicative(config: SuiteConfig, corpus: Corpus) -> CheckOut
     rng = _rng(config, "affine-multiplicative")
     budget = min(config.case_count, 40)
     for i in range(budget):
-        name = config.rings[i % len(config.rings)]
-        ring = config.ring_specs()[i % len(config.rings)]
+        name, ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
         domain, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
@@ -928,8 +933,7 @@ def check_affine_postcomposition(config: SuiteConfig, corpus: Corpus) -> CheckOu
     budget = min(config.case_count, 30)
     done = 0
     for i in range(budget):
-        name = config.rings[i % len(config.rings)]
-        ring = config.ring_specs()[i % len(config.rings)]
+        name, ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
         _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
@@ -970,8 +974,7 @@ def check_bracket_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
                 instances += 1
     rng = _rng(config, "bracket")
     for i in range(min(config.case_count, 30)):
-        name = config.rings[i % len(config.rings)]
-        ring = config.ring_specs()[i % len(config.rings)]
+        name, ring = _ring_at(config, i)
         n = rng.randint(1, config.n_max)
         domain, _, maps = _neighbour_tuple(rng, corpus, name, ring, 1, n)
         f, g = maps[0], maps[1]
@@ -1026,8 +1029,7 @@ def check_combinations_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckO
     for p in range(1, p_top + 1):
         for n in range(1, n_top + 1):
             for i in range(config.case_count):
-                name = config.rings[i % len(config.rings)]
-                ring = config.ring_specs()[i % len(config.rings)]
+                name, ring = _ring_at(config, i)
                 _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
                 w1 = _random_affine_weights(rng, codomain, p + 1)
                 w2 = _random_affine_weights(rng, codomain, p + 1)
@@ -1069,8 +1071,7 @@ def check_combination_of_combinations(config: SuiteConfig, corpus: Corpus) -> Ch
         instances += 1
     rng = _rng(config, "combo-combo")
     for i in range(min(config.case_count, 25)):
-        name = config.rings[i % len(config.rings)]
-        ring = config.ring_specs()[i % len(config.rings)]
+        name, ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
         _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
@@ -1167,8 +1168,7 @@ def check_zero_anchored_criterion(config: SuiteConfig, corpus: Corpus) -> CheckO
     members = 0
     others = 0
     for i in range(min(config.case_count, 80)):
-        name = config.rings[i % len(config.rings)]
-        ring = config.ring_specs()[i % len(config.rings)]
+        name, ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
         matrix = _dtilde_candidate(rng, corpus, name, ring, p, n, member=i % 2 == 0)
@@ -1267,8 +1267,7 @@ def check_transposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
             instances += 1
     rng = _rng(config, "transpose")
     for i in range(min(config.case_count, 40)):
-        name = config.rings[i % len(config.rings)]
-        ring = config.ring_specs()[i % len(config.rings)]
+        name, ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
         matrix = _dtilde_candidate(rng, corpus, name, ring, p, n, member=i % 2 == 0)
@@ -1299,8 +1298,7 @@ def check_row_extension(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     for p in range(1, p_top + 1):
         for n in range(1, n_top + 1):
             for i in range(config.case_count):
-                name = config.rings[i % len(config.rings)]
-                ring = config.ring_specs()[i % len(config.rings)]
+                name, ring = _ring_at(config, i)
                 matrix = _random_dtilde_matrix(rng, corpus, name, ring, p, n)
                 weights = [
                     matrix.codomain.element(

@@ -27,8 +27,8 @@ from nbhd.errors import (
     DomainMismatch,
     IllDefinedMap,
     NonFieldCoefficients,
-    NonMonomialRelations,
     ParentMismatch,
+    RingMismatch,
     VarSetMismatch,
 )
 from nbhd.poly import Polynomial, VarSet, parse_poly
@@ -54,20 +54,37 @@ def test_normal_forms_in_quotient():
     assert str(D.element("3*X^3 + 2*X + 1")) == "2*X + 1"
 
 
+def test_relations_and_normal_forms_check_ring_and_variables():
+    other_vars = VarSet(("Y",))
+    with pytest.raises(RingMismatch):
+        FpAlgebra(QQ, ("X",), [parse_poly("X^2", VarSet(("X",)), ZZ)])
+    with pytest.raises(VarSetMismatch):
+        FpAlgebra(QQ, ("X",), [parse_poly("Y^2", other_vars, QQ)])
+    with pytest.raises(TypeError):
+        FpAlgebra(QQ, ("X",), [2])
+    assert FpAlgebra(QQ, ("X",), ["X^2", "X - X"]).relations == dual_numbers().relations
+    for D in (dual_numbers(), FpAlgebra(QQ, ("X",), ["X^2 - X"])):
+        with pytest.raises(RingMismatch):
+            D.normal_form(parse_poly("X", D.varset, ZZ))
+        with pytest.raises(VarSetMismatch):
+            D.normal_form(parse_poly("Y", other_vars, QQ))
+
+
 def test_groebner_strategy_quotient():
-    A = FpAlgebra(QQ, ("X",), ["X^2 - X"], strategy="groebner")
+    A = FpAlgebra(QQ, ("X",), ["X^2 - X"])
+    assert A.strategy == "groebner"  # picked by the relations
     x = A.generator(0)
     assert x * x == x
     assert (x ** 5) == x
 
 
 def test_monomial_strategy_guards():
-    with pytest.raises(NonMonomialRelations):
-        FpAlgebra(QQ, ("X",), ["X^2 - X"], strategy="monomial")
-    with pytest.raises(NonMonomialRelations):
-        FpAlgebra(ZZ, ("X",), ["2*X^2"], strategy="monomial")
-    with pytest.raises(NonFieldCoefficients):
-        FpAlgebra(ZZ, ("X",), ["X^2 - X"], strategy="groebner")
+    # relations that are not unit monomials need a field
+    with pytest.raises(NonFieldCoefficients, match="2\\*X\\^2"):
+        FpAlgebra(ZZ, ("X",), ["2*X^2"])
+    with pytest.raises(NonFieldCoefficients, match="X\\^2 - X"):
+        FpAlgebra(ZZ, ("X",), ["X^2 + X^3", "X^2 - X"])
+    assert FpAlgebra(QQ, ("X",), ["2*X^2"]).strategy == "monomial"  # 2 is a unit in Q
     # unit coefficients are fine for the monomial engine over any ring
     A = FpAlgebra(ZZ, ("X",), ["X^2"])
     assert A.element("X^3 + X").rep == parse_poly("X", A.varset, ZZ)

@@ -175,6 +175,12 @@ def test_dtilde_universal(capsys):
     assert "error:" in err
 
 
+def test_dtilde_universal_one_row_over_z(capsys):
+    code, out, _ = run(capsys, ["dtilde", "--universal", "--ring", "Z", "--p", "1"])
+    assert code == 0
+    assert "rels: a11^2 ; a11*a12 ; a12^2\nstrategy: monomial\n" in out
+
+
 # -- affine / extend / decompose ---------------------------------------------------
 
 

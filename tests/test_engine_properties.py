@@ -1,0 +1,114 @@
+"""Property tests for the normal-form engine choice and the neighbour relation.
+
+The engine FpAlgebra picks for unit-monomial relations (monomial deletion)
+must give the normal forms of a reduced Groebner basis of the same ideal,
+which is what makes letting the relations pick the engine safe.  The
+neighbour relation must be reflexive and symmetric, agree with its
+subtraction-free form, and hold exactly when the pair factors through the
+universal p = 1 simplex.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from nbhd.algebra import (  # noqa: E402
+    AlgebraMap,
+    FpAlgebra,
+    classifying_map,
+    compose,
+    free_algebra,
+    universal_simplex,
+)
+from nbhd.arith import QQ, RingSpec  # noqa: E402
+from nbhd.errors import IllDefinedMap  # noqa: E402
+from nbhd.ideal import Ideal, buchberger  # noqa: E402
+from nbhd.neighbour import is_neighbour, is_neighbour_product_form  # noqa: E402
+from nbhd.poly import MonomialOrder, Polynomial, VarSet  # noqa: E402
+from nbhd.verify import WEIL_PATTERNS, random_weil_algebra  # noqa: E402
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+VARSET = VarSet(("X", "Y", "Z"))
+MAP_RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z", "Z/2", "Z/3"))
+
+
+def _coefficients(ring, units=False):
+    if ring.kind == "Q":
+        numerator = st.integers(-5, 5).filter(bool) if units else st.integers(-5, 5)
+        return st.builds(Fraction, numerator, st.integers(1, 4))
+    if ring.kind == "Z":
+        return st.sampled_from((-1, 1)) if units else st.integers(-3, 3)
+    return st.integers(1 if units else 0, ring.modulus - 1)
+
+
+def _exponents(varset, top):
+    return st.tuples(*[st.integers(0, top)] * len(varset))
+
+
+def _polynomials(varset, ring, max_terms, top):
+    terms = st.tuples(_exponents(varset, top), _coefficients(ring))
+    return st.lists(terms, max_size=max_terms).map(lambda ts: Polynomial(varset, ring, ts))
+
+
+@st.composite
+def monomial_presentations(draw):
+    ring = draw(st.sampled_from((QQ, RingSpec.modular(5))))
+    order = draw(st.sampled_from(list(MonomialOrder)))
+    term = st.tuples(_exponents(VARSET, 3), _coefficients(ring, units=True))
+    relations = draw(st.lists(term.map(lambda t: Polynomial(VARSET, ring, [t])), max_size=4))
+    p = draw(_polynomials(VARSET, ring, 8, 4))
+    return ring, order, relations, p
+
+
+@PROPERTY
+@given(monomial_presentations())
+def test_monomial_engine_matches_the_reduced_groebner_basis(case):
+    ring, order, relations, p = case
+    algebra = FpAlgebra(ring, VARSET, relations, order)
+    assert algebra.strategy == "monomial"
+    basis = buchberger(Ideal(VARSET, ring, tuple(relations)), order)
+    assert algebra.normal_form(p) == basis.normal_form(p)
+
+
+@st.composite
+def map_pairs(draw):
+    """Two maps from a free algebra into a Weil-style algebra; the second
+    moves each image by a displacement of degree at most one per variable,
+    with a constant term now and then, so both verdicts come up."""
+    ring = draw(st.sampled_from(MAP_RINGS))
+    pattern = draw(st.sampled_from(WEIL_PATTERNS))
+    codomain = random_weil_algebra(draw(st.integers(0, 999)), ring, draw(st.integers(1, 3)), pattern)
+    domain = free_algebra(ring, ("X1", "X2")[: draw(st.integers(1, 2))])
+    size = len(domain.varset)
+    images = draw(st.lists(_polynomials(codomain.varset, ring, 3, 2), min_size=size, max_size=size))
+    moves = draw(st.lists(_polynomials(codomain.varset, ring, 2, 1), min_size=size, max_size=size))
+    f = AlgebraMap(domain, codomain, images)
+    g = AlgebraMap(domain, codomain, [a + d for a, d in zip(images, moves)])
+    return f, g
+
+
+@PROPERTY
+@given(map_pairs())
+def test_neighbour_relation_is_reflexive_symmetric_and_matches_product_form(pair):
+    f, g = pair
+    assert is_neighbour(f, f) and is_neighbour(g, g)
+    verdict = is_neighbour(f, g).ok
+    assert is_neighbour(g, f).ok == verdict
+    assert is_neighbour_product_form(f, g).ok == verdict
+
+
+@PROPERTY
+@given(map_pairs())
+def test_classifying_map_exists_exactly_for_neighbours(pair):
+    f, g = pair
+    simplex = universal_simplex(f.domain, 1)
+    try:
+        h = classifying_map(simplex, [f, g])
+    except IllDefinedMap:
+        assert not is_neighbour(f, g)
+    else:
+        assert is_neighbour(f, g)
+        assert compose(h, simplex.maps[0]) == f and compose(h, simplex.maps[1]) == g

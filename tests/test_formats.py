@@ -46,7 +46,7 @@ strategy: groebner
     A = parse_algebra(text)
     assert A.ring == RingSpec.modular(5)
     assert A.is_free
-    assert A.strategy == "groebner"
+    assert A.strategy == "monomial"  # the relations (none) pick the engine
 
 
 def test_parse_algebra_errors():
@@ -74,6 +74,19 @@ def test_algebra_round_trip():
     assert again == A
     free = free_algebra(QQ, ("X", "Y"))
     assert parse_algebra(dump_algebra(free)) == free
+
+
+def test_strategy_line_is_accepted_but_the_relations_decide():
+    A = parse_algebra(WEIL_TEXT + "strategy: groebner\n")
+    assert A == parse_algebra(WEIL_TEXT)
+    assert A.strategy == "monomial"
+
+
+def test_groebner_algebra_round_trip():
+    A = parse_algebra("ring: Z/5\nvars: X Y\nrels: X^2 - Y ; X*Y - 1\n")
+    dumped = dump_algebra(A)
+    assert dumped.endswith("strategy: groebner\n")
+    assert parse_algebra(dumped) == A
 
 
 def test_load_algebra(tmp_path):

@@ -604,6 +604,15 @@ def test_universal_dtilde_guards():
         universal_dtilde(2, 0, QQ)
 
 
+def test_universal_dtilde_one_row_over_any_ring():
+    # with one row only the row products remain: unit monomials
+    for ring in (ZZ, RingSpec.modular(4)):
+        algebra, matrix = universal_dtilde(1, 2, ring)
+        assert algebra.strategy == "monomial"
+        assert in_dtilde(matrix)
+        assert algebra.element("a11*a12 + a11 + 3*a11^2").rep == algebra.element("a11").rep
+
+
 def test_universal_dtilde_transpose_stays_inside():
     _, matrix = universal_dtilde(2, 3, QQ)
     assert in_dtilde(matrix.transpose())
