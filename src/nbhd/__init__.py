@@ -48,7 +48,6 @@ from .ideal import (
     buchberger,
     contains,
     monomial_reduce,
-    normal_form,
     reduce_full,
     s_polynomial,
 )

@@ -213,7 +213,9 @@ class AlgebraElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraElement(self.parent, self.parent.normal_form(self.rep + o.rep))
+        # a sum of normal forms is a normal form: no term of either operand
+        # lies in the leading-term ideal, so there is nothing to reduce
+        return AlgebraElement(self.parent, self.rep + o.rep)
 
     __radd__ = __add__
 
@@ -221,7 +223,7 @@ class AlgebraElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraElement(self.parent, self.parent.normal_form(self.rep - o.rep))
+        return AlgebraElement(self.parent, self.rep - o.rep)
 
     def __rsub__(self, other):
         o = self._coerce(other)

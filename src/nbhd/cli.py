@@ -50,7 +50,7 @@ from .neighbour import (
     universal_dtilde,
     vectors_neighbour,
 )
-from .poly import DEFAULT_ORDER, MonomialOrder, VarSet, parse_poly, parse_poly_list
+from .poly import MonomialOrder, VarSet, parse_poly, parse_poly_list
 from .verify import SuiteConfig, emit_report, run_suite
 
 # negative mathematical verdicts, as opposed to unusable input
@@ -68,16 +68,17 @@ def _order_of(args) -> MonomialOrder:
 
 
 def _algebra_of(args) -> FpAlgebra:
-    """Build the working algebra from --algebra or the inline flags."""
+    """Build the working algebra from --algebra or the inline flags, with
+    the command's --order and --degree-bound."""
     order = _order_of(args)
     if getattr(args, "algebra", None):
-        return load_algebra(args.algebra, order)
+        return load_algebra(args.algebra, order, args.degree_bound)
     if getattr(args, "ring", None) and getattr(args, "vars", None):
         names = args.vars.replace(",", " ")
         lines = [f"ring: {args.ring}", f"vars: {names}"]
         if getattr(args, "rels", None):
             lines.append(f"rels: {args.rels}")
-        return parse_algebra("\n".join(lines) + "\n", order)
+        return parse_algebra("\n".join(lines) + "\n", order, args.degree_bound)
     raise NbhdError("provide --algebra FILE or --ring and --vars")
 
 
@@ -121,11 +122,12 @@ def _cmd_nf(args):
 def _cmd_gb(args):
     order = _order_of(args)
     algebra = _algebra_of(args)
-    if args.gens:
-        gens = parse_poly_list(args.gens, algebra.varset, algebra.ring, sep=";")
-    else:
+    gb = algebra._gb  # the basis of the relations, unless they are monomial
+    if args.gens or gb is None:
         gens = algebra.relations
-    gb = buchberger(Ideal(algebra.varset, algebra.ring, gens), order, args.degree_bound)
+        if args.gens:
+            gens = parse_poly_list(args.gens, algebra.varset, algebra.ring, sep=";")
+        gb = buchberger(Ideal(algebra.varset, algebra.ring, gens), order, args.degree_bound)
     basis = [str(p) for p in gb.basis]
     return (
         0,
@@ -265,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit JSON on stdout")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
 
     engine = argparse.ArgumentParser(add_help=False)
     engine.add_argument(
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_DEGREE_CAP,
         dest="degree_bound",
-        help="degree guard for basis completion",
+        help="degree guard for every basis the command computes",
     )
 
     source = argparse.ArgumentParser(add_help=False)
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "decompose",
-        parents=[common, engine],
+        parents=[common],
         help="expand the difference of two renamed copies of a polynomial",
     )
     p.add_argument("--ring", required=True, help="Q, Z or Z/m")
@@ -384,14 +385,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(handler=_cmd_universal)
 
+    suite = SuiteConfig()
     p = sub.add_parser(
         "verify", parents=[common], help="run the verification suite"
     )
-    p.add_argument("--p-max", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=3)
-    p.add_argument("--degree-bound", type=int, default=3)
-    p.add_argument("--rings", default="Q,Z,Z/2,Z/3,Z/5")
-    p.add_argument("--cases", type=int, default=200)
+    p.add_argument("--seed", type=int, default=suite.seed, help="random seed")
+    p.add_argument("--p-max", type=int, default=suite.p_max)
+    p.add_argument("--n-max", type=int, default=suite.n_max)
+    p.add_argument("--degree-bound", type=int, default=suite.degree_bound)
+    p.add_argument("--rings", default=",".join(suite.rings))
+    p.add_argument("--cases", type=int, default=suite.case_count)
     p.add_argument(
         "--timings",
         action="store_true",

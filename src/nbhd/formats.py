@@ -28,6 +28,7 @@ import re
 from .arith import RingSpec
 from .errors import UnknownFormat
 from .algebra import AlgebraMap, FpAlgebra
+from .ideal import DEFAULT_DEGREE_CAP
 from .neighbour import SimplexMatrix
 from .poly import DEFAULT_ORDER, MonomialOrder, VarSet, parse_poly
 
@@ -56,8 +57,10 @@ def _key_lines(text: str, what: str) -> dict[str, str]:
     return found
 
 
-def parse_algebra(text: str, order: MonomialOrder = DEFAULT_ORDER) -> FpAlgebra:
-    """Build an algebra from its file text."""
+def parse_algebra(
+    text: str, order: MonomialOrder = DEFAULT_ORDER, degree_cap: int = DEFAULT_DEGREE_CAP
+) -> FpAlgebra:
+    """Build an algebra from its file text; order and degree_cap go to FpAlgebra."""
     keys = _key_lines(text, "algebra file")
     unknown = set(keys) - {"ring", "vars", "rels", "strategy"}
     if unknown:
@@ -76,12 +79,14 @@ def parse_algebra(text: str, order: MonomialOrder = DEFAULT_ORDER) -> FpAlgebra:
     ]
     if keys.get("strategy", "monomial") not in ("monomial", "groebner"):
         raise UnknownFormat(f"algebra file: unknown strategy {keys['strategy']!r}")
-    return FpAlgebra(ring, varset, relations, order)
+    return FpAlgebra(ring, varset, relations, order, degree_cap)
 
 
-def load_algebra(path: str, order: MonomialOrder = DEFAULT_ORDER) -> FpAlgebra:
+def load_algebra(
+    path: str, order: MonomialOrder = DEFAULT_ORDER, degree_cap: int = DEFAULT_DEGREE_CAP
+) -> FpAlgebra:
     with open(path, encoding="utf-8") as handle:
-        return parse_algebra(handle.read(), order)
+        return parse_algebra(handle.read(), order, degree_cap)
 
 
 def dump_algebra(algebra: FpAlgebra) -> str:

@@ -417,11 +417,6 @@ class GroebnerBasis:
         return len(self.basis)
 
 
-def normal_form(p: Polynomial, gb: GroebnerBasis) -> Polynomial:
-    """Canonical representative of p modulo the ideal of the basis."""
-    return gb.normal_form(p)
-
-
 def contains(
     ideal: Ideal,
     p: Polynomial,

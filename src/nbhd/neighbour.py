@@ -356,6 +356,12 @@ class CoefficientVector:
         if not self.entries:
             raise ShapeMismatch("need at least one coefficient")
 
+    @classmethod
+    def affine(cls, codomain: FpAlgebra, tail: Sequence) -> "CoefficientVector":
+        """The weights (1 - sum(tail), *tail), affine by construction."""
+        tail = [codomain.element(x) for x in tail]
+        return cls(codomain, [codomain.one() - sum(tail, codomain.zero()), *tail])
+
     def total(self) -> AlgebraElement:
         total = self.codomain.zero()
         for x in self.entries:
@@ -560,16 +566,22 @@ def generic_coefficients(
     the simplex maps along the inclusion.  Returns (extended algebra,
     inclusion, weights, lifted maps).
     """
-    p = simplex.p
+    return adjoin_weights(simplex.algebra, simplex.maps, prefix)
+
+
+def adjoin_weights(
+    algebra: FpAlgebra, maps: Sequence[AlgebraMap], prefix: str
+) -> tuple[FpAlgebra, AlgebraMap, CoefficientVector, tuple[AlgebraMap, ...]]:
+    """Adjoin formal affine weights for p + 1 maps into algebra, as
+    generic_coefficients does for the simplex maps."""
+    p = len(maps) - 1
     names = (prefix,) if p == 1 else tuple(f"{prefix}{r}" for r in range(1, p + 1))
-    extended, inclusion = adjoin_variables(simplex.algebra, names)
-    offset = len(simplex.algebra.varset)
-    formal = [extended.generator(offset + k) for k in range(p)]
-    head = extended.one()
-    for v in formal:
-        head = head - v
-    weights = CoefficientVector(extended, [head, *formal])
-    lifted = tuple(compose(inclusion, f) for f in simplex.maps)
+    extended, inclusion = adjoin_variables(algebra, names)
+    offset = len(algebra.varset)
+    weights = CoefficientVector.affine(
+        extended, [extended.generator(offset + k) for k in range(p)]
+    )
+    lifted = tuple(compose(inclusion, f) for f in maps)
     return extended, inclusion, weights, lifted
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .arith import Coefficient, RingSpec
 from .errors import (
@@ -293,10 +293,10 @@ class Polynomial:
         return Coefficient(self.ring, self._terms.get(monomial.exps, self.ring.zero()))
 
     def sorted_terms(
-        self, order: MonomialOrder = DEFAULT_ORDER, reverse: bool = True
+        self, order: MonomialOrder = DEFAULT_ORDER
     ) -> list[tuple[tuple[int, ...], object]]:
         """Internal terms as (exps, raw value), biggest monomial first."""
-        return sorted(self._terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+        return sorted(self._terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     def terms(self, order: MonomialOrder = DEFAULT_ORDER) -> list[tuple[Monomial, Coefficient]]:
         return [

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from nbhd.cli import main
+from nbhd.cli import build_parser, main
+from nbhd.verify import SuiteConfig
 
 WEIL = ["--ring", "Q", "--vars", "e1,e2", "--rels", "e1^2 ; e2^2 ; e1*e2"]
 THIN = ["--ring", "Q", "--vars", "e1,e2", "--rels", "e1^2 ; e2^2"]
@@ -82,6 +83,38 @@ def test_gb_degree_bound_guard(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+CUBIC = ["--ring", "Q", "--vars", "x,y", "--rels", "x^3 - y; x*y^2 - 1"]
+
+
+def test_nf_degree_bound_guards_the_relations_basis(capsys):
+    code, out, err = run(capsys, ["nf"] + CUBIC + ["--degree-bound", "2", "--poly", "x^5"])
+    assert code == 2
+    assert "exceeds cap 2" in err
+    assert out == ""
+
+
+def test_nf_degree_bound_reaches_an_algebra_file(capsys, tmp_path):
+    path = tmp_path / "cubic.alg"
+    path.write_text("ring: Q\nvars: x y\nrels: x^3 - y ; x*y^2 - 1\n", encoding="utf-8")
+    argv = ["nf", "--algebra", str(path), "--poly", "x^5"]
+    code, _, err = run(capsys, argv + ["--degree-bound", "2"])
+    assert code == 2
+    assert "exceeds cap 2" in err
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.strip() == "x^2*y"
+
+
+def test_gb_degree_bound_lifts_the_relations_cap(capsys):
+    rels = ["--ring", "Q", "--vars", "x,y", "--rels", "x^30 - y; x*y - 1"]
+    code, _, err = run(capsys, ["gb"] + rels)
+    assert code == 2
+    assert "exceeds cap 24" in err
+    code, out, _ = run(capsys, ["gb"] + rels + ["--degree-bound", "40"])
+    assert code == 0
+    assert out.splitlines() == ["x^16 - y^15", "y^16 - x^15", "x*y - 1"]
 
 
 # -- neighbour ----------------------------------------------------------------
@@ -311,6 +344,19 @@ def test_verify_sabotage_fails(capsys):
     assert "[sabotaged corpus]" in out
 
 
+def test_verify_defaults_are_the_suite_defaults():
+    args = build_parser().parse_args(["verify"])
+    config = SuiteConfig(
+        seed=args.seed,
+        p_max=args.p_max,
+        n_max=args.n_max,
+        degree_bound=args.degree_bound,
+        rings=tuple(args.rings.split(",")),
+        case_count=args.cases,
+    )
+    assert config == SuiteConfig()
+
+
 # -- exit code contract ------------------------------------------------------------
 
 
@@ -337,6 +383,24 @@ def test_usage_error(capsys):
     assert code == 2
     doc = json.loads(out.splitlines()[-1])
     assert doc["kind"] == "UsageError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nf", "--ring", "Q", "--vars", "X", "--poly", "X", "--seed", "1"],
+        ["decompose", "--ring", "Q", "--vars", "X", "--poly", "X^2", "--order", "lex"],
+        ["decompose", "--ring", "Q", "--vars", "X", "--poly", "X^2", "--degree-bound", "5"],
+    ],
+    ids=["nf-seed", "decompose-order", "decompose-degree-bound"],
+)
+def test_flags_no_handler_reads_are_usage_errors(capsys, argv):
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert json.loads(out.splitlines()[-1])["kind"] == "UsageError"
 
 
 def test_json_error_document(capsys):

@@ -5,7 +5,8 @@ must give the normal forms of a reduced Groebner basis of the same ideal,
 which is what makes letting the relations pick the engine safe.  The
 neighbour relation must be reflexive and symmetric, agree with its
 subtraction-free form, and hold exactly when the pair factors through the
-universal p = 1 simplex.
+universal p = 1 simplex.  Element sums skip a second normal form, which
+is sound only because a sum of normal forms is already one.
 """
 
 from fractions import Fraction
@@ -112,3 +113,30 @@ def test_classifying_map_exists_exactly_for_neighbours(pair):
     else:
         assert is_neighbour(f, g)
         assert compose(h, simplex.maps[0]) == f and compose(h, simplex.maps[1]) == g
+
+
+GROEBNER_RELATIONS = (("X^2 - Y", "X*Y - 1"), ("X^3 - Y", "X*Y^2 - 1"), ("X*Y - Z^2", "Y^2 - X*Z"))
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of a Weil-style algebra over any ring, or of a
+    Groebner-engine algebra over Q."""
+    if draw(st.booleans()):
+        ring = draw(st.sampled_from(MAP_RINGS))
+        pattern = draw(st.sampled_from(WEIL_PATTERNS))
+        algebra = random_weil_algebra(draw(st.integers(0, 999)), ring, draw(st.integers(1, 3)), pattern)
+    else:
+        relations = draw(st.sampled_from(GROEBNER_RELATIONS))
+        algebra = FpAlgebra(QQ, VARSET, relations, draw(st.sampled_from(list(MonomialOrder))))
+        assert algebra.strategy == "groebner"
+    polys = _polynomials(algebra.varset, algebra.ring, 5, 3)
+    return algebra, algebra.element(draw(polys)), algebra.element(draw(polys))
+
+
+@PROPERTY
+@given(element_pairs())
+def test_sums_of_normal_forms_are_normal_forms(case):
+    algebra, a, b = case
+    assert (a + b).rep == algebra.normal_form(a.rep + b.rep)
+    assert (a - b).rep == algebra.normal_form(a.rep - b.rep)

@@ -2,7 +2,7 @@ import pytest
 
 from nbhd.algebra import FpAlgebra, free_algebra
 from nbhd.arith import QQ, RingSpec
-from nbhd.errors import ParseError, UnknownFormat
+from nbhd.errors import DegreeGuardExceeded, ParseError, UnknownFormat
 from nbhd.formats import (
     dump_algebra,
     dump_matrix,
@@ -93,6 +93,17 @@ def test_load_algebra(tmp_path):
     path = tmp_path / "weil.alg"
     path.write_text(WEIL_TEXT, encoding="utf-8")
     assert load_algebra(str(path)) == parse_algebra(WEIL_TEXT)
+
+
+def test_degree_cap_reaches_the_basis(tmp_path):
+    text = "ring: Q\nvars: X Y\nrels: X^3 - Y ; X*Y^2 - 1\n"
+    with pytest.raises(DegreeGuardExceeded, match="exceeds cap 2"):
+        parse_algebra(text, degree_cap=2)
+    path = tmp_path / "cubic.alg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DegreeGuardExceeded, match="exceeds cap 2"):
+        load_algebra(str(path), degree_cap=2)
+    assert load_algebra(str(path), degree_cap=30).degree_cap == 30
 
 
 def test_load_map_with_relative_paths(tmp_path):
