@@ -12,9 +12,11 @@ For a monomial ideal the reduced Groebner basis is its minimal monomial
 generators, so the two engines agree wherever both apply.
 
 Elements always store their normal form, so equality of elements is equality
-of representatives.  Maps are given by generator images and are validated at
-construction: every relation of the domain must map to zero (the certificate
-for well-definedness); violations raise IllDefinedMap.
+of representatives.  Over monomial relations a product forms only the exponent
+sums no relation divides, so the terms a normal form would delete are never
+built.  Maps are given by generator images, evaluate inside the codomain and
+are validated at construction: every relation of the domain must map to zero
+(the certificate for well-definedness); violations raise IllDefinedMap.
 
 The second half of the module builds tensor products (coproducts) and the
 quotients by (squared) diagonal ideals which classify neighbouring pairs,
@@ -23,6 +25,7 @@ together with the classifying maps given by their universal property.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -39,7 +42,7 @@ from .errors import (
     VarSetMismatch,
 )
 from .ideal import DEFAULT_DEGREE_CAP, GroebnerBasis, Ideal, _Divisors, buchberger, monomial_reduce
-from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, VarSet, parse_poly
+from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, VarSet, _power, parse_poly
 
 
 def _embed_poly(p: Polynomial, target: VarSet, offset: int, ring: RingSpec) -> Polynomial:
@@ -148,6 +151,36 @@ class FpAlgebra:
             return monomial_reduce(p, self._divisors)
         return self._gb.normal_form(p)
 
+    def _product(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """The normal form of a * b, for polynomials over this algebra.
+
+        Over monomial relations only the exponent sums that no relation
+        divides are formed; the terms normal_form would delete never are.
+        """
+        if not a._terms or not b._terms:
+            return Polynomial._raw(self.varset, self.ring, {})
+        if self._gb is not None:
+            return self._gb.normal_form(a * b)
+        if not self.relations:
+            return a * b
+        ring = self.ring
+        add, mul, is_zero = ring.add, ring.mul, ring.is_zero
+        dividing = self._divisors.dividing
+        out: dict[tuple[int, ...], object] = {}
+        for ea, va in a._terms.items():
+            for eb, vb in b._terms.items():
+                exps = tuple(map(operator.add, ea, eb))
+                if dividing(exps):
+                    continue
+                s = mul(va, vb)
+                if exps in out:
+                    s = add(out[exps], s)
+                if is_zero(s):
+                    out.pop(exps, None)
+                else:
+                    out[exps] = s
+        return Polynomial._raw(self.varset, ring, out)
+
     def element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
             if value.parent != self:
@@ -238,22 +271,14 @@ class AlgebraElement:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return AlgebraElement(self.parent, self.parent.normal_form(self.rep * o.rep))
+        return AlgebraElement(self.parent, self.parent._product(self.rep, o.rep))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = self.parent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n) if n else self.parent.one()
 
     def is_zero(self) -> bool:
         return self.rep.is_zero()
@@ -294,23 +319,23 @@ class AlgebraMap:
             raise ArityMismatch(
                 f"{len(images)} images for {len(domain.varset)} generators"
             )
+        if domain.ring != codomain.ring:
+            raise RingMismatch(f"{codomain.ring} vs {domain.ring}")
         self.domain = domain
         self.codomain = codomain
         self.images = tuple(codomain.element(im) for im in images)
-        image_reps = [im.rep for im in self.images]
         for relation in domain.relations:
-            value = relation.substitute(image_reps, varset=codomain.varset)
-            if not codomain.normal_form(value).is_zero():
-                raise IllDefinedMap(
-                    f"relation {relation} maps to {codomain.element(value)}, not zero"
-                )
+            value = self._evaluate(relation)
+            if not value.is_zero():
+                raise IllDefinedMap(f"relation {relation} maps to {value}, not zero")
+
+    def _evaluate(self, p: Polynomial) -> Polynomial:
+        # inside the codomain, reducing every power and term as it is formed
+        reps = [im.rep for im in self.images]
+        return p.substitute(reps, self.codomain.varset, self.codomain._product)
 
     def apply(self, x) -> AlgebraElement:
-        x = self.domain.element(x)
-        value = x.rep.substitute(
-            [im.rep for im in self.images], varset=self.codomain.varset
-        )
-        return self.codomain.element(value)
+        return AlgebraElement(self.codomain, self._evaluate(self.domain.element(x).rep))
 
     __call__ = apply
 

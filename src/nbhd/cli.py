@@ -258,6 +258,11 @@ def _cmd_verify(args):
     return code, None, rendered.rstrip("\n")
 
 
+# the input flags dtilde shares with the membership test; the generic
+# matrix of --universal reads none of them
+_UNIVERSAL_UNREAD = ("algebra", "vars", "rels", "rows", "matrix")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nbhd",
@@ -417,6 +422,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "universal", False):
+            unread = [f"--{name}" for name in _UNIVERSAL_UNREAD if getattr(args, name) is not None]
+            if unread:
+                parser.error(f"dtilde --universal does not read {', '.join(unread)}")
     except SystemExit as exc:
         if exc.code not in (0, None) and "--json" in argv:
             print(json.dumps({"error": "unusable arguments", "kind": "UsageError"}))

@@ -258,13 +258,6 @@ class Polynomial:
     def variables(cls, varset: VarSet, ring: RingSpec) -> list["Polynomial"]:
         return [cls.variable(varset, ring, i) for i in range(len(varset))]
 
-    @classmethod
-    def from_monomial(cls, monomial: Monomial, ring: RingSpec, value=1) -> "Polynomial":
-        v = ring.normalize(value)
-        if ring.is_zero(v):
-            return cls.zero(monomial.varset, ring)
-        return cls._raw(monomial.varset, ring, {monomial.exps: v})
-
     # -- inspection -----------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -279,13 +272,6 @@ class Polynomial:
     def total_degree(self) -> int:
         """Largest term degree; 0 for the zero polynomial."""
         return max(map(mono_degree, self._terms), default=0)
-
-    def is_constant(self) -> bool:
-        return all(mono_degree(e) == 0 for e in self._terms)
-
-    def constant_value(self) -> Coefficient:
-        zero = (0,) * len(self.varset)
-        return Coefficient(self.ring, self._terms.get(zero, self.ring.zero()))
 
     def coefficient(self, monomial: Monomial) -> Coefficient:
         if monomial.varset != self.varset:
@@ -401,16 +387,7 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Polynomial.one(self.varset, self.ring)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+        return _power(self, n) if n else Polynomial.one(self.varset, self.ring)
 
     def scale(self, value) -> "Polynomial":
         if isinstance(value, Coefficient):
@@ -441,12 +418,14 @@ class Polynomial:
         self,
         images: Sequence["Polynomial"],
         varset: VarSet | None = None,
+        product=operator.mul,
     ) -> "Polynomial":
         """Evaluate at images[i] in place of variable i.
 
         All images must share one varset and this polynomial's ring; the
         result lives over that varset (or over `varset` when there are no
-        variables to substitute).
+        variables to substitute).  Powers and terms are formed by `product`;
+        an algebra passes its reducing one, and images in normal form.
         """
         if len(images) != len(self.varset):
             raise ArityMismatch(
@@ -470,15 +449,17 @@ class Polynomial:
         def power(i: int, e: int) -> Polynomial:
             got = powers.get((i, e))
             if got is None:
-                got = images[i] ** e
-                powers[(i, e)] = got
+                got = powers[(i, e)] = _power(images[i], e, product)
             return got
 
         for exps, value in self._terms.items():
-            term = Polynomial.constant(target, ring, value)
+            term = None
             for i, e in enumerate(exps):
                 if e:
-                    term = term * power(i, e)
+                    term = power(i, e).scale(value) if term is None else product(term, power(i, e))
+            if term is None:  # the constant term, reduced like the others
+                one = Polynomial.one(target, ring)
+                term = product(one.scale(value), one)
             result = result + term
         return result
 
@@ -509,6 +490,18 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.ring}{self.varset}: {self})"
+
+
+def _power(base, n: int, product=operator.mul):
+    """base ** n for n >= 1, by square-and-multiply with `product`."""
+    result = None
+    while n:
+        if n & 1:
+            result = base if result is None else product(result, base)
+        n >>= 1
+        if n:
+            base = product(base, base)
+    return result
 
 
 def format_poly(p: Polynomial) -> str:

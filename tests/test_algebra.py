@@ -156,6 +156,54 @@ def test_apply_is_multiplicative():
         assert f.apply(x + y) == f.apply(x) + f.apply(y)
 
 
+def test_products_and_maps_never_delete_terms(monkeypatch):
+    # products in a monomial quotient form only the surviving terms, and
+    # map evaluation reduces as it goes, so neither reaches the deletion
+    # pass of normal_form
+    A = FpAlgebra(QQ, ("x", "y"), ["x^3", "y^2"])
+    x, y = A.generators()
+    a, b = A.element("1 + x + y"), A.element("x^2 - 2*y + 3")
+    D = FpAlgebra(QQ, ("e",), ["e^2"])
+    one, e = D.one(), D.generator(0)
+    F = free_algebra(QQ, ("X",))
+    power = F.element("X^3200")
+
+    def refuse(*args):
+        raise AssertionError("monomial_reduce reached")
+
+    monkeypatch.setattr("nbhd.algebra.monomial_reduce", refuse)
+    assert str(a * b) == "x^2*y + x^2 - 2*x*y + 3*x + y + 3"
+    assert (x * x * x).is_zero() and (y * y).is_zero()
+    f = AlgebraMap(F, D, [one + e])
+    assert str(f.apply(power)) == "3200*e + 1"
+    g = AlgebraMap(A, D, [e, e])  # x^3 and y^2 both map to zero
+    assert str(g.apply(a)) == "2*e + 1"
+    with pytest.raises(IllDefinedMap):
+        AlgebraMap(A, D, [one, e])  # x^3 maps to 1
+
+
+def test_zero_divisor_products_drop_out():
+    A = FpAlgebra(RingSpec.modular(4), ("x", "y"), ["x^2", "y^2"])
+    a, b = A.element("2 + 2*x"), A.element("2 + 2*y")
+    assert (a * b).is_zero()  # every coefficient is 4 = 0
+    assert str(A.element("2 + x") * b) == "2*x*y + 2*x"  # 4 and 4*y vanish
+
+
+def test_maps_into_the_zero_algebra():
+    zero = FpAlgebra(QQ, ("e",), ["1"])
+    F = free_algebra(QQ, ("X",))
+    assert AlgebraMap(F, zero, [zero.zero()]).apply(F.element("3*X + 2")).is_zero()
+    AlgebraMap(FpAlgebra(QQ, ("X",), ["1"]), zero, [zero.zero()])  # 1 maps to 1 = 0
+
+
+def test_maps_between_coefficient_rings_are_refused():
+    F3 = free_algebra(RingSpec.modular(3), ("e",))
+    with pytest.raises(RingMismatch):
+        AlgebraMap(free_algebra(QQ, ()), F3, [])  # no image carries a ring
+    with pytest.raises(RingMismatch):
+        AlgebraMap(free_algebra(QQ, ("X",)), F3, [F3.generator(0)])
+
+
 def test_identity_and_compose():
     A = square_zero()
     D = dual_numbers()

@@ -214,6 +214,28 @@ def test_dtilde_universal_one_row_over_z(capsys):
     assert "rels: a11^2 ; a11*a12 ; a12^2\nstrategy: monomial\n" in out
 
 
+@pytest.mark.parametrize(
+    "flag",
+    [
+        ["--algebra", "/nonexistent"],
+        ["--vars", "X"],
+        ["--rels", "X^2"],
+        ["--rows", "1,2"],
+        ["--matrix", "/nonexistent"],
+    ],
+    ids=["algebra", "vars", "rels", "rows", "matrix"],
+)
+def test_dtilde_universal_rejects_the_flags_it_does_not_read(capsys, flag):
+    argv = ["dtilde", "--universal", "--p", "1", "--n", "1"] + flag
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"dtilde --universal does not read {flag[0]}" in err
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert json.loads(out.splitlines()[-1])["kind"] == "UsageError"
+
+
 # -- affine / extend / decompose ---------------------------------------------------
 
 

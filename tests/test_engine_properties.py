@@ -6,7 +6,9 @@ which is what makes letting the relations pick the engine safe.  The
 neighbour relation must be reflexive and symmetric, agree with its
 subtraction-free form, and hold exactly when the pair factors through the
 universal p = 1 simplex.  Element sums skip a second normal form, which
-is sound only because a sum of normal forms is already one.
+is sound only because a sum of normal forms is already one.  Products in a
+monomial quotient form only the surviving terms, and maps evaluate inside
+their codomain; both must give what the free ring gives after deletion.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from nbhd.algebra import (  # noqa: E402
 )
 from nbhd.arith import QQ, RingSpec  # noqa: E402
 from nbhd.errors import IllDefinedMap  # noqa: E402
-from nbhd.ideal import Ideal, buchberger  # noqa: E402
+from nbhd.ideal import Ideal, buchberger, monomial_reduce  # noqa: E402
 from nbhd.neighbour import is_neighbour, is_neighbour_product_form  # noqa: E402
 from nbhd.poly import MonomialOrder, Polynomial, VarSet  # noqa: E402
 from nbhd.verify import WEIL_PATTERNS, random_weil_algebra  # noqa: E402
@@ -140,3 +142,75 @@ def test_sums_of_normal_forms_are_normal_forms(case):
     algebra, a, b = case
     assert (a + b).rep == algebra.normal_form(a.rep + b.rep)
     assert (a - b).rep == algebra.normal_form(a.rep - b.rep)
+
+
+# -- the quotient-aware product and map evaluation ------------------------------
+
+KERNEL_RINGS = MAP_RINGS + (RingSpec.parse("Z/4"),)  # Z/4 has zero divisors
+
+
+@st.composite
+def monomial_quotients(draw):
+    """A monomial quotient in either order: a random_weil_algebra, or unit
+    monomial relations on X, Y, Z that may leave it infinite-dimensional."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    order = draw(st.sampled_from(list(MonomialOrder)))
+    if draw(st.booleans()):
+        pattern = draw(st.sampled_from(WEIL_PATTERNS))
+        weil = random_weil_algebra(draw(st.integers(0, 999)), ring, draw(st.integers(1, 3)), pattern)
+        return FpAlgebra(ring, weil.varset, weil.relations, order)
+    unit = _coefficients(ring, units=True).filter(lambda v: ring.is_unit(ring.normalize(v)))
+    term = st.tuples(_exponents(VARSET, 3), unit)
+    relations = draw(st.lists(term.map(lambda t: Polynomial(VARSET, ring, [t])), max_size=4))
+    return FpAlgebra(ring, VARSET, relations, order)
+
+
+@PROPERTY
+@given(monomial_quotients(), st.data())
+def test_product_forms_exactly_the_reduced_free_product(algebra, data):
+    assert algebra.strategy == "monomial"
+    polys = _polynomials(algebra.varset, algebra.ring, 6, 3)
+    a, b = (algebra.element(data.draw(polys)) for _ in range(2))
+    p, q = data.draw(polys), data.draw(polys)  # not normal forms
+    # (p + 1) * (p - 1) cancels its cross terms p and -p, which must drop out
+    for x, y in ((a.rep, b.rep), (b.rep, a.rep), (p, q), (q, p), (p + 1, p - 1)):
+        assert algebra._product(x, y) == monomial_reduce(x * y, algebra._divisors)
+    assert (a * b).rep == monomial_reduce(a.rep * b.rep, algebra._divisors)
+
+
+@st.composite
+def maps_into_weil_algebras(draw):
+    """Images in a Weil-style codomain for the generators of a free domain
+    or of one with unit monomial relations, which the images may violate."""
+    ring = draw(st.sampled_from(KERNEL_RINGS))
+    pattern = draw(st.sampled_from(WEIL_PATTERNS))
+    codomain = random_weil_algebra(draw(st.integers(0, 999)), ring, draw(st.integers(1, 3)), pattern)
+    names = ("X1", "X2")[: draw(st.integers(1, 2))]
+    domain_vars = VarSet(names)
+    relations = draw(st.lists(_exponents(domain_vars, 3).filter(any), max_size=2))
+    domain = FpAlgebra(ring, domain_vars, [Polynomial(domain_vars, ring, {e: 1}) for e in relations])
+    size = len(names)
+    images = draw(st.lists(_polynomials(codomain.varset, ring, 3, 2), min_size=size, max_size=size))
+    x = draw(_polynomials(domain_vars, ring, 6, 12))
+    return domain, codomain, [codomain.element(im) for im in images], x
+
+
+@PROPERTY
+@given(maps_into_weil_algebras())
+def test_maps_evaluate_inside_the_codomain_as_in_the_free_ring(case):
+    domain, codomain, images, x = case
+    image_reps = [im.rep for im in images]
+
+    def free_evaluation(p):
+        return codomain.normal_form(p.substitute(image_reps, varset=codomain.varset))
+
+    violated = [r for r in domain.relations if not free_evaluation(r).is_zero()]
+    if violated:
+        value = codomain.element(free_evaluation(violated[0]))
+        with pytest.raises(IllDefinedMap) as raised:
+            AlgebraMap(domain, codomain, images)
+        assert str(raised.value) == f"relation {violated[0]} maps to {value}, not zero"
+        return
+    f = AlgebraMap(domain, codomain, images)
+    element = domain.element(x)
+    assert f.apply(element).rep == free_evaluation(element.rep)
