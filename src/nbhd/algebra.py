@@ -20,7 +20,11 @@ are validated at construction: every relation of the domain must map to zero
 
 The second half of the module builds tensor products (coproducts) and the
 quotients by (squared) diagonal ideals which classify neighbouring pairs,
-together with the classifying maps given by their universal property.
+together with the classifying maps given by their universal property.  The
+difference simplex over a free base, like universal_dtilde, is presented by
+quadrics whose row reduction is already the reduced Groebner basis, so it
+is built by FpAlgebra._universal_quadrics without buchberger; the tensor
+simplex keeps buchberger.
 """
 
 from __future__ import annotations
@@ -41,7 +45,15 @@ from .errors import (
     RingMismatch,
     VarSetMismatch,
 )
-from .ideal import DEFAULT_DEGREE_CAP, GroebnerBasis, Ideal, _Divisors, buchberger, monomial_reduce
+from .ideal import (
+    DEFAULT_DEGREE_CAP,
+    GroebnerBasis,
+    Ideal,
+    _Divisors,
+    _row_reduce,
+    buchberger,
+    monomial_reduce,
+)
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, VarSet, _power, parse_poly
 
 
@@ -86,6 +98,34 @@ class FpAlgebra:
         order: MonomialOrder = DEFAULT_ORDER,
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
+        self._present(ring, varset, relations, order, degree_cap, buchberger)
+
+    @classmethod
+    def _universal_quadrics(
+        cls,
+        ring: RingSpec,
+        varset: VarSet,
+        relations: Iterable[Polynomial],
+        order: MonomialOrder,
+        degree_cap: int,
+    ) -> "FpAlgebra":
+        """FpAlgebra(ring, varset, relations, order, degree_cap), with the
+        Groebner basis built by one row reduction of the relations
+        (ideal._row_reduce) instead of buchberger.
+
+        Only for the relations of universal_dtilde and of the difference
+        simplex over a free base, whose row-reduced relations are the
+        reduced Groebner basis (README, "Quadratic bases of the universal
+        presentations").  Validation and the choice of engine are those of
+        __init__, so the result equals the algebra __init__ would build.
+        """
+        algebra = cls.__new__(cls)
+        algebra._present(ring, varset, relations, order, degree_cap, _row_reduce)
+        return algebra
+
+    def _present(self, ring, varset, relations, order, degree_cap, groebner) -> None:
+        # validate, pick the engine and, for the Groebner engine, build the
+        # basis with groebner(ideal, order, degree_cap)
         if not isinstance(varset, VarSet):
             varset = VarSet(tuple(varset))
         rels = []
@@ -114,7 +154,7 @@ class FpAlgebra:
                 f"a Groebner basis and field coefficients, got {ring}"
             )
         else:
-            self._gb = buchberger(ideal, order, degree_cap)
+            self._gb = groebner(ideal, order, degree_cap)
         self._signature = (ring, varset.names, frozenset(self.relations), order)
         self._hash = hash(self._signature)
 
@@ -553,7 +593,7 @@ def _difference_representation(
     # products of that block's displacements
     anchored = [[Polynomial.zero(varset, ring)] * n, *blocks]
     relations = [product for _, product in _difference_products(anchored)]
-    quotient = FpAlgebra(ring, varset, relations, order, cap)
+    quotient = FpAlgebra._universal_quadrics(ring, varset, relations, order, cap)
 
     t, inclusions = tensor_power(base, p + 1)
     proj_images = []
@@ -594,7 +634,11 @@ def universal_simplex(
     relations are the products of two displacements, unit monomials, so the
     quotient uses monomial deletion and works over any ring; the other
     presentations need a Groebner basis and raise NonFieldCoefficients over
-    a ring that is not a field.
+    a ring that is not a field.  For p >= 2 the difference relations span
+    those of universal_dtilde(p, n) in the displacements, so their row
+    reduction is the reduced basis and no S-polynomial is formed (README,
+    "Quadratic bases of the universal presentations"); the "tensor"
+    quotient goes through buchberger.
     """
     if p < 1:
         raise ValueError("p must be at least 1")

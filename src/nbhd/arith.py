@@ -66,6 +66,9 @@ class RingSpec:
                 raise ValueError(f"modulus {m} exceeds the machine-word bound {MAX_MODULUS}")
         elif self.modulus is not None:
             raise ValueError(f"ring {self.kind} takes no modulus")
+        # built once per ring; not dataclass fields, so == and hash ignore them
+        object.__setattr__(self, "_zero", self.normalize(0))
+        object.__setattr__(self, "_one", self.normalize(1))
 
     # -- construction ------------------------------------------------------
 
@@ -157,10 +160,10 @@ class RingSpec:
         return q.numerator * inv % self.modulus  # type: ignore[operator]
 
     def zero(self):
-        return self.normalize(0)
+        return self._zero
 
     def one(self):
-        return self.normalize(1)
+        return self._one
 
     def add(self, a, b):
         if self.kind == "Zmod":

@@ -19,11 +19,17 @@ for a divisor that is not monic.
 
 buchberger never queues a pair with coprime leading monomials (the product
 criterion) and skips a selected pair by Buchberger's chain criterion; see
-its docstring.
+its docstring.  The relations of universal_dtilde and of the difference
+simplex over a free base skip it: their row-reduced quadrics are already
+the reduced basis (README, "Quadratic bases of the universal
+presentations"), so _row_reduce builds it by Gaussian elimination alone,
+and buchberger stays their second implementation in the tests.
 
 A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
 buchberger forms, or a term that a division step creates, exceeds the cap.
+_row_reduce forms neither: it reduces quadrics by quadrics, so no term
+above degree 2 appears and no cap of at least 2 is reached.
 """
 
 from __future__ import annotations
@@ -381,6 +387,30 @@ def buchberger(
         r = reduce_full(s, basis, order, degree_cap)
         if not r.is_zero():
             join(_monic(r, order))
+    reduced = tuple(_interreduce(basis, degree_cap))
+    return GroebnerBasis(ideal.varset, ideal.ring, order, reduced, degree_cap)
+
+
+def _row_reduce(ideal: Ideal, order: MonomialOrder, degree_cap: int) -> "GroebnerBasis":
+    """The reduced row-echelon form of homogeneous quadrics, as a basis.
+
+    Each generator is divided by the remainders kept so far, and a nonzero
+    remainder joins them, made monic; as every lead is a quadric, which
+    divides only a monomial equal to it, this is Gaussian elimination.  No
+    S-polynomial is formed, so the result is the reduced Groebner basis only
+    of ideals proved to need none: the relations of universal_dtilde and of
+    the difference simplex over a free base (README, "Quadratic bases of the
+    universal presentations"); the plain 2x2 permanents of a 3x3 matrix are
+    quadrics whose basis has cubics.  FpAlgebra alone calls it, over a
+    field.  A generator that is not a homogeneous quadric raises ValueError.
+    """
+    basis = _Divisors((), order, len(ideal.varset))
+    for g in ideal.generators:
+        if any(mono_degree(e) != 2 for e in g._terms):
+            raise ValueError(f"{g} is not a homogeneous quadric")
+        r = reduce_full(g, basis, order, degree_cap)
+        if not r.is_zero():
+            basis.append(_monic(r, order))
     reduced = tuple(_interreduce(basis, degree_cap))
     return GroebnerBasis(ideal.varset, ideal.ring, order, reduced, degree_cap)
 

@@ -643,6 +643,10 @@ def universal_dtilde(
     For p = 1 the equations are the row products, unit monomials, so the
     algebra works over any ring; for p >= 2 the cross products need a
     Groebner basis and field coefficients (NonFieldCoefficients otherwise).
+    That basis is the equations row-reduced, in either order and every
+    characteristic (README, "Quadratic bases of the universal
+    presentations"), so it is built by one row reduction: no S-polynomial is
+    formed and no intermediate exceeds degree 2.
     """
     if p < 1 or n < 1:
         raise ValueError("matrix dimensions must be at least 1 x 1")
@@ -668,7 +672,7 @@ def universal_dtilde(
         for i in range(n):
             for j in range(i, n):
                 relations.append(entry(r, i) * entry(r, j))
-    algebra = FpAlgebra(ring, varset, relations, order, degree_cap)
+    algebra = FpAlgebra._universal_quadrics(ring, varset, relations, order, degree_cap)
     rows = [
         [algebra.generator(i * n + j) for j in range(n)] for i in range(p)
     ]

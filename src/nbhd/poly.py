@@ -209,9 +209,7 @@ class Polynomial:
                         f"{len(exps)} exponents for {len(varset)} variables"
                     )
                 _check_exponents(exps)
-                value = ring.normalize(value)
-                if exps in clean:
-                    value = ring.add(clean[exps], value)
+                value = ring.add(clean.get(exps, ring.zero()), ring.normalize(value))
                 if ring.is_zero(value):
                     clean.pop(exps, None)
                 else:
@@ -577,7 +575,6 @@ def parse_poly(text: str, varset: VarSet, ring: RingSpec) -> Polynomial:
     toks = _Tokens(text)
     if toks.kind is None:
         raise ParseError("empty polynomial", toks.token_pos)
-    ring_zero = ring.zero()
     n = len(varset)
     acc: dict[tuple[int, ...], object] = {}
 
@@ -645,7 +642,7 @@ def parse_poly(text: str, varset: VarSet, ring: RingSpec) -> Polynomial:
         return tuple(exps), value
 
     def accumulate(exps: tuple[int, ...], value) -> None:
-        s = ring.add(acc.get(exps, ring_zero), value)
+        s = ring.add(acc.get(exps, ring.zero()), value)
         if ring.is_zero(s):
             acc.pop(exps, None)
         else:

@@ -31,7 +31,9 @@ from nbhd.errors import (
     RingMismatch,
     VarSetMismatch,
 )
-from nbhd.poly import Polynomial, VarSet, parse_poly
+from nbhd.ideal import buchberger
+from nbhd.neighbour import universal_dtilde
+from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
 
 
 def dual_numbers(ring=QQ):
@@ -425,6 +427,47 @@ def test_classifying_map_rejects_non_neighbours():
         classifying_map(nbhd, [f])
     with pytest.raises(DomainMismatch):
         classifying_map(nbhd, [f, AlgebraMap(A, A, ["X"])])
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("no S-polynomial may be formed here")
+
+
+def test_universal_quadrics_form_no_s_polynomial(monkeypatch):
+    monkeypatch.setattr("nbhd.ideal.s_polynomial", _refuse)
+    monkeypatch.setattr("nbhd.algebra.buchberger", _refuse)
+    for algebra, _ in (
+        universal_dtilde(4, 5, QQ, MonomialOrder.LEX),
+        universal_dtilde(3, 3, RingSpec.modular(2)),
+    ):
+        assert algebra.strategy == "groebner"
+    simplex = universal_simplex(free_algebra(QQ, ("X1", "X2")), 4, "difference")
+    assert simplex.algebra.strategy == "groebner"
+    factored = classifying_map(simplex, simplex.maps)
+    assert factored == identity_map(simplex.algebra)
+
+
+def test_other_presentations_still_reach_buchberger(monkeypatch):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args[0])
+        return buchberger(*args, **kwargs)
+
+    monkeypatch.setattr("nbhd.algebra.buchberger", recording)
+    tensor_form = universal_simplex(free_algebra(QQ, ("X",)), 2, "tensor").algebra
+    assert calls and calls[-1].generators == tensor_form.relations
+    with pytest.raises(NonFieldCoefficients):
+        universal_dtilde(2, 2, ZZ)
+
+
+def test_universal_quadrics_need_no_degree_above_two():
+    # buchberger would form a degree-3 S-polynomial here; the row reduction forms none
+    algebra, _ = universal_dtilde(2, 2, QQ, degree_cap=2)
+    assert algebra._gb.basis == universal_dtilde(2, 2, QQ)[0]._gb.basis
+    assert algebra.element("a11*a22 + a12*a21").is_zero()
+    simplex = universal_simplex(free_algebra(QQ, ("X", "Y")), 2, degree_cap=2)
+    assert simplex.algebra.strategy == "groebner"
 
 
 # -- adjoining variables --------------------------------------------------------

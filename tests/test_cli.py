@@ -208,6 +208,14 @@ def test_dtilde_universal(capsys):
     assert "error:" in err
 
 
+def test_dtilde_universal_within_degree_bound_two(capsys):
+    # the basis is the row-reduced relations: no intermediate above degree 2
+    argv = ["dtilde", "--universal", "--p", "2", "--n", "2"]
+    code, out, _ = run(capsys, argv + ["--degree-bound", "2"])
+    assert code == 0
+    assert out == run(capsys, argv)[1]
+
+
 def test_dtilde_universal_one_row_over_z(capsys):
     code, out, _ = run(capsys, ["dtilde", "--universal", "--ring", "Z", "--p", "1"])
     assert code == 0

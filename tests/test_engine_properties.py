@@ -9,6 +9,9 @@ universal p = 1 simplex.  Element sums skip a second normal form, which
 is sound only because a sum of normal forms is already one.  Products in a
 monomial quotient form only the surviving terms, and maps evaluate inside
 their codomain; both must give what the free ring gives after deletion.
+The universal presentations build their basis by one row reduction of
+their quadrics, which must give Buchberger's reduced basis, and only
+because the README proves it for those ideals: other quadrics need more.
 """
 
 from fractions import Fraction
@@ -28,9 +31,9 @@ from nbhd.algebra import (  # noqa: E402
 )
 from nbhd.arith import QQ, RingSpec  # noqa: E402
 from nbhd.errors import IllDefinedMap  # noqa: E402
-from nbhd.ideal import Ideal, buchberger, monomial_reduce  # noqa: E402
-from nbhd.neighbour import is_neighbour, is_neighbour_product_form  # noqa: E402
-from nbhd.poly import MonomialOrder, Polynomial, VarSet  # noqa: E402
+from nbhd.ideal import Ideal, _row_reduce, buchberger, monomial_reduce  # noqa: E402
+from nbhd.neighbour import is_neighbour, is_neighbour_product_form, universal_dtilde  # noqa: E402
+from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly  # noqa: E402
 from nbhd.verify import WEIL_PATTERNS, random_weil_algebra  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -214,3 +217,55 @@ def test_maps_evaluate_inside_the_codomain_as_in_the_free_ring(case):
     f = AlgebraMap(domain, codomain, images)
     element = domain.element(x)
     assert f.apply(element).rep == free_evaluation(element.rep)
+
+
+# -- closed-form bases of the universal presentations ---------------------------
+
+QUADRIC_RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z/2", "Z/3", "Z/5"))
+
+
+@st.composite
+def universal_presentations(draw):
+    """universal_dtilde(p, n) or the difference simplex at p over a free
+    base with n generators, over Q or a prime field, in either order."""
+    ring = draw(st.sampled_from(QUADRIC_RINGS))
+    order = draw(st.sampled_from(list(MonomialOrder)))
+    p, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        return universal_dtilde(p, n, ring, order)[0]
+    base = free_algebra(ring, [f"X{i + 1}" for i in range(n)])
+    return universal_simplex(base, p, "difference", order).algebra
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(universal_presentations())
+def test_row_reduction_is_the_reduced_groebner_basis_of_the_universal_quadrics(algebra):
+    ideal = Ideal(algebra.varset, algebra.ring, algebra.relations)
+    basis = buchberger(ideal, algebra.order).basis
+    assert _row_reduce(ideal, algebra.order, algebra.degree_cap).basis == basis
+    built = FpAlgebra(algebra.ring, algebra.varset, algebra.relations, algebra.order)
+    assert algebra == built and hash(algebra) == hash(built)
+    assert algebra.strategy == built.strategy
+    if algebra.strategy == "groebner":
+        assert algebra._gb.basis == basis
+
+
+def test_plain_permanents_have_a_basis_beyond_their_quadrics():
+    """The nine 2x2 permanents of a generic 3x3 matrix, without the row
+    products of the universal presentations: Buchberger's reduced basis has
+    cubics, so their row reduction is no Groebner basis."""
+    varset = VarSet(tuple(f"x{r}{c}" for r in range(1, 4) for c in range(1, 4)))
+    pairs = ((1, 2), (1, 3), (2, 3))
+    permanents = tuple(
+        parse_poly(f"x{r}{i}*x{s}{j} + x{r}{j}*x{s}{i}", varset, QQ)
+        for r, s in pairs
+        for i, j in pairs
+    )
+    ideal = Ideal(varset, QQ, permanents)
+    for order in MonomialOrder:
+        basis = buchberger(ideal, order).basis
+        assert max(g.total_degree() for g in basis) >= 3
+        assert _row_reduce(ideal, order, 24).basis != basis
+    cubic = Ideal(varset, QQ, (parse_poly("x11*x22*x33", varset, QQ),))
+    with pytest.raises(ValueError, match="not a homogeneous quadric"):
+        _row_reduce(cubic, MonomialOrder.LEX, 24)
