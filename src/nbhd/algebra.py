@@ -14,7 +14,10 @@ generators, so the two engines agree wherever both apply.
 Elements always store their normal form, so equality of elements is equality
 of representatives.  Over monomial relations a product forms only the exponent
 sums no relation divides, so the terms a normal form would delete are never
-built.  Maps are given by generator images, evaluate inside the codomain and
+built.  Checks happen at the boundary: element(), the constructors and
+operations mixing parents validate, while sums and products of two elements
+of the same parent object go straight to the arithmetic.  Maps are given by
+generator images, evaluate inside the codomain and
 are validated at construction: every relation of the domain must map to zero
 (the certificate for well-definedness); violations raise IllDefinedMap.
 
@@ -183,9 +186,9 @@ class FpAlgebra:
     # -- normal forms and elements ------------------------------------------
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.varset != self.varset:
+        if p.varset is not self.varset and p.varset != self.varset:
             raise VarSetMismatch(f"{p.varset} vs {self.varset}")
-        if p.ring != self.ring:
+        if p.ring is not self.ring and p.ring != self.ring:
             raise RingMismatch(f"{p.ring} vs {self.ring}")
         if self._gb is None:
             return monomial_reduce(p, self._divisors)
@@ -223,7 +226,7 @@ class FpAlgebra:
 
     def element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
-            if value.parent != self:
+            if value.parent is not self and value.parent != self:
                 raise ParentMismatch(f"element of {value.parent!r} used in {self!r}")
             return value
         if isinstance(value, str):
@@ -282,21 +285,28 @@ class AlgebraElement:
             return self.parent.element(other)
         return None
 
+    # An element of the same parent object needs no coercion and its rep no
+    # ring or varset test; other operands go through _coerce.
+
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if other.__class__ is not AlgebraElement or other.parent is not self.parent:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         # a sum of normal forms is a normal form: no term of either operand
         # lies in the leading-term ideal, so there is nothing to reduce
-        return AlgebraElement(self.parent, self.rep + o.rep)
+        rep = self.rep
+        return AlgebraElement(self.parent, rep._combine(other.rep, rep.ring.add))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraElement(self.parent, self.rep - o.rep)
+        if other.__class__ is not AlgebraElement or other.parent is not self.parent:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        rep = self.rep
+        return AlgebraElement(self.parent, rep._combine(other.rep, rep.ring.sub))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -308,10 +318,11 @@ class AlgebraElement:
         return AlgebraElement(self.parent, -self.rep)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return AlgebraElement(self.parent, self.parent._product(self.rep, o.rep))
+        if other.__class__ is not AlgebraElement or other.parent is not self.parent:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return AlgebraElement(self.parent, self.parent._product(self.rep, other.rep))
 
     __rmul__ = __mul__
 

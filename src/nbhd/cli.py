@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -253,7 +254,7 @@ def _cmd_verify(args):
         return code, {"out": args.out, "passed": report.passed()}, summary
     # emit_report already produced the requested format; hand it through
     if args.json:
-        print(rendered, end="")
+        _write(rendered, end="")
         return code, None, None
     return code, None, rendered.rstrip("\n")
 
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
                 parser.error(f"dtilde --universal does not read {', '.join(unread)}")
     except SystemExit as exc:
         if exc.code not in (0, None) and "--json" in argv:
-            print(json.dumps({"error": "unusable arguments", "kind": "UsageError"}))
+            _write(json.dumps({"error": "unusable arguments", "kind": "UsageError"}))
             return 2
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
@@ -441,16 +442,29 @@ def main(argv=None) -> int:
         return _emit_error(args, exc, 2)
     if args.json:
         if payload is not None:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            _write(json.dumps(payload, indent=2, sort_keys=True))
     elif text is not None:
-        print(text)
+        _write(text)
     return code
+
+
+def _write(text: str, end: str = "\n") -> None:
+    """Print to stdout.  When the reader has closed the pipe, the output is
+    dropped and stdout goes to devnull, so neither a later write nor the
+    flush at interpreter exit raises, and the exit code stays the outcome's."""
+    try:
+        print(text, end=end)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _emit_error(args, exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
     if getattr(args, "json", False):
-        print(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
+        _write(json.dumps({"error": str(exc), "kind": type(exc).__name__}))
     return code
 
 

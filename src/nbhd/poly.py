@@ -315,7 +315,9 @@ class Polynomial:
 
     def _coerce(self, other):
         if isinstance(other, Polynomial):
-            self._check_compatible(other)
+            # the same ring and varset objects need no equality test
+            if other.ring is not self.ring or other.varset is not self.varset:
+                self._check_compatible(other)
             return other
         if isinstance(other, Coefficient):
             if other.ring != self.ring:
@@ -328,11 +330,12 @@ class Polynomial:
     def _combine(self, other: "Polynomial", op) -> "Polynomial":
         """Termwise self op other, for op the ring's add or sub."""
         ring = self.ring
-        zero = ring.zero()
+        zero, is_zero = ring.zero(), ring.is_zero
         terms = dict(self._terms)
+        get = terms.get
         for exps, value in other._terms.items():
-            s = op(terms.get(exps, zero), value)
-            if ring.is_zero(s):
+            s = op(get(exps, zero), value)
+            if is_zero(s):
                 terms.pop(exps, None)
             else:
                 terms[exps] = s

@@ -109,6 +109,40 @@ def test_parent_mismatch():
         a + b
 
 
+def test_equal_operands_combine_and_unequal_ones_raise_typed_errors():
+    # the identity fast paths must neither refuse equal but distinct rings,
+    # varsets and parents nor let unequal ones through
+    r1, r2 = RingSpec.parse("Z/5"), RingSpec.parse("Z/5")
+    v1, v2 = VarSet(("x", "y")), VarSet(("x", "y"))
+    assert r1 == r2 and r1 is not r2 and v1 == v2 and v1 is not v2
+    p, q = parse_poly("x + 2*y", v1, r1), parse_poly("3*x - y", v2, r2)
+    assert p + q == parse_poly("4*x + y", v1, r1)
+    assert p - q == parse_poly("3*x + 3*y", v1, r1)
+    assert p * q == parse_poly("3*x^2 + 3*y^2", v1, r1)  # 5*x*y vanishes
+    over_z7 = parse_poly("x", v1, RingSpec.parse("Z/7"))
+    over_xz = parse_poly("x", VarSet(("x", "z")), r1)
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(RingMismatch):
+            op(p, over_z7)
+        with pytest.raises(VarSetMismatch):
+            op(p, over_xz)
+
+    A1, A2 = FpAlgebra(r1, v1, ["x^2", "y^2"]), FpAlgebra(r2, v2, ["x^2", "y^2"])
+    assert A1 == A2 and A1 is not A2
+    a, b = A1.element("1 + x"), A2.element("x + y")
+    assert a + b == A1.element("1 + 2*x + y")
+    assert a - b == A1.element("1 - y")
+    assert a * b == b * a == A1.element("x + y + x*y")
+    assert A1.element(b) is b
+    other = FpAlgebra(r1, v1, ["x^2"])
+    c = other.element("x")
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t):
+        with pytest.raises(ParentMismatch):
+            op(a, c)
+    with pytest.raises(ParentMismatch):
+        other.element(a)
+
+
 def test_free_algebra():
     F = free_algebra(QQ, ("a", "b"))
     assert F.is_free

@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from nbhd.algebra import FpAlgebra
 from nbhd.arith import MAX_MODULUS, Coefficient, QQ, RingSpec, ZZ
 from nbhd.errors import ParseError, RingMismatch
+from nbhd.poly import VarSet, parse_poly
 
 
 def test_ring_spec_parse_and_str():
@@ -158,3 +160,31 @@ def test_ring_axioms_random():
         inv = a.invert() if not a.is_zero() else None
         if inv is not None:
             assert (a * inv).is_one()
+
+
+@pytest.mark.parametrize("name", ["Q", "Z", "Z/5"])
+def test_coefficient_operations_reach_the_class_methods(monkeypatch, name):
+    # Tools that count coefficient operations patch RingSpec's class
+    # attributes; ring methods bound per instance would hide their calls.
+    ring = RingSpec.parse(name)  # built before the patch, like QQ and ZZ
+    weil = FpAlgebra(ring, ("e1", "e2"), ["e1^2", "e2^2"])
+    a, b = weil.element("1 + e1"), weil.element("2 + e2")
+    p = parse_poly("x + 1", VarSet(("x",)), ring)
+    counts = {"mul": 0, "add": 0}
+    for op in counts:
+
+        def counted(self, x, y, _op=op, _original=getattr(RingSpec, op)):
+            counts[_op] += 1
+            return _original(self, x, y)
+
+        monkeypatch.setattr(RingSpec, op, counted)
+
+    def seen(compute):
+        before = dict(counts)
+        compute()
+        return {op: counts[op] - before[op] for op in counts}
+
+    # four pairs, e1*e1 deleted before its coefficients meet, e1 formed twice
+    assert seen(lambda: a * a) == {"mul": 3, "add": 1}
+    assert seen(lambda: a + b) == {"mul": 0, "add": 2}
+    assert seen(lambda: p * p) == {"mul": 4, "add": 4}

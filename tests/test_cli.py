@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import nbhd
 from nbhd.cli import build_parser, main
 from nbhd.verify import SuiteConfig
 
@@ -449,3 +454,38 @@ def test_version(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, ["--help"])[0] == 0
     assert run(capsys, ["neighbour", "--help"])[0] == 0
+
+
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["universal", "--ring", "Q", "--vars", "X,Y", "--p", "2"], 0),
+        (["neighbour", *THIN, "--a", "e1, e2", "--b", "0, 0"], 1),
+        (["verify", "--json", "--cases", "2", "--p-max", "1", "--n-max", "1", "--rings", "Q"], 0),
+        (["nf", "--poly", "X", "--json"], 2),
+    ],
+    ids=["holds", "fails", "verify-report", "json-error"],
+)
+def test_a_closed_pipe_keeps_the_exit_code(argv, expected, unbuffered):
+    # the read end is closed before the child starts, so its first write
+    # meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(nbhd.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "nbhd.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == expected
+    assert b"Traceback" not in proc.stderr
+    assert b"BrokenPipeError" not in proc.stderr
