@@ -21,6 +21,15 @@ MAX_MODULUS = 2**63 - 1
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+def parse_int(digits: str, position: int | None = None) -> int:
+    """int(digits) for a matched digit string.  A string longer than Python's
+    limit for it (4300 digits by default) raises ParseError, not ValueError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(str(exc), position) from None
+
+
 def _is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for every n < 2**64."""
     if n < 2:
@@ -154,7 +163,8 @@ class RingSpec:
             return self.normalize(q.numerator)
         if self.kind == "Z":
             raise ValueError(f"{q} is not an integer")
-        inv = self.invert(q.denominator % self.modulus)  # type: ignore[operator]
+        d = q.denominator % self.modulus  # type: ignore[operator]
+        inv = self.invert(d) if d else None  # a multiple of m has no inverse either
         if inv is None:
             raise ValueError(f"denominator {q.denominator} is not invertible in {self}")
         return q.numerator * inv % self.modulus  # type: ignore[operator]
@@ -211,14 +221,13 @@ class RingSpec:
 
     def parse_value(self, text: str):
         """Parse coefficient text: an integer like "-3" or a fraction "3/4"."""
-        t = text.strip()
-        m = re.fullmatch(r"(-?\d+)(?:/(\d+))?", t)
+        m = re.fullmatch(r"\s*(-?\d+)(?:/(\d+))?\s*", text)
         if not m:
             raise ParseError(f"malformed coefficient {text!r}")
-        num = int(m.group(1))
+        num = parse_int(m.group(1), m.start(1))
         if m.group(2) is None:
             return self.normalize(num)
-        den = int(m.group(2))
+        den = parse_int(m.group(2), m.start(2))
         if den == 0:
             raise ParseError(f"zero denominator in {text!r}")
         try:
@@ -246,10 +255,6 @@ class Coefficient:
     @staticmethod
     def of(ring: RingSpec, value) -> "Coefficient":
         return Coefficient(ring, ring.normalize(value))
-
-    @staticmethod
-    def parse(ring: RingSpec, text: str) -> "Coefficient":
-        return Coefficient(ring, ring.parse_value(text))
 
     def _coerce(self, other) -> "Coefficient":
         if isinstance(other, Coefficient):

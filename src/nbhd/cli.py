@@ -165,9 +165,9 @@ def _cmd_simplex(args):
 def _cmd_dtilde(args):
     if args.universal:
         ring = RingSpec.parse(args.ring or "Q")
-        algebra, matrix = universal_dtilde(
-            args.p, args.n, ring, _order_of(args), args.degree_bound
-        )
+        p = 2 if args.p is None else args.p
+        n = 2 if args.n is None else args.n
+        algebra, matrix = universal_dtilde(p, n, ring, _order_of(args), args.degree_bound)
         payload = {"algebra": dump_algebra(algebra), "matrix": dump_matrix(matrix)}
         text = dump_algebra(algebra) + "\n" + dump_matrix(matrix).rstrip("\n")
         return 0, payload, text
@@ -260,8 +260,10 @@ def _cmd_verify(args):
 
 
 # the input flags dtilde shares with the membership test; the generic
-# matrix of --universal reads none of them
+# matrix of --universal reads none of them, and the membership test reads
+# neither of the generic matrix's sizes
 _UNIVERSAL_UNREAD = ("algebra", "vars", "rels", "rows", "matrix")
+_MEMBERSHIP_UNREAD = ("p", "n")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,8 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the generic matrix and its coordinate algebra instead",
     )
-    p.add_argument("--p", type=int, default=2, help="rows of the generic matrix")
-    p.add_argument("--n", type=int, default=2, help="columns of the generic matrix")
+    p.add_argument("--p", type=int, help="rows of the generic matrix (default 2)")
+    p.add_argument("--n", type=int, help="columns of the generic matrix (default 2)")
     p.set_defaults(handler=_cmd_dtilde)
 
     p = sub.add_parser(
@@ -423,10 +425,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "universal", False):
-            unread = [f"--{name}" for name in _UNIVERSAL_UNREAD if getattr(args, name) is not None]
+        if args.command == "dtilde":
+            names = _UNIVERSAL_UNREAD if args.universal else _MEMBERSHIP_UNREAD
+            unread = [f"--{name}" for name in names if getattr(args, name) is not None]
             if unread:
-                parser.error(f"dtilde --universal does not read {', '.join(unread)}")
+                mode = "--universal" if args.universal else "without --universal"
+                parser.error(f"dtilde {mode} does not read {', '.join(unread)}")
     except SystemExit as exc:
         if exc.code not in (0, None) and "--json" in argv:
             _write(json.dumps({"error": "unusable arguments", "kind": "UsageError"}))

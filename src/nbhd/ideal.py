@@ -2,9 +2,10 @@
 
 Two reduction engines are provided.  Monomial ideals reduce by plain
 divisibility deletion and work over any coefficient ring.  General ideals go
-through Buchberger's algorithm, which requires field coefficients; the
-computed basis is the reduced Groebner basis (monic, auto-reduced), which is
-unique for a given ideal and monomial order, so results are deterministic
+through Buchberger's algorithm, which requires field coefficients unless every
+generator is a unit monomial, whose S-polynomials are zero.  The computed
+basis is the reduced Groebner basis (monic, auto-reduced), which is unique
+for a given ideal and monomial order, so results are deterministic
 regardless of generator order.
 
 Division (reduce_full) has one path.  The leading term of every divisor is
@@ -343,8 +344,12 @@ def buchberger(
     guard applies to every S-polynomial formed and to every division.  By
     uniqueness of the reduced basis, the output does not depend on these
     choices.
+
+    Over a ring that is not a field, only an ideal of unit monomials is
+    accepted (NonFieldCoefficients otherwise): making its generators monic
+    inverts units alone, and the S-polynomial of two monic monomials is zero.
     """
-    if not ideal.ring.is_field:
+    if not ideal.ring.is_field and not ideal.is_monomial():
         raise NonFieldCoefficients(
             f"Groebner bases need field coefficients, got {ideal.ring}"
         )

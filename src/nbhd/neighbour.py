@@ -455,47 +455,31 @@ def decompose_difference(p: Polynomial) -> tuple[Polynomial, ...]:
     """Write P(copy 1) - P(copy 0) as sum of Q_i * (v_i_1 - v_i_0).
 
     Works over any coefficient ring.  The Q_i live over pair_varset(P's
-    variables) and are produced by a fixed induction: split off powers of
-    the first variable via the telescoping identity
+    variables), with Y the copy-0 and Z the copy-1 variables, and are given
+    in closed form.  Changing the variables of the term c*X^a one at a time,
+    X_i from Y_i to Z_i with the earlier ones at Y and the later ones at Z,
+    and telescoping
 
-        Z^s - Y^s = (Z - Y) * (Z^(s-1) + Z^(s-2)*Y + ... + Y^(s-1)),
+        Z_i^s - Y_i^s = (Z_i - Y_i) * (Z_i^(s-1) + Z_i^(s-2)*Y_i + ... + Y_i^(s-1)),
 
-    then recurse on the remaining variables.  The expansion is re-checked
-    before returning, so the output is self-verifying.
+    gives Q_i its a_i terms c*Y^(a_<i)*Y_i^(a_i-1-u)*Z_i^u*Z^(a_>i), u < a_i.
+    Their exponents determine (a, u), so no two terms of Q_i collide.  The
+    expansion is re-checked before returning, so the output is
+    self-verifying.
     """
     n = len(p.varset)
     pvs = pair_varset(p.varset)
     ring = p.ring
+    cofactors: list[dict] = [{} for _ in range(n)]
+    gap = (0,) * (n - 1)
+    for a, c in p._terms.items():
+        for i, s in enumerate(a):
+            for u in range(s):
+                cofactors[i][a[:i] + (s - 1 - u,) + gap + (u,) + a[i + 1 :]] = c
+    qs = tuple(Polynomial._raw(pvs, ring, terms) for terms in cofactors)
+
     copy0 = [Polynomial.variable(pvs, ring, i) for i in range(n)]
     copy1 = [Polynomial.variable(pvs, ring, n + i) for i in range(n)]
-    qs = [Polynomial.zero(pvs, ring) for _ in range(n)]
-
-    def embed_copy1(terms: dict) -> Polynomial:
-        return Polynomial._raw(
-            pvs, ring, {(0,) * n + exps: value for exps, value in terms.items()}
-        )
-
-    def telescope(k: int, s: int) -> Polynomial:
-        acc = Polynomial.zero(pvs, ring)
-        for u in range(s):
-            acc = acc + copy1[k] ** u * copy0[k] ** (s - 1 - u)
-        return acc
-
-    def recurse(terms: dict, k: int, prefix: Polynomial) -> None:
-        if not terms or k == n:
-            return
-        groups: dict[int, dict] = {}
-        for exps, value in terms.items():
-            rest = exps[:k] + (0,) + exps[k + 1 :]
-            groups.setdefault(exps[k], {})[rest] = value
-        for s in sorted(groups):
-            sub = groups[s]
-            if s >= 1:
-                qs[k] = qs[k] + prefix * embed_copy1(sub) * telescope(k, s)
-            recurse(sub, k + 1, prefix * copy0[k] ** s)
-
-    recurse(dict(p._terms), 0, Polynomial.one(pvs, ring))
-
     expected = p.substitute(copy1) - p.substitute(copy0)
     actual = Polynomial.zero(pvs, ring)
     for i in range(n):
@@ -504,7 +488,7 @@ def decompose_difference(p: Polynomial) -> tuple[Polynomial, ...]:
         raise ReexpansionFailed(
             f"difference decomposition of {p} re-expands to {actual}, not {expected}"
         )
-    return tuple(qs)
+    return qs
 
 
 def rewrite_kernel_element(

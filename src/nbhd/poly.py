@@ -3,7 +3,9 @@
 Monomials are exponent tuples indexed by an ordered VarSet; a polynomial is a
 dict from exponent tuple to a nonzero raw coefficient value.  The module also
 defines the two supported monomial orders and the textual polynomial format
-(parse_poly / str round-trip exactly).
+(parse_poly / str round-trip exactly).  parse_poly reads the text in one pass:
+one regex splits it into tokens, lazily, and one loop consumes them a term at
+a time with one token of look-ahead.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .arith import Coefficient, RingSpec
+from .arith import Coefficient, RingSpec, parse_int
 from .errors import (
     ArityMismatch,
     InvalidExponent,
@@ -110,11 +112,6 @@ def mono_mul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.add, a, b))
 
 
-def mono_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    """Whether the monomial with exponents a divides the one with exponents b."""
-    return all(map(operator.le, a, b))
-
-
 def mono_div(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(map(operator.sub, a, b))
 
@@ -142,43 +139,8 @@ class Monomial:
             )
         _check_exponents(self.exps)
 
-    @property
-    def degree(self) -> int:
-        return mono_degree(self.exps)
-
-    def _check(self, other: "Monomial") -> None:
-        if self.varset != other.varset:
-            raise VarSetMismatch(f"{self.varset} vs {other.varset}")
-
-    def mul(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.varset, mono_mul(self.exps, other.exps))
-
-    def divides(self, other: "Monomial") -> bool:
-        self._check(other)
-        return mono_divides(self.exps, other.exps)
-
-    def divide(self, other: "Monomial") -> "Monomial":
-        """self / other; requires other to divide self."""
-        self._check(other)
-        if not mono_divides(other.exps, self.exps):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(self.varset, mono_div(self.exps, other.exps))
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        self._check(other)
-        return Monomial(self.varset, mono_lcm(self.exps, other.exps))
-
     def __str__(self) -> str:
         return format_monomial(self.varset, self.exps)
-
-
-def compare(a: Monomial, b: Monomial, order: MonomialOrder = DEFAULT_ORDER) -> int:
-    """Three-way comparison of monomials: -1, 0 or 1."""
-    if a.varset != b.varset:
-        raise VarSetMismatch(f"{a.varset} vs {b.varset}")
-    ka, kb = order.key(a.exps), order.key(b.exps)
-    return (ka > kb) - (ka < kb)
 
 
 def format_monomial(varset: VarSet, exps: tuple[int, ...]) -> str:
@@ -271,25 +233,11 @@ class Polynomial:
         """Largest term degree; 0 for the zero polynomial."""
         return max(map(mono_degree, self._terms), default=0)
 
-    def coefficient(self, monomial: Monomial) -> Coefficient:
-        if monomial.varset != self.varset:
-            raise VarSetMismatch(f"{monomial.varset} vs {self.varset}")
-        return Coefficient(self.ring, self._terms.get(monomial.exps, self.ring.zero()))
-
     def sorted_terms(
         self, order: MonomialOrder = DEFAULT_ORDER
     ) -> list[tuple[tuple[int, ...], object]]:
         """Internal terms as (exps, raw value), biggest monomial first."""
         return sorted(self._terms.items(), key=lambda t: order.key(t[0]), reverse=True)
-
-    def terms(self, order: MonomialOrder = DEFAULT_ORDER) -> list[tuple[Monomial, Coefficient]]:
-        return [
-            (Monomial(self.varset, e), Coefficient(self.ring, v))
-            for e, v in self.sorted_terms(order)
-        ]
-
-    def monomials(self, order: MonomialOrder = DEFAULT_ORDER) -> list[Monomial]:
-        return [Monomial(self.varset, e) for e, _ in self.sorted_terms(order)]
 
     def leading(self, order: MonomialOrder = DEFAULT_ORDER):
         """(exps, value) of the leading term, or None for the zero polynomial."""
@@ -531,41 +479,33 @@ def format_poly(p: Polynomial) -> str:
 # parsing
 
 
-class _Tokens:
-    """Scanner for the polynomial grammar; tracks character positions."""
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^])|(?P<bad>\S))"
+)
 
-    _TOKEN_RE = re.compile(
-        r"\s*(?:(?P<nat>\d+)|(?P<ident>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^]))"
-    )
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.kind: str | None = None
-        self.value: str = ""
-        self.token_pos = 0
-        self.advance()
+def _tokens(text: str) -> Iterator[tuple[str | None, str, int]]:
+    """(kind, text, position) per token, then (None, "", len(text)).  Lazy,
+    so a character outside the grammar raises only when it is reached."""
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        yield kind, m.group(kind), m.start(kind)
+    yield None, "", len(text)
 
-    def advance(self) -> None:
-        rest = self.text[self.pos :]
-        stripped = rest.lstrip()
-        if not stripped:
-            self.token_pos = len(self.text)
-            self.kind, self.value = None, ""
-            self.pos = len(self.text)
-            return
-        m = self._TOKEN_RE.match(self.text, self.pos)
-        if not m:
-            bad_at = len(self.text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", bad_at)
-        self.token_pos = m.end() - len(m.group(m.lastgroup))  # type: ignore[arg-type]
-        self.kind = m.lastgroup
-        self.value = m.group(m.lastgroup)  # type: ignore[arg-type]
-        self.pos = m.end()
+
+def _nat(tokens, kind: str | None, value: str, pos: int):
+    """The number at the current token, and the token after it."""
+    if kind != "nat":
+        raise ParseError(
+            f"expected a number, found {value!r}" if kind else "expected a number", pos
+        )
+    return parse_int(value, pos), next(tokens)
 
 
 def parse_poly(text: str, varset: VarSet, ring: RingSpec) -> Polynomial:
-    """Parse the linear polynomial syntax.
+    """Parse the linear polynomial syntax in one pass.
 
     Grammar (whitespace insignificant)::
 
@@ -574,97 +514,65 @@ def parse_poly(text: str, varset: VarSet, ring: RingSpec) -> Polynomial:
         factors := varpow { '*' varpow }
         varpow  := ident ['^' nat]
         coeff   := nat ['/' nat]
+
+    One loop reads a term per pass, with one token of look-ahead, and adds
+    it to the result.  Malformed text raises ParseError (UnknownVariable for
+    a name outside the varset) at the position of the offending token.
     """
-    toks = _Tokens(text)
-    if toks.kind is None:
-        raise ParseError("empty polynomial", toks.token_pos)
-    n = len(varset)
+    tokens = _tokens(text)
+    kind, value, pos = next(tokens)
+    if kind is None:
+        raise ParseError("empty polynomial", pos)
     acc: dict[tuple[int, ...], object] = {}
-
-    def parse_nat() -> int:
-        if toks.kind != "nat":
-            raise ParseError(
-                f"expected a number, found {toks.value!r}" if toks.kind else "expected a number",
-                toks.token_pos,
-            )
-        value = int(toks.value)
-        toks.advance()
-        return value
-
-    def parse_varpow(exps: list[int]) -> None:
-        name_pos = toks.token_pos
-        name = toks.value
-        toks.advance()
-        if name not in varset:
-            raise UnknownVariable(f"unknown variable {name!r}", name_pos)
-        e = 1
-        if toks.kind == "op" and toks.value == "^":
-            toks.advance()
-            e = parse_nat()
-        exps[varset.index(name)] += e
-
-    def parse_term():
-        exps = [0] * n
-        value = ring.one()
-        coeff_pos = toks.token_pos
-        if toks.kind == "nat":
-            num = parse_nat()
-            den = None
-            if toks.kind == "op" and toks.value == "/":
-                toks.advance()
-                den = parse_nat()
+    negate = kind == "op" and value == "-"
+    if negate:
+        kind, value, pos = next(tokens)
+    while True:
+        exps, coeff = [0] * len(varset), ring.one()
+        if kind == "nat":
+            coeff_pos, den = pos, None
+            num, (kind, value, pos) = _nat(tokens, kind, value, pos)
+            if kind == "op" and value == "/":
+                den, (kind, value, pos) = _nat(tokens, *next(tokens))
                 if den == 0:
                     raise ParseError("zero denominator", coeff_pos)
             try:
-                value = (
-                    ring.normalize(num)
-                    if den is None
-                    else ring.from_fraction(Fraction(num, den))
-                )
+                coeff = ring.normalize(num if den is None else Fraction(num, den))
             except ValueError as exc:
                 raise ParseError(str(exc), coeff_pos) from None
-            if toks.kind == "op" and toks.value == "*":
-                toks.advance()
-                if toks.kind != "ident":
-                    raise ParseError("expected a variable after '*'", toks.token_pos)
-                parse_varpow(exps)
-            else:
-                return tuple(exps), value
-        elif toks.kind == "ident":
-            parse_varpow(exps)
+            more = kind == "op" and value == "*"
+            if more:
+                kind, value, pos = next(tokens)
+        elif kind == "ident":
+            more = True
         else:
             raise ParseError(
-                f"expected a term, found {toks.value!r}" if toks.kind else "expected a term",
-                toks.token_pos,
+                f"expected a term, found {value!r}" if kind else "expected a term", pos
             )
-        while toks.kind == "op" and toks.value == "*":
-            toks.advance()
-            if toks.kind != "ident":
-                raise ParseError("expected a variable after '*'", toks.token_pos)
-            parse_varpow(exps)
-        return tuple(exps), value
-
-    def accumulate(exps: tuple[int, ...], value) -> None:
-        s = ring.add(acc.get(exps, ring.zero()), value)
-        if ring.is_zero(s):
-            acc.pop(exps, None)
-        else:
-            acc[exps] = s
-
-    negate = False
-    if toks.kind == "op" and toks.value == "-":
-        negate = True
-        toks.advance()
-    exps, value = parse_term()
-    accumulate(exps, ring.neg(value) if negate else value)
-    while toks.kind is not None:
-        if toks.kind != "op" or toks.value not in "+-":
-            raise ParseError(f"expected '+' or '-', found {toks.value!r}", toks.token_pos)
-        negate = toks.value == "-"
-        toks.advance()
-        exps, value = parse_term()
-        accumulate(exps, ring.neg(value) if negate else value)
-    return Polynomial._raw(varset, ring, acc)
+        while more:  # at a factor, varpow := ident ['^' nat]
+            if kind != "ident":
+                raise ParseError("expected a variable after '*'", pos)
+            name, name_pos = value, pos
+            kind, value, pos = next(tokens)
+            if name not in varset:
+                raise UnknownVariable(f"unknown variable {name!r}", name_pos)
+            e = 1
+            if kind == "op" and value == "^":
+                e, (kind, value, pos) = _nat(tokens, *next(tokens))
+            exps[varset.index(name)] += e
+            more = kind == "op" and value == "*"
+            if more:
+                kind, value, pos = next(tokens)
+        key = tuple(exps)
+        acc[key] = ring.add(acc.get(key, ring.zero()), ring.neg(coeff) if negate else coeff)
+        if ring.is_zero(acc[key]):
+            del acc[key]
+        if kind is None:
+            return Polynomial._raw(varset, ring, acc)
+        if kind != "op" or value not in "+-":
+            raise ParseError(f"expected '+' or '-', found {value!r}", pos)
+        negate = value == "-"
+        kind, value, pos = next(tokens)
 
 
 def parse_poly_list(

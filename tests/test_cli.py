@@ -90,6 +90,20 @@ def test_gb_degree_bound_guard(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "ring, rels, basis",
+    [
+        ("Z", "X^2;X*Y;-X^3", ["X^2", "X*Y"]),
+        ("Z/4", "X^2;X*Y;-X^3;3*Y^2", ["X^2", "X*Y", "Y^2"]),
+    ],
+    ids=["Z", "Z/4"],
+)
+def test_gb_of_unit_monomials_over_a_non_field(capsys, ring, rels, basis):
+    code, out, _ = run(capsys, ["gb", "--ring", ring, "--vars", "X,Y", "--rels", rels])
+    assert code == 0
+    assert out.splitlines() == basis
+
+
 CUBIC = ["--ring", "Q", "--vars", "x,y", "--rels", "x^3 - y; x*y^2 - 1"]
 
 
@@ -247,6 +261,24 @@ def test_dtilde_universal_rejects_the_flags_it_does_not_read(capsys, flag):
     code, out, _ = run(capsys, argv + ["--json"])
     assert code == 2
     assert json.loads(out.splitlines()[-1])["kind"] == "UsageError"
+
+
+@pytest.mark.parametrize("flag", [["--p", "7"], ["--n", "9"]], ids=["p", "n"])
+def test_dtilde_membership_rejects_the_sizes_it_does_not_read(capsys, flag):
+    argv = ["dtilde"] + WEIL + ["--rows", "e1, 0 ; 0, e2"] + flag
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"dtilde without --universal does not read {flag[0]}" in err
+    code, out, _ = run(capsys, argv + ["--json"])
+    assert code == 2
+    assert json.loads(out.splitlines()[-1])["kind"] == "UsageError"
+
+
+def test_dtilde_universal_defaults_to_two_by_two(capsys):
+    code, out, _ = run(capsys, ["dtilde", "--universal"])
+    assert code == 0
+    assert out == run(capsys, ["dtilde", "--universal", "--p", "2", "--n", "2"])[1]
 
 
 # -- affine / extend / decompose ---------------------------------------------------
@@ -408,6 +440,14 @@ def test_parse_error_is_exit_two(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_overlong_number_is_a_parse_error(capsys):
+    argv = ["nf", "--ring", "Q", "--vars", "X", "--poly", "X + " + "1" * 5000]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 2
+    assert doc["kind"] == "ParseError"
+    assert "(at position 4)" in doc["error"]
 
 
 def test_usage_error(capsys):

@@ -286,6 +286,21 @@ def test_groebner_needs_a_field():
         contains(I(["2*X"], ring=ZZ), P("4*X", ring=ZZ))
 
 
+def test_groebner_of_unit_monomials_over_any_ring():
+    # their leads are monic after inverting units, and their S-polynomials vanish
+    assert [str(g) for g in buchberger(I(["X^2", "X*Y", "-X^3"], ring=ZZ)).basis] == [
+        "X^2",
+        "X*Y",
+    ]
+    z4 = RingSpec.modular(4)
+    basis = buchberger(I(["X^2", "X*Y", "-X^3", "3*Y^2"], ring=z4)).basis
+    assert [str(g) for g in basis] == ["X^2", "X*Y", "Y^2"]
+    with pytest.raises(NonFieldCoefficients):
+        buchberger(I(["2*X^2"], ring=ZZ))
+    with pytest.raises(NonFieldCoefficients):
+        buchberger(I(["X^2", "X*Y + Y"], ring=ZZ))
+
+
 def test_degree_guard_trips():
     with pytest.raises(DegreeGuardExceeded):
         buchberger(I(["X^2 - Y", "X*Y - 1"]), MonomialOrder.LEX, degree_cap=1)

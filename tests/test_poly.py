@@ -315,6 +315,31 @@ def test_parse_error_positions():
         parse_poly("1/2", XYZ, ZZ)
 
 
+def test_numbers_past_the_int_string_limit_are_parse_errors():
+    # Python refuses int() of more than 4300 digits with a bare ValueError
+    digits = "1" * 5000
+    for text, position in [
+        (digits, 0),
+        (f"X - 3/{digits}", 6),
+        (f"2*X^{digits} + Y", 4),
+    ]:
+        with pytest.raises(ParseError) as info:
+            P(text)
+        assert info.value.position == position
+    with pytest.raises(ParseError) as info:
+        QQ.parse_value(f" 1/{digits}")
+    assert info.value.position == 3
+
+
+def test_denominator_divisible_by_the_modulus_is_a_parse_error():
+    with pytest.raises(ParseError) as info:
+        parse_poly("X + 1/10", XYZ, Z5)
+    assert info.value.position == 4
+    assert "not invertible in Z/5" in str(info.value)
+    with pytest.raises(ParseError):
+        Z5.parse_value("3/5")
+
+
 def test_parse_poly_list():
     polys = parse_poly_list("X, Y - 1, 0", XYZ, QQ)
     assert polys == [P("X"), P("Y - 1"), P("0")]

@@ -25,6 +25,7 @@ from nbhd.verify import (
 )
 
 GOLDEN = Path(__file__).resolve().parents[1] / "bench" / "golden" / "verify-seed42.json"
+SABOTAGE_GOLDEN = Path(__file__).resolve().parent / "golden" / "verify-seed42-sabotage.json"
 SMALL = SuiteConfig(seed=7, p_max=1, n_max=2, degree_bound=2, rings=("Q", "Z/3"), case_count=20)
 
 
@@ -290,6 +291,12 @@ def test_transposition_check_at_regression_seeds(seed):
 def test_seed_42_report_matches_the_golden_bytes():
     report = emit_report(run_suite(SuiteConfig(seed=42)), "json")
     assert report == GOLDEN.read_text()
+
+
+def test_sabotaged_seed_42_report_matches_the_golden_bytes():
+    # pins the six fail witnesses of the sabotaged corpus, not only their number
+    report = emit_report(run_suite(SuiteConfig(seed=42), sabotage=True))
+    assert report == SABOTAGE_GOLDEN.read_text()
 
 
 def test_rejection_without_witness_fails_instead_of_asserting(monkeypatch):
