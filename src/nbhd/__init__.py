@@ -17,6 +17,7 @@ from .errors import (
     DomainMismatch,
     IllDefinedMap,
     InvalidExponent,
+    InvalidVariableName,
     NbhdError,
     NonFieldCoefficients,
     NotInDtilde,

@@ -91,6 +91,7 @@ class FpAlgebra:
         "_gb",
         "_signature",
         "_hash",
+        "_one",
     )
 
     def __init__(
@@ -160,6 +161,7 @@ class FpAlgebra:
             self._gb = groebner(ideal, order, degree_cap)
         self._signature = (ring, varset.names, frozenset(self.relations), order)
         self._hash = hash(self._signature)
+        self._one: Polynomial | None = None
 
     @property
     def strategy(self) -> str:
@@ -245,7 +247,12 @@ class FpAlgebra:
         return AlgebraElement(self, Polynomial.zero(self.varset, self.ring))
 
     def one(self) -> "AlgebraElement":
-        return self.element(1)
+        # the unit's normal form is computed once; the slot holds the
+        # polynomial, not an element, which would refer back to the algebra
+        # and keep it alive until the next garbage collection
+        if self._one is None:
+            self._one = self.element(1).rep
+        return AlgebraElement(self, self._one)
 
     def generator(self, which: int | str) -> "AlgebraElement":
         return self.element(Polynomial.variable(self.varset, self.ring, which))

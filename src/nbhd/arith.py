@@ -1,10 +1,13 @@
 """Exact coefficient arithmetic over the rationals, the integers and Z/m.
 
 A ring is described by a hashable RingSpec.  Elements are stored as plain
-Python values (Fraction over Q, int over Z, canonical residue in [0, m) over
-Z/m) and all arithmetic goes through the RingSpec so the polynomial layer can
-stay representation-agnostic.  The Coefficient wrapper pairs a value with its
-ring for the public API.
+Python values (over Q an int when integral and a Fraction with denominator
+above 1 otherwise, an int over Z, the canonical residue in [0, m) over Z/m)
+and all arithmetic goes through the RingSpec so the polynomial layer can stay
+representation-agnostic.  Keeping integral rationals as ints lets the small
+integer coefficients of typical relations use machine-integer arithmetic; a
+rational sum or product that comes out integral is turned back into an int.
+The Coefficient wrapper pairs a value with its ring for the public API.
 """
 
 from __future__ import annotations
@@ -139,28 +142,26 @@ class RingSpec:
 
     # -- raw value arithmetic ----------------------------------------------
     #
-    # Raw values: Fraction (Q), int (Z), int residue in [0, m) (Zmod).
+    # Raw values: int or Fraction with denominator > 1 (Q), int (Z), int
+    # residue in [0, m) (Zmod).
 
     def normalize(self, value):
         """Coerce an int / Fraction into this ring's canonical raw form."""
-        if self.kind == "Q":
-            if isinstance(value, (int, Fraction)):
-                return Fraction(value)
-            raise TypeError(f"cannot interpret {value!r} as a rational")
         if isinstance(value, Fraction):
             return self.from_fraction(value)
         if not isinstance(value, int):
-            raise TypeError(f"cannot interpret {value!r} over {self}")
-        if self.kind == "Z":
-            return value
-        return value % self.modulus  # type: ignore[operator]
+            what = "as a rational" if self.kind == "Q" else f"over {self}"
+            raise TypeError(f"cannot interpret {value!r} {what}")
+        if self.modulus is None:
+            return value if value.__class__ is int else int(value)  # bool -> int
+        return value % self.modulus
 
     def from_fraction(self, q: Fraction):
         """Map a rational into the ring; raises ValueError when impossible."""
-        if self.kind == "Q":
-            return q
         if q.denominator == 1:
             return self.normalize(q.numerator)
+        if self.kind == "Q":
+            return q
         if self.kind == "Z":
             raise ValueError(f"{q} is not an integer")
         d = q.denominator % self.modulus  # type: ignore[operator]
@@ -176,30 +177,43 @@ class RingSpec:
         return self._one
 
     # Class-level methods testing the modulus, not bound per instance: tools
-    # that count coefficient operations patch these class attributes.
+    # that count coefficient operations patch these class attributes.  Over
+    # Q a Fraction result with denominator 1 is turned back into an int;
+    # an int result, and every value over Z and Z/m, is never a Fraction.
 
     def add(self, a, b):
-        return a + b if self.modulus is None else (a + b) % self.modulus
+        if self.modulus is None:
+            s = a + b
+            return s.numerator if s.__class__ is Fraction and s.denominator == 1 else s
+        return (a + b) % self.modulus
 
     def sub(self, a, b):
-        return a - b if self.modulus is None else (a - b) % self.modulus
+        if self.modulus is None:
+            s = a - b
+            return s.numerator if s.__class__ is Fraction and s.denominator == 1 else s
+        return (a - b) % self.modulus
 
     def neg(self, a):
         return -a if self.modulus is None else -a % self.modulus
 
     def mul(self, a, b):
-        return a * b if self.modulus is None else a * b % self.modulus
+        if self.modulus is None:
+            s = a * b
+            return s.numerator if s.__class__ is Fraction and s.denominator == 1 else s
+        return a * b % self.modulus
 
     def invert(self, a):
         """Multiplicative inverse, or None when the nonzero value has none.
 
         Inverting zero raises ZeroDivisionError; that is an error, whereas a
-        None result is an ordinary answer (e.g. 2 over Z, 3 over Z/6).
+        None result is an ordinary answer (e.g. 2 over Z, 3 over Z/6).  Over
+        Q the inverse of n/d is d/n, an int when n is 1 or -1.
         """
         if self.is_zero(a):
             raise ZeroDivisionError(f"0 is not invertible in {self}")
         if self.kind == "Q":
-            return 1 / a
+            n, d = a.numerator, a.denominator
+            return n * d if n in (1, -1) else Fraction(d, n)
         if self.kind == "Z":
             return a if a in (1, -1) else None
         try:
@@ -218,22 +232,6 @@ class RingSpec:
         if self.kind == "Q" and a.denominator != 1:
             return f"{a.numerator}/{a.denominator}"
         return str(int(a) if self.kind != "Q" else a.numerator)
-
-    def parse_value(self, text: str):
-        """Parse coefficient text: an integer like "-3" or a fraction "3/4"."""
-        m = re.fullmatch(r"\s*(-?\d+)(?:/(\d+))?\s*", text)
-        if not m:
-            raise ParseError(f"malformed coefficient {text!r}")
-        num = parse_int(m.group(1), m.start(1))
-        if m.group(2) is None:
-            return self.normalize(num)
-        den = parse_int(m.group(2), m.start(2))
-        if den == 0:
-            raise ParseError(f"zero denominator in {text!r}")
-        try:
-            return self.from_fraction(Fraction(num, den))
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
 
 
 #: Shared ring instances for the two parameter-free rings.

@@ -28,6 +28,10 @@ class InvalidExponent(NbhdError, ValueError):
     """A monomial exponent is negative or not an integer."""
 
 
+class InvalidVariableName(NbhdError, ValueError):
+    """A variable name is malformed or repeated within one variable set."""
+
+
 class ParseError(NbhdError):
     """Malformed textual input.  Carries a 0-based character position."""
 

@@ -18,13 +18,16 @@ divisor's other terms are subtracted, in place, because its leading term
 cancels by construction.  A lead coefficient is inverted only once, and only
 for a divisor that is not monic.
 
-buchberger never queues a pair with coprime leading monomials (the product
-criterion) and skips a selected pair by Buchberger's chain criterion; see
-its docstring.  The relations of universal_dtilde and of the difference
-simplex over a free base skip it: their row-reduced quadrics are already
-the reduced basis (README, "Quadratic bases of the universal
-presentations"), so _row_reduce builds it by Gaussian elimination alone,
-and buchberger stays their second implementation in the tests.
+The input has one path too: _row_echelon brings the generators to reduced
+row-echelon form, dividing each by the remainders kept so far.  buchberger
+starts its pair loop from that form; it never queues a pair with coprime
+leading monomials (the product criterion) and skips a selected pair by
+Buchberger's chain criterion; see its docstring.  The relations of
+universal_dtilde and of the difference simplex over a free base skip the
+pair loop: their row-reduced quadrics are already the reduced basis
+(README, "Quadratic bases of the universal presentations"), so _row_reduce
+builds it by Gaussian elimination alone, and buchberger stays their second
+implementation in the tests.
 
 A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
@@ -302,13 +305,30 @@ def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     return p.scale(p.ring.invert(value))
 
 
+def _tail_reduce(divisors: _Divisors, cap: int) -> list[Polynomial]:
+    """Each divisor with its tail (every term but the lead) divided by all.
+
+    Every term met while dividing a tail is below that element's lead, so
+    the element never divides it and the lead stays.  A tail is divided
+    only by elements whose lead is smaller than its own, so the results
+    span the same ideal as the divisors whenever no two leads are equal.
+    """
+    order = divisors.order
+    out = []
+    for g, (lead, *_) in zip(divisors.polys, divisors.rows):
+        value = g._terms[lead]
+        tail = Polynomial._raw(g.varset, g.ring, {e: v for e, v in g._terms.items() if e != lead})
+        r = reduce_full(tail, divisors, order, max(cap, g.total_degree()))
+        out.append(Polynomial._raw(g.varset, g.ring, {lead: value, **r._terms}))
+    return out
+
+
 def _interreduce(basis: _Divisors, cap: int) -> list[Polynomial]:
     """Minimalize then tail-reduce a monic Groebner basis into the reduced one.
 
-    In a minimal basis no other leading monomial divides an element's lead,
-    and every term met while reducing its tail is below that lead, so the
-    tail can be reduced against the whole minimal basis, element included.
-    As the minimal basis is a Groebner basis, one pass gives normal forms.
+    In a minimal basis no other leading monomial divides an element's lead.
+    As the minimal basis is a Groebner basis, one pass of _tail_reduce
+    gives normal forms.  The result is in decreasing order of its leads.
     """
     order = basis.order
     key = order.key
@@ -317,14 +337,28 @@ def _interreduce(basis: _Divisors, cap: int) -> list[Polynomial]:
     for i in by_lead:
         if not minimal.dividing(basis.rows[i][0]):
             minimal.append(basis.polys[i])
-    reduced = []
-    for g, (lead, *_) in zip(minimal.polys, minimal.rows):
-        value = g._terms[lead]
-        tail = Polynomial._raw(g.varset, g.ring, {e: v for e, v in g._terms.items() if e != lead})
-        r = reduce_full(tail, minimal, order, max(cap, g.total_degree()))
-        reduced.append(Polynomial._raw(g.varset, g.ring, {lead: value, **r._terms}))
+    reduced = _tail_reduce(minimal, cap)
     reduced.reverse()
     return reduced
+
+
+def _row_echelon(
+    gens: Iterable[Polynomial], order: MonomialOrder, nvars: int, degree_cap: int
+) -> _Divisors:
+    """The generators in reduced row-echelon form, as a divisor list.
+
+    Each generator, in turn, is divided by the monic remainders kept so
+    far; a nonzero remainder joins them, made monic, and a zero one is
+    dropped.  Then every tail is divided by all of them (_tail_reduce).
+    The results span the same ideal as the generators, no two share a
+    leading monomial, and no lead divides a term of any tail.
+    """
+    kept = _Divisors((), order, nvars)
+    for g in gens:
+        r = reduce_full(g, kept, order, degree_cap)
+        if not r.is_zero():
+            kept.append(_monic(r, order))
+    return _Divisors(_tail_reduce(kept, degree_cap), order, nvars)
 
 
 def buchberger(
@@ -334,8 +368,12 @@ def buchberger(
 ) -> "GroebnerBasis":
     """Compute the reduced Groebner basis of the ideal.
 
-    Pairs are selected in increasing (lcm degree, creation index) order.  A
-    pair whose leading monomials are coprime is never queued (Buchberger's
+    The pair loop starts from the generators in reduced row-echelon form
+    (_row_echelon), taken in increasing total degree (a stable sort): the
+    generators sharing a leading monomial are eliminated against each other
+    before any pair is formed, and a zero remainder never forms one.  Pairs
+    are selected in increasing (lcm degree, creation index) order.  A pair
+    whose leading monomials are coprime is never queued (Buchberger's
     product criterion).  A selected pair (i, j) is skipped when some other
     element k has a leading monomial dividing lcm(i, j) and neither (i, k)
     nor (j, k) is still queued (Buchberger's chain criterion).  Every other
@@ -353,14 +391,13 @@ def buchberger(
         raise NonFieldCoefficients(
             f"Groebner bases need field coefficients, got {ideal.ring}"
         )
-    basis = _Divisors((), order, len(ideal.varset))
+    gens = sorted(ideal.generators, key=Polynomial.total_degree)
+    basis = _row_echelon(gens, order, len(ideal.varset), degree_cap)
     rows, polys = basis.rows, basis.polys
     pairs: list[tuple[int, int, int]] = []
     queued: set[tuple[int, int]] = set()
 
-    def join(g: Polynomial) -> None:
-        basis.append(g)
-        k = len(rows) - 1
+    def queue(k: int) -> None:
         lead, _, mask, _, _ = rows[k]
         for i in range(k):
             if rows[i][2] & mask:
@@ -377,8 +414,8 @@ def buchberger(
                 return True
         return False
 
-    for g in ideal.generators:
-        join(_monic(g, order))
+    for k in range(len(rows)):
+        queue(k)
     while pairs:
         _, i, j = heapq.heappop(pairs)
         queued.discard((i, j))
@@ -391,7 +428,8 @@ def buchberger(
             )
         r = reduce_full(s, basis, order, degree_cap)
         if not r.is_zero():
-            join(_monic(r, order))
+            basis.append(_monic(r, order))
+            queue(len(rows) - 1)
     reduced = tuple(_interreduce(basis, degree_cap))
     return GroebnerBasis(ideal.varset, ideal.ring, order, reduced, degree_cap)
 
@@ -399,25 +437,24 @@ def buchberger(
 def _row_reduce(ideal: Ideal, order: MonomialOrder, degree_cap: int) -> "GroebnerBasis":
     """The reduced row-echelon form of homogeneous quadrics, as a basis.
 
-    Each generator is divided by the remainders kept so far, and a nonzero
-    remainder joins them, made monic; as every lead is a quadric, which
-    divides only a monomial equal to it, this is Gaussian elimination.  No
-    S-polynomial is formed, so the result is the reduced Groebner basis only
-    of ideals proved to need none: the relations of universal_dtilde and of
-    the difference simplex over a free base (README, "Quadratic bases of the
-    universal presentations"); the plain 2x2 permanents of a 3x3 matrix are
-    quadrics whose basis has cubics.  FpAlgebra alone calls it, over a
-    field.  A generator that is not a homogeneous quadric raises ValueError.
+    This is buchberger's input path (_row_echelon) without its pair loop:
+    as every lead is a quadric, which divides only a monomial equal to it,
+    it is Gaussian elimination, and the leads divide no other lead.  No
+    S-polynomial is formed, so the result is the reduced Groebner basis
+    only of ideals proved to need none: the relations of universal_dtilde
+    and of the difference simplex over a free base (README, "Quadratic
+    bases of the universal presentations"); the plain 2x2 permanents of a
+    3x3 matrix are quadrics whose basis has cubics.  FpAlgebra alone calls
+    it, over a field.  A generator that is not a homogeneous quadric raises
+    ValueError.
     """
-    basis = _Divisors((), order, len(ideal.varset))
     for g in ideal.generators:
         if any(mono_degree(e) != 2 for e in g._terms):
             raise ValueError(f"{g} is not a homogeneous quadric")
-        r = reduce_full(g, basis, order, degree_cap)
-        if not r.is_zero():
-            basis.append(_monic(r, order))
-    reduced = tuple(_interreduce(basis, degree_cap))
-    return GroebnerBasis(ideal.varset, ideal.ring, order, reduced, degree_cap)
+    echelon = _row_echelon(ideal.generators, order, len(ideal.varset), degree_cap)
+    key = order.key
+    reduced = sorted(echelon.polys, key=lambda g: key(g.leading(order)[0]), reverse=True)
+    return GroebnerBasis(ideal.varset, ideal.ring, order, tuple(reduced), degree_cap)
 
 
 @dataclass(frozen=True)

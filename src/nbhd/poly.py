@@ -22,6 +22,7 @@ from .arith import Coefficient, RingSpec, parse_int
 from .errors import (
     ArityMismatch,
     InvalidExponent,
+    InvalidVariableName,
     ParseError,
     RingMismatch,
     UnknownVariable,
@@ -44,10 +45,10 @@ class VarSet:
         object.__setattr__(self, "names", tuple(self.names))
         for name in self.names:
             if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
-                raise ValueError(f"invalid variable name {name!r}")
+                raise InvalidVariableName(f"invalid variable name {name!r}")
         if len(set(self.names)) != len(self.names):
             dupes = sorted({n for n in self.names if self.names.count(n) > 1})
-            raise ValueError(f"duplicate variable names: {', '.join(dupes)}")
+            raise InvalidVariableName(f"duplicate variable names: {', '.join(dupes)}")
 
     @cached_property
     def _positions(self) -> dict[str, int]:

@@ -56,6 +56,21 @@ def test_normal_forms_in_quotient():
     assert str(D.element("3*X^3 + 2*X + 1")) == "2*X + 1"
 
 
+def test_unit_is_computed_once():
+    # Q[e]/(1) is the zero ring: its unit is zero
+    zero_ring = FpAlgebra(QQ, ("e",), ["1"])
+    one = zero_ring.one()
+    assert one.is_zero() and one == zero_ring.element(1)
+    assert zero_ring.one().rep is one.rep
+    z4 = RingSpec.modular(4)
+    dual = FpAlgebra(z4, ("e",), ["e^2"])
+    one = dual.one()
+    assert one == dual.element(1) and not one.is_zero()
+    assert dual.one().rep is one.rep
+    e = dual.generator("e")
+    assert one * e == e and (2 * one) * (2 * one) == dual.zero()
+
+
 def test_relations_and_normal_forms_check_ring_and_variables():
     other_vars = VarSet(("Y",))
     with pytest.raises(RingMismatch):

@@ -6,7 +6,7 @@ import pytest
 from nbhd.algebra import FpAlgebra
 from nbhd.arith import MAX_MODULUS, Coefficient, QQ, RingSpec, ZZ
 from nbhd.errors import ParseError, RingMismatch
-from nbhd.poly import VarSet, parse_poly
+from nbhd.poly import Polynomial, VarSet, parse_poly
 
 
 def test_ring_spec_parse_and_str():
@@ -63,6 +63,11 @@ def test_characteristic():
 def test_normalize_canonical_forms():
     assert QQ.normalize(Fraction(2, 4)) == Fraction(1, 2)
     assert QQ.normalize(3) == Fraction(3)
+    # integral rationals are ints, never integral Fractions or bools
+    assert type(QQ.normalize(Fraction(6, 3))) is int
+    assert type(QQ.from_fraction(Fraction(-4, 2))) is int
+    assert type(QQ.normalize(True)) is int
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
     assert ZZ.normalize(-7) == -7
     z5 = RingSpec.modular(5)
     assert z5.normalize(-1) == 4
@@ -91,6 +96,8 @@ def test_invert():
     assert two.invert().value == 3
     assert Coefficient.of(ZZ, 2).invert() is None
     assert Coefficient.of(QQ, Fraction(-4, 7)).invert().value == Fraction(-7, 4)
+    assert QQ.invert(2) == Fraction(1, 2)
+    assert type(QQ.invert(Fraction(-1, 3))) is int and QQ.invert(Fraction(-1, 3)) == -3
     z6 = RingSpec.modular(6)
     assert Coefficient.of(z6, 2).invert() is None  # zero divisor
     assert Coefficient.of(z6, 5).invert().value == 5
@@ -110,6 +117,8 @@ def test_cross_ring_operations_rejected():
 
 
 def test_value_text_round_trip():
+    # coefficients are read by parse_poly, the one coefficient parser
+    x = VarSet(("x",))
     cases = [
         (QQ, "3"),
         (QQ, "-3"),
@@ -120,21 +129,22 @@ def test_value_text_round_trip():
         (RingSpec.modular(11), "10"),
     ]
     for ring, text in cases:
-        value = ring.parse_value(text)
-        assert ring.format_value(value) == text
+        assert str(parse_poly(text, x, ring)) == text
 
 
-def test_parse_value_rejects_garbage():
+def test_coefficient_text_rejects_garbage():
+    x = VarSet(("x",))
     with pytest.raises(ParseError):
-        QQ.parse_value("1/0")
+        parse_poly("1/0", x, QQ)
     with pytest.raises(ParseError):
-        ZZ.parse_value("1/2")  # 2 not invertible in Z
+        parse_poly("1/2", x, ZZ)  # 2 not invertible in Z
     with pytest.raises(ParseError):
-        QQ.parse_value("one")
+        parse_poly("one", x, QQ)
     z6 = RingSpec.modular(6)
     with pytest.raises(ParseError):
-        z6.parse_value("1/2")  # 2 not invertible mod 6
-    assert z6.parse_value("1/5") == 5  # 5 is its own inverse mod 6
+        parse_poly("1/2", x, z6)  # 2 not invertible mod 6
+    # 5 is its own inverse mod 6
+    assert parse_poly("1/5", x, z6) == Polynomial.constant(x, z6, 5)
 
 
 def test_ring_axioms_random():

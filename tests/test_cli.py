@@ -450,6 +450,18 @@ def test_overlong_number_is_a_parse_error(capsys):
     assert "(at position 4)" in doc["error"]
 
 
+@pytest.mark.parametrize(
+    "names, message",
+    [("1x,y", "invalid variable name '1x'"), ("x,x", "duplicate variable names: x")],
+    ids=["invalid", "duplicate"],
+)
+def test_bad_variable_names_are_typed_errors(capsys, names, message):
+    argv = ["decompose", "--ring", "Q", "--vars", names, "--poly", "y"]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 2
+    assert doc == {"error": message, "kind": "InvalidVariableName"}
+
+
 def test_usage_error(capsys):
     code, out, _ = run(capsys, ["frobnicate"])
     assert code == 2

@@ -44,3 +44,19 @@ def test_no_unused_imports(path):
         if name not in used
     )
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def test_no_true_division_outside_arith():
+    # over Q integral values are ints, and int / int is a float: exact
+    # division belongs to the coefficient layer alone
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
+    assert not found, f"true division at {found}"
