@@ -23,11 +23,11 @@ are validated at construction: every relation of the domain must map to zero
 
 The second half of the module builds tensor products (coproducts) and the
 quotients by (squared) diagonal ideals which classify neighbouring pairs,
-together with the classifying maps given by their universal property.  The
-difference simplex over a free base, like universal_dtilde, is presented by
-quadrics whose row reduction is already the reduced Groebner basis, so it
-is built by FpAlgebra._universal_quadrics without buchberger; the tensor
-simplex keeps buchberger.
+together with the classifying maps given by their universal property.  Over
+a free base both simplices, like universal_dtilde, have the Hilbert series
+of D~(p, n) with free variables adjoined, and _universal_quotient passes it
+to buchberger, which then certifies the row-echelon relations as the
+reduced basis without forming an S-polynomial.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .arith import Coefficient, RingSpec
@@ -53,7 +54,6 @@ from .ideal import (
     GroebnerBasis,
     Ideal,
     _Divisors,
-    _row_reduce,
     buchberger,
     monomial_reduce,
 )
@@ -102,34 +102,11 @@ class FpAlgebra:
         order: MonomialOrder = DEFAULT_ORDER,
         degree_cap: int = DEFAULT_DEGREE_CAP,
     ):
-        self._present(ring, varset, relations, order, degree_cap, buchberger)
+        self._present(ring, varset, relations, order, degree_cap, None)
 
-    @classmethod
-    def _universal_quadrics(
-        cls,
-        ring: RingSpec,
-        varset: VarSet,
-        relations: Iterable[Polynomial],
-        order: MonomialOrder,
-        degree_cap: int,
-    ) -> "FpAlgebra":
-        """FpAlgebra(ring, varset, relations, order, degree_cap), with the
-        Groebner basis built by one row reduction of the relations
-        (ideal._row_reduce) instead of buchberger.
-
-        Only for the relations of universal_dtilde and of the difference
-        simplex over a free base, whose row-reduced relations are the
-        reduced Groebner basis (README, "Quadratic bases of the universal
-        presentations").  Validation and the choice of engine are those of
-        __init__, so the result equals the algebra __init__ would build.
-        """
-        algebra = cls.__new__(cls)
-        algebra._present(ring, varset, relations, order, degree_cap, _row_reduce)
-        return algebra
-
-    def _present(self, ring, varset, relations, order, degree_cap, groebner) -> None:
+    def _present(self, ring, varset, relations, order, degree_cap, hilbert) -> None:
         # validate, pick the engine and, for the Groebner engine, build the
-        # basis with groebner(ideal, order, degree_cap)
+        # basis, passing buchberger the quotient's Hilbert series if known
         if not isinstance(varset, VarSet):
             varset = VarSet(tuple(varset))
         rels = []
@@ -158,7 +135,7 @@ class FpAlgebra:
                 f"a Groebner basis and field coefficients, got {ring}"
             )
         else:
-            self._gb = groebner(ideal, order, degree_cap)
+            self._gb = buchberger(ideal, order, degree_cap, hilbert=hilbert)
         self._signature = (ring, varset.names, frozenset(self.relations), order)
         self._hash = hash(self._signature)
         self._one: Polynomial | None = None
@@ -594,6 +571,20 @@ def _difference_names(base: FpAlgebra, p: int) -> list[str]:
     return names
 
 
+def _universal_quotient(ring, varset, relations, order, degree_cap, p, n, free) -> FpAlgebra:
+    """FpAlgebra(ring, varset, relations, order, degree_cap), for relations
+    presenting D~(p, n) with `free` variables adjoined, up to a graded
+    linear change of variables; buchberger gets that quotient's Hilbert
+    series (README, "Hilbert series certify the universal bases")."""
+    if ring.two_invertible:
+        numerator = tuple(comb(p, k) * comb(n, k) for k in range(min(p, n) + 1))
+    else:  # characteristic 2; over Z the relations are monomial or refused
+        numerator = tuple(comb(p, k) * comb(n + k - 1, k) for k in range(p + 1))
+    algebra = FpAlgebra.__new__(FpAlgebra)
+    algebra._present(ring, varset, relations, order, degree_cap, (numerator, free))
+    return algebra
+
+
 def _difference_representation(
     base: FpAlgebra, p: int, order: MonomialOrder, cap: int
 ) -> UniversalSimplex:
@@ -611,7 +602,7 @@ def _difference_representation(
     # products of that block's displacements
     anchored = [[Polynomial.zero(varset, ring)] * n, *blocks]
     relations = [product for _, product in _difference_products(anchored)]
-    quotient = FpAlgebra._universal_quadrics(ring, varset, relations, order, cap)
+    quotient = _universal_quotient(ring, varset, relations, order, cap, p, n, n)
 
     t, inclusions = tensor_power(base, p + 1)
     proj_images = []
@@ -628,8 +619,12 @@ def _tensor_representation(
 ) -> UniversalSimplex:
     ring = base.ring
     t, inclusions = tensor_power(base, p + 1)
-    squared = _multi_diagonal_generators(t, len(base.varset), p)
-    quotient = FpAlgebra(ring, t.varset, squared, order, cap)
+    n = len(base.varset)
+    squared = _multi_diagonal_generators(t, n, p)
+    if base.is_free:  # D~(p, n) and the n variables x_0, after x_s = x_0 + d_s
+        quotient = _universal_quotient(ring, t.varset, squared, order, cap, p, n, n)
+    else:
+        quotient = FpAlgebra(ring, t.varset, squared, order, cap)
     projection = AlgebraMap(
         t, quotient, Polynomial.variables(t.varset, ring)
     )
@@ -652,11 +647,10 @@ def universal_simplex(
     relations are the products of two displacements, unit monomials, so the
     quotient uses monomial deletion and works over any ring; the other
     presentations need a Groebner basis and raise NonFieldCoefficients over
-    a ring that is not a field.  For p >= 2 the difference relations span
-    those of universal_dtilde(p, n) in the displacements, so their row
-    reduction is the reduced basis and no S-polynomial is formed (README,
-    "Quadratic bases of the universal presentations"); the "tensor"
-    quotient goes through buchberger.
+    a ring that is not a field.  Over a free base with n generators both
+    have the Hilbert series of universal_dtilde(p, n) over (1 - t)^n, by
+    which buchberger certifies their row-echelon relations and forms no
+    S-polynomial (README, "Hilbert series certify the universal bases").
     """
     if p < 1:
         raise ValueError("p must be at least 1")

@@ -301,9 +301,6 @@ class Coefficient:
     def is_zero(self) -> bool:
         return self.ring.is_zero(self.value)
 
-    def is_one(self) -> bool:
-        return self.value == self.ring.one()
-
     def __str__(self) -> str:
         return self.ring.format_value(self.value)
 

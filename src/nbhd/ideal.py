@@ -18,22 +18,19 @@ divisor's other terms are subtracted, in place, because its leading term
 cancels by construction.  A lead coefficient is inverted only once, and only
 for a divisor that is not monic.
 
-The input has one path too: _row_echelon brings the generators to reduced
-row-echelon form, dividing each by the remainders kept so far.  buchberger
-starts its pair loop from that form; it never queues a pair with coprime
-leading monomials (the product criterion) and skips a selected pair by
-Buchberger's chain criterion; see its docstring.  The relations of
-universal_dtilde and of the difference simplex over a free base skip the
-pair loop: their row-reduced quadrics are already the reduced basis
-(README, "Quadratic bases of the universal presentations"), so _row_reduce
-builds it by Gaussian elimination alone, and buchberger stays their second
-implementation in the tests.
+Bases have one entry point, buchberger, and its input one path:
+_row_echelon brings the generators to reduced row-echelon form, dividing
+each by the remainders kept so far.  The pair loop starts from that form
+and skips pairs by Buchberger's product and chain criteria.  A caller may
+pass the quotient's Hilbert series: when the generators are homogeneous
+and their row-echelon leads have it, no pair is queued (Traverso's
+criterion; README, "Hilbert series certify the universal bases").
 
 A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
 buchberger forms, or a term that a division step creates, exceeds the cap.
-_row_reduce forms neither: it reduces quadrics by quadrics, so no term
-above degree 2 appears and no cap of at least 2 is reached.
+A certified basis forms no S-polynomial, and dividing homogeneous
+generators by each other creates no term above their own degree.
 """
 
 from __future__ import annotations
@@ -328,7 +325,7 @@ def _interreduce(basis: _Divisors, cap: int) -> list[Polynomial]:
 
     In a minimal basis no other leading monomial divides an element's lead.
     As the minimal basis is a Groebner basis, one pass of _tail_reduce
-    gives normal forms.  The result is in decreasing order of its leads.
+    gives normal forms.  The result is in increasing order of its leads.
     """
     order = basis.order
     key = order.key
@@ -337,9 +334,7 @@ def _interreduce(basis: _Divisors, cap: int) -> list[Polynomial]:
     for i in by_lead:
         if not minimal.dividing(basis.rows[i][0]):
             minimal.append(basis.polys[i])
-    reduced = _tail_reduce(minimal, cap)
-    reduced.reverse()
-    return reduced
+    return _tail_reduce(minimal, cap)
 
 
 def _row_echelon(
@@ -361,27 +356,65 @@ def _row_echelon(
     return _Divisors(_tail_reduce(kept, degree_cap), order, nvars)
 
 
+def _leads_have_series(divisors: _Divisors, hilbert: tuple[Sequence[int], int]) -> bool:
+    """Whether k[x]/<leads> has the series sum(numerator[k] t^k) / (1 - t)^free.
+
+    It has when exactly `free` variables occur in no lead and the standard
+    monomials in the others number numerator[k] in each degree k.  Each is
+    counted once, as one of the degree below times a variable no smaller
+    than its last, and the count stops at the first degree that differs.
+    """
+    numerator, free = hilbert
+    nvars = len(divisors.excluded)
+    bound = [v for v, row in enumerate(divisors.excluded) if row]  # the variables in leads
+    if nvars - len(bound) != free:
+        return False
+    layer = [((0,) * nvars, 0)]  # (standard monomial, position in bound of its last variable)
+    for expected in numerator:
+        if len(layer) != expected:
+            return False
+        layer = [
+            (m, k)
+            for exps, last in layer
+            for k, v in enumerate(bound[last:], last)
+            if not divisors.dividing(m := exps[:v] + (exps[v] + 1,) + exps[v + 1 :])
+        ]
+    return not layer
+
+
 def buchberger(
     ideal: Ideal,
     order: MonomialOrder = DEFAULT_ORDER,
     degree_cap: int = DEFAULT_DEGREE_CAP,
+    *,
+    hilbert: tuple[Sequence[int], int] | None = None,
 ) -> "GroebnerBasis":
     """Compute the reduced Groebner basis of the ideal.
 
     The pair loop starts from the generators in reduced row-echelon form
     (_row_echelon), taken in increasing total degree (a stable sort): the
     generators sharing a leading monomial are eliminated against each other
-    before any pair is formed, and a zero remainder never forms one.  Pairs
-    are selected in increasing (lcm degree, creation index) order.  A pair
-    whose leading monomials are coprime is never queued (Buchberger's
+    before any pair is formed, and a zero remainder never forms one.
+
+    hilbert = (numerator, free) vouches that k[x]/ideal has the Hilbert
+    series sum(numerator[k] t^k) / (1 - t)^free.  If the generators are
+    homogeneous and the row-echelon leads have that series, they generate
+    the initial ideal, so no pair is queued (Traverso, "Hilbert functions
+    and the Buchberger algorithm", J. Symbolic Comput. 22, 1996).  A series
+    the leads do not match runs the pair loop and never changes the result.
+
+    Pairs are selected in increasing (lcm degree, creation index) order.
+    A pair whose leading monomials are coprime is never queued (Buchberger's
     product criterion).  A selected pair (i, j) is skipped when some other
     element k has a leading monomial dividing lcm(i, j) and neither (i, k)
     nor (j, k) is still queued (Buchberger's chain criterion).  Every other
     pair has its S-polynomial formed and fully reduced by the basis so far;
     a nonzero remainder is made monic and joins the basis.  The degree
-    guard applies to every S-polynomial formed and to every division.  By
-    uniqueness of the reduced basis, the output does not depend on these
-    choices.
+    guard applies to every S-polynomial formed and to every division.  If
+    nothing joined and no lead divides another, the row-echelon form is
+    already reduced; otherwise _interreduce reduces the basis.  It is
+    returned in decreasing order of the leads, and by uniqueness of the
+    reduced basis it does not depend on these choices.
 
     Over a ring that is not a field, only an ideal of unit monomials is
     accepted (NonFieldCoefficients otherwise): making its generators monic
@@ -414,8 +447,11 @@ def buchberger(
                 return True
         return False
 
-    for k in range(len(rows)):
-        queue(k)
+    echelon = len(rows)
+    homogeneous = all(len({mono_degree(e) for e in g._terms}) == 1 for g in gens)
+    if hilbert is None or not homogeneous or not _leads_have_series(basis, hilbert):
+        for k in range(echelon):
+            queue(k)
     while pairs:
         _, i, j = heapq.heappop(pairs)
         queued.discard((i, j))
@@ -430,31 +466,10 @@ def buchberger(
         if not r.is_zero():
             basis.append(_monic(r, order))
             queue(len(rows) - 1)
-    reduced = tuple(_interreduce(basis, degree_cap))
+    if len(rows) > echelon or any(basis.dividing(row[0]) != 1 << i for i, row in enumerate(rows)):
+        polys = _interreduce(basis, degree_cap)
+    reduced = tuple(sorted(polys, key=lambda g: order.key(g.leading(order)[0]), reverse=True))
     return GroebnerBasis(ideal.varset, ideal.ring, order, reduced, degree_cap)
-
-
-def _row_reduce(ideal: Ideal, order: MonomialOrder, degree_cap: int) -> "GroebnerBasis":
-    """The reduced row-echelon form of homogeneous quadrics, as a basis.
-
-    This is buchberger's input path (_row_echelon) without its pair loop:
-    as every lead is a quadric, which divides only a monomial equal to it,
-    it is Gaussian elimination, and the leads divide no other lead.  No
-    S-polynomial is formed, so the result is the reduced Groebner basis
-    only of ideals proved to need none: the relations of universal_dtilde
-    and of the difference simplex over a free base (README, "Quadratic
-    bases of the universal presentations"); the plain 2x2 permanents of a
-    3x3 matrix are quadrics whose basis has cubics.  FpAlgebra alone calls
-    it, over a field.  A generator that is not a homogeneous quadric raises
-    ValueError.
-    """
-    for g in ideal.generators:
-        if any(mono_degree(e) != 2 for e in g._terms):
-            raise ValueError(f"{g} is not a homogeneous quadric")
-    echelon = _row_echelon(ideal.generators, order, len(ideal.varset), degree_cap)
-    key = order.key
-    reduced = sorted(echelon.polys, key=lambda g: key(g.leading(order)[0]), reverse=True)
-    return GroebnerBasis(ideal.varset, ideal.ring, order, tuple(reduced), degree_cap)
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,7 @@ from .algebra import (
     FpAlgebra,
     UniversalSimplex,
     _difference_products,
+    _universal_quotient,
     adjoin_variables,
     compose,
     free_algebra,
@@ -628,9 +629,9 @@ def universal_dtilde(
     algebra works over any ring; for p >= 2 the cross products need a
     Groebner basis and field coefficients (NonFieldCoefficients otherwise).
     That basis is the equations row-reduced, in either order and every
-    characteristic (README, "Quadratic bases of the universal
-    presentations"), so it is built by one row reduction: no S-polynomial is
-    formed and no intermediate exceeds degree 2.
+    characteristic, and buchberger certifies it by the algebra's Hilbert
+    series (README, "Hilbert series certify the universal bases"): no
+    S-polynomial is formed and no intermediate exceeds degree 2.
     """
     if p < 1 or n < 1:
         raise ValueError("matrix dimensions must be at least 1 x 1")
@@ -656,7 +657,7 @@ def universal_dtilde(
         for i in range(n):
             for j in range(i, n):
                 relations.append(entry(r, i) * entry(r, j))
-    algebra = FpAlgebra._universal_quadrics(ring, varset, relations, order, degree_cap)
+    algebra = _universal_quotient(ring, varset, relations, order, degree_cap, p, n, 0)
     rows = [
         [algebra.generator(i * n + j) for j in range(n)] for i in range(p)
     ]

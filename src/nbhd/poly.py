@@ -247,13 +247,6 @@ class Polynomial:
         exps = max(self._terms, key=order.key)
         return exps, self._terms[exps]
 
-    def leading_term(self, order: MonomialOrder = DEFAULT_ORDER):
-        lead = self.leading(order)
-        if lead is None:
-            return None
-        exps, value = lead
-        return Monomial(self.varset, exps), Coefficient(self.ring, value)
-
     # -- arithmetic -------------------------------------------------------
 
     def _check_compatible(self, other: "Polynomial") -> None:

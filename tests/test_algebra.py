@@ -24,6 +24,7 @@ from nbhd.arith import QQ, RingSpec, ZZ
 from nbhd.errors import (
     ArityMismatch,
     CompositionMismatch,
+    DegreeGuardExceeded,
     DomainMismatch,
     IllDefinedMap,
     NonFieldCoefficients,
@@ -31,7 +32,7 @@ from nbhd.errors import (
     RingMismatch,
     VarSetMismatch,
 )
-from nbhd.ideal import buchberger
+from nbhd.ideal import Ideal, buchberger, s_polynomial
 from nbhd.neighbour import universal_dtilde
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
 
@@ -484,39 +485,51 @@ def _refuse(*args, **kwargs):
 
 def test_universal_quadrics_form_no_s_polynomial(monkeypatch):
     monkeypatch.setattr("nbhd.ideal.s_polynomial", _refuse)
-    monkeypatch.setattr("nbhd.algebra.buchberger", _refuse)
     for algebra, _ in (
         universal_dtilde(4, 5, QQ, MonomialOrder.LEX),
         universal_dtilde(3, 3, RingSpec.modular(2)),
     ):
         assert algebra.strategy == "groebner"
-    simplex = universal_simplex(free_algebra(QQ, ("X1", "X2")), 4, "difference")
-    assert simplex.algebra.strategy == "groebner"
-    factored = classifying_map(simplex, simplex.maps)
-    assert factored == identity_map(simplex.algebra)
+    free = free_algebra(QQ, ("X1", "X2"))
+    for representation in ("difference", "tensor"):
+        simplex = universal_simplex(free, 4, representation)
+        assert simplex.algebra.strategy == "groebner"
+        factored = classifying_map(simplex, simplex.maps)
+        assert factored == identity_map(simplex.algebra)
+    for order in MonomialOrder:
+        tensor_form = universal_simplex(free_algebra(RingSpec.modular(2), ("X", "Y", "Z")), 3, "tensor", order)
+        assert tensor_form.algebra.strategy == "groebner"
 
 
 def test_other_presentations_still_reach_buchberger(monkeypatch):
-    calls = []
+    formed = []
 
     def recording(*args, **kwargs):
-        calls.append(args[0])
-        return buchberger(*args, **kwargs)
+        formed.append(args)
+        return s_polynomial(*args, **kwargs)
 
-    monkeypatch.setattr("nbhd.algebra.buchberger", recording)
-    tensor_form = universal_simplex(free_algebra(QQ, ("X",)), 2, "tensor").algebra
-    assert calls and calls[-1].generators == tensor_form.relations
+    monkeypatch.setattr("nbhd.ideal.s_polynomial", recording)
+    # over a Weil base no series is known: the pair loop runs
+    tensor_form = universal_simplex(dual_numbers(), 2, "tensor").algebra
+    assert formed and tensor_form.strategy == "groebner"
     with pytest.raises(NonFieldCoefficients):
         universal_dtilde(2, 2, ZZ)
 
 
 def test_universal_quadrics_need_no_degree_above_two():
-    # buchberger would form a degree-3 S-polynomial here; the row reduction forms none
+    # the pair loop would form a degree-3 S-polynomial here; a certified
+    # basis forms none
     algebra, _ = universal_dtilde(2, 2, QQ, degree_cap=2)
     assert algebra._gb.basis == universal_dtilde(2, 2, QQ)[0]._gb.basis
     assert algebra.element("a11*a22 + a12*a21").is_zero()
-    simplex = universal_simplex(free_algebra(QQ, ("X", "Y")), 2, degree_cap=2)
-    assert simplex.algebra.strategy == "groebner"
+    free = free_algebra(QQ, ("X", "Y"))
+    for representation in ("difference", "tensor"):
+        simplex = universal_simplex(free, 2, representation, degree_cap=2)
+        assert simplex.algebra.strategy == "groebner"
+        assert simplex.algebra._gb.basis == universal_simplex(free, 2, representation).algebra._gb.basis
+    for quotient in (algebra, simplex.algebra):
+        with pytest.raises(DegreeGuardExceeded):
+            buchberger(Ideal(quotient.varset, QQ, quotient.relations), quotient.order, 2)
 
 
 # -- adjoining variables --------------------------------------------------------

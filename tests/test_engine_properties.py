@@ -9,9 +9,10 @@ universal p = 1 simplex.  Element sums skip a second normal form, which
 is sound only because a sum of normal forms is already one.  Products in a
 monomial quotient form only the surviving terms, and maps evaluate inside
 their codomain; both must give what the free ring gives after deletion.
-The universal presentations build their basis by one row reduction of
-their quadrics, which must give Buchberger's reduced basis, and only
-because the README proves it for those ideals: other quadrics need more.
+The universal presentations pass buchberger their Hilbert series, which
+certifies their row-echelon form as the reduced basis: it must equal the
+pair loop's basis, and a series the leads do not match must fall back to
+the pair loop.  Normal forms are linear under both engines.
 """
 
 from fractions import Fraction
@@ -31,7 +32,8 @@ from nbhd.algebra import (  # noqa: E402
 )
 from nbhd.arith import QQ, RingSpec  # noqa: E402
 from nbhd.errors import IllDefinedMap  # noqa: E402
-from nbhd.ideal import Ideal, _row_reduce, buchberger, monomial_reduce  # noqa: E402
+import nbhd.ideal  # noqa: E402
+from nbhd.ideal import Ideal, buchberger, monomial_reduce  # noqa: E402
 from nbhd.neighbour import is_neighbour, is_neighbour_product_form, universal_dtilde  # noqa: E402
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly  # noqa: E402
 from nbhd.verify import WEIL_PATTERNS, random_weil_algebra  # noqa: E402
@@ -219,41 +221,57 @@ def test_maps_evaluate_inside_the_codomain_as_in_the_free_ring(case):
     assert f.apply(element).rep == free_evaluation(element.rep)
 
 
-# -- closed-form bases of the universal presentations ---------------------------
+# -- Hilbert-series certified bases of the universal presentations ------------
 
 QUADRIC_RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z/2", "Z/3", "Z/5"))
 
 
 @st.composite
 def universal_presentations(draw):
-    """universal_dtilde(p, n) or the difference simplex at p over a free
-    base with n generators, over Q or a prime field, in either order."""
+    """universal_dtilde(p, n), or the difference or tensor simplex at p over
+    a free base with n generators, over Q or a prime field (Z/2 included),
+    in either order."""
     ring = draw(st.sampled_from(QUADRIC_RINGS))
     order = draw(st.sampled_from(list(MonomialOrder)))
     p, n = draw(st.integers(2, 4)), draw(st.integers(1, 4))
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(("dtilde", "difference", "tensor")))
+    if kind == "dtilde":
         return universal_dtilde(p, n, ring, order)[0]
+    if kind == "tensor":
+        n = min(n, 3)  # the (p + 1) * n tensor variables make the reference slow
     base = free_algebra(ring, [f"X{i + 1}" for i in range(n)])
-    return universal_simplex(base, p, "difference", order).algebra
+    return universal_simplex(base, p, kind, order).algebra
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(universal_presentations())
 def test_row_reduction_is_the_reduced_groebner_basis_of_the_universal_quadrics(algebra):
     ideal = Ideal(algebra.varset, algebra.ring, algebra.relations)
-    basis = buchberger(ideal, algebra.order).basis
-    assert _row_reduce(ideal, algebra.order, algebra.degree_cap).basis == basis
+    basis = buchberger(ideal, algebra.order, hilbert=None).basis
     built = FpAlgebra(algebra.ring, algebra.varset, algebra.relations, algebra.order)
     assert algebra == built and hash(algebra) == hash(built)
     assert algebra.strategy == built.strategy
-    if algebra.strategy == "groebner":
-        assert algebra._gb.basis == basis
+    if algebra.strategy == "groebner":  # the relations of D~(p, 1) are unit monomials
+        assert algebra._gb.basis == built._gb.basis == basis
 
 
-def test_plain_permanents_have_a_basis_beyond_their_quadrics():
+def _count_s_polynomials(monkeypatch):
+    formed = []
+    s_polynomial = nbhd.ideal.s_polynomial
+
+    def counting(*args, **kwargs):
+        formed.append(args)
+        return s_polynomial(*args, **kwargs)
+
+    monkeypatch.setattr("nbhd.ideal.s_polynomial", counting)
+    return formed
+
+
+def test_plain_permanents_have_a_basis_beyond_their_quadrics(monkeypatch):
     """The nine 2x2 permanents of a generic 3x3 matrix, without the row
-    products of the universal presentations: Buchberger's reduced basis has
-    cubics, so their row reduction is no Groebner basis."""
+    products of D~(3, 3): given the series of D~(3, 3), which their leads
+    do not have, buchberger falls back to the pair loop and finds the
+    cubics of their reduced basis."""
     varset = VarSet(tuple(f"x{r}{c}" for r in range(1, 4) for c in range(1, 4)))
     pairs = ((1, 2), (1, 3), (2, 3))
     permanents = tuple(
@@ -262,10 +280,63 @@ def test_plain_permanents_have_a_basis_beyond_their_quadrics():
         for i, j in pairs
     )
     ideal = Ideal(varset, QQ, permanents)
+    formed = _count_s_polynomials(monkeypatch)
     for order in MonomialOrder:
         basis = buchberger(ideal, order).basis
         assert max(g.total_degree() for g in basis) >= 3
-        assert _row_reduce(ideal, order, 24).basis != basis
-    cubic = Ideal(varset, QQ, (parse_poly("x11*x22*x33", varset, QQ),))
-    with pytest.raises(ValueError, match="not a homogeneous quadric"):
-        _row_reduce(cubic, MonomialOrder.LEX, 24)
+        formed.clear()
+        assert buchberger(ideal, order, hilbert=((1, 9, 9, 1), 0)).basis == basis
+        assert formed
+
+
+@pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
+def test_a_series_the_leads_do_not_match_falls_back(monkeypatch, order):
+    """D~(2, 2) over Q has the series 1 + 4t + t^2; wrong numerators and a
+    wrong count of free variables all run the pair loop to the same basis."""
+    algebra = universal_dtilde(2, 2, QQ, order)[0]
+    ideal = Ideal(algebra.varset, QQ, algebra.relations)
+    formed = _count_s_polynomials(monkeypatch)
+    assert buchberger(ideal, order, hilbert=((1, 4, 1), 0)).basis == algebra._gb.basis
+    assert not formed
+    for wrong in (((1, 4, 2), 0), ((1, 4), 0), ((1, 4, 1, 0, 1), 0), ((1, 4, 1), 1), ((1, 4, 1), -1)):
+        formed.clear()
+        assert buchberger(ideal, order, hilbert=wrong).basis == algebra._gb.basis
+        assert formed
+
+
+# -- normal forms are linear under both engines ---------------------------------
+
+LINEAR_RINGS = (QQ, RingSpec.parse("Z/3"))
+
+
+@st.composite
+def linear_cases(draw):
+    """An algebra over Q or Z/3 in either order, under either engine: unit
+    monomial relations, fixed Groebner relations, or a certified universal
+    presentation; with two polynomials and two scalars."""
+    ring = draw(st.sampled_from(LINEAR_RINGS))
+    order = draw(st.sampled_from(list(MonomialOrder)))
+    kind = draw(st.sampled_from(("monomial", "groebner", "dtilde", "tensor")))
+    if kind == "monomial":
+        term = st.tuples(_exponents(VARSET, 3), _coefficients(ring, units=True))
+        relations = draw(st.lists(term.map(lambda t: Polynomial(VARSET, ring, [t])), max_size=4))
+        algebra = FpAlgebra(ring, VARSET, relations, order)
+    elif kind == "groebner":
+        algebra = FpAlgebra(ring, VARSET, draw(st.sampled_from(GROEBNER_RELATIONS)), order)
+    elif kind == "dtilde":
+        algebra = universal_dtilde(draw(st.integers(2, 3)), draw(st.integers(1, 3)), ring, order)[0]
+    else:
+        base = free_algebra(ring, ("X", "Y")[: draw(st.integers(1, 2))])
+        algebra = universal_simplex(base, draw(st.integers(1, 3)), "tensor", order).algebra
+    polys = _polynomials(algebra.varset, ring, 6, 3)
+    scalars = _coefficients(ring).map(ring.normalize)
+    return algebra, draw(polys), draw(polys), draw(scalars), draw(scalars)
+
+
+@PROPERTY
+@given(linear_cases())
+def test_normal_forms_are_linear_under_both_engines(case):
+    algebra, f, g, a, b = case
+    assert algebra.strategy == ("monomial" if algebra._gb is None else "groebner")
+    nf = algebra.normal_form
+    assert nf(f.scale(a) + g.scale(b)) == nf(f).scale(a) + nf(g).scale(b)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from nbhd.algebra import universal_simplex
 from nbhd.arith import QQ, RingSpec, ZZ
 from nbhd.errors import (
     DegreeGuardExceeded,
@@ -14,13 +15,16 @@ from nbhd.ideal import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     Ideal,
+    _row_echelon,
     buchberger,
     contains,
     monomial_reduce,
     reduce_full,
     s_polynomial,
 )
+from nbhd.neighbour import universal_dtilde
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
+from nbhd.verify import square_zero_full
 
 XY = VarSet(("X", "Y"))
 XYZ = VarSet(("X", "Y", "Z"))
@@ -328,6 +332,51 @@ def test_zero_generators_dropped():
     zero = Polynomial.zero(XY, QQ)
     assert reduce_full(P("X^2 + Y"), [zero, P("X - 1")]) == P("Y + 1")
     assert GroebnerBasis(XY, QQ, MonomialOrder.DEGREVLEX, (zero,)).normal_form(P("X")) == P("X")
+
+
+# -- the row-echelon exit -------------------------------------------------------
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("_interreduce may not be reached here")
+
+
+def test_tail_division_makes_the_row_echelon_form_reduced(monkeypatch):
+    # elimination alone keeps X^2 + Y^2, whose tail holds the lead Y^2 of
+    # the second generator; the tail pass of _row_echelon divides it out,
+    # and as the leads are coprime no pair forms and nothing is interreduced
+    gens = (P("X^2 + Y^2"), P("Y^2"))
+    assert _row_echelon(gens, MonomialOrder.DEGREVLEX, 2, DEFAULT_DEGREE_CAP).polys == [P("X^2"), P("Y^2")]
+    monkeypatch.setattr("nbhd.ideal._interreduce", _refuse)
+    for order in MonomialOrder:
+        assert buchberger(Ideal(XY, QQ, gens), order).basis == (P("X^2"), P("Y^2"))
+
+
+def test_interreduce_runs_only_when_the_pair_loop_changed_the_basis(monkeypatch):
+    monkeypatch.setattr("nbhd.ideal._interreduce", _refuse)
+    for order in MonomialOrder:
+        assert universal_dtilde(3, 2, QQ, order)[0].strategy == "groebner"
+        # the pair loop runs here, and every S-polynomial reduces to zero
+        assert universal_simplex(square_zero_full(QQ, 2), 2, "tensor", order).algebra._gb
+    # X - Y^2 joins, and its lead X divides X^2: the basis is interreduced
+    with pytest.raises(AssertionError, match="_interreduce"):
+        buchberger(I(["X^2 - Y", "X*Y - 1"]), MonomialOrder.LEX)
+
+
+def test_a_series_is_trusted_only_for_homogeneous_generators():
+    # in lex the row-echelon leads are X^2 and X, whose quotient k[Y] has
+    # the series 1 / (1 - t); the generators are not homogeneous, so that
+    # series certifies nothing and the pair loop finds Y^4 - Y
+    gb = buchberger(I(["X^2 - Y", "Y^2 - X"]), MonomialOrder.LEX, hilbert=((1,), 1))
+    assert gb.basis == (P("X - Y^2"), P("Y^4 - Y"))
+
+
+@pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
+def test_a_row_echelon_lead_dividing_another_is_interreduced(order):
+    # nothing joins in either case, but the leads Y and 1 of the second row
+    # divide the first row's lead, which must go
+    assert buchberger(I(["Y^2", "X*Y^3 - Y"]), order).basis == (P("Y"),)
+    assert buchberger(I(["X", "X - 1"]), order).basis == (P("1"),)
 
 
 # -- differential test against sympy ------------------------------------------

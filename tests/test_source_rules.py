@@ -60,3 +60,26 @@ def test_no_true_division_outside_arith():
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
         ]
     assert not found, f"true division at {found}"
+
+
+def test_groebner_bases_are_built_only_by_buchberger():
+    # one Groebner entry point: every GroebnerBasis the library builds comes
+    # out of ideal.buchberger, so no second basis builder grows back
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        inside = {
+            id(node)
+            for function in functions
+            if path.name == "ideal.py" and function.name == "buchberger"
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GroebnerBasis"
+            and id(node) not in inside
+        ]
+    assert not found, f"GroebnerBasis built outside ideal.buchberger at {found}"
