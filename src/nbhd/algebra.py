@@ -14,12 +14,15 @@ generators, so the two engines agree wherever both apply.
 Elements always store their normal form, so equality of elements is equality
 of representatives.  Over monomial relations a product forms only the exponent
 sums no relation divides, so the terms a normal form would delete are never
-built.  Checks happen at the boundary: element(), the constructors and
-operations mixing parents validate, while sums and products of two elements
-of the same parent object go straight to the arithmetic.  Maps are given by
-generator images, evaluate inside the codomain and
-are validated at construction: every relation of the domain must map to zero
-(the certificate for well-definedness); violations raise IllDefinedMap.
+built.  Which sums those are is looked up in a product table shared by every
+algebra whose relations have the same exponents, whatever its ring, order or
+variable names; the tables are bounded and cleared when full.  Checks happen
+at the boundary: element(), the constructors and operations mixing parents
+validate, while sums and products of two elements of the same parent object
+go straight to the arithmetic.  Maps are given by generator images, evaluate
+inside the codomain and are validated at construction: every relation of
+the domain must map to zero (the certificate for well-definedness);
+violations raise IllDefinedMap.
 
 The second half of the module builds tensor products (coproducts) and the
 quotients by (squared) diagonal ideals which classify neighbouring pairs,
@@ -72,6 +75,49 @@ def _embed_poly(p: Polynomial, target: VarSet, offset: int, ring: RingSpec) -> P
     return Polynomial._raw(target, ring, terms)
 
 
+# Product tables, shared by every monomial-engine algebra whose relations have
+# the same exponents: whether a relation divides an exponent sum depends on
+# those exponents alone, not on the ring, the order or the variable names.
+# Both bounds clear rather than evict, so there is no policy to tune; a table
+# dropped from the map lives on only in the algebras that already hold it.
+_MAX_TABLES = 64
+_MAX_TABLE_ENTRIES = 1 << 14
+_TABLES: dict[tuple, "_ProductTable"] = {}
+_NO_ROW: dict = {}  # read, never written: every lookup misses and fill adds the row
+
+
+class _ProductTable:
+    """rows[ea][eb] is the exponent sum ea + eb, or None when a relation
+    divides it; an entry is filled the first time a product asks for it."""
+
+    __slots__ = ("rows", "entries")
+
+    def __init__(self):
+        self.rows: dict[tuple, dict] = {}
+        self.entries = 0
+
+    def fill(self, ea: tuple, eb: tuple, dividing) -> tuple | None:
+        exps = tuple(map(operator.add, ea, eb))
+        if dividing(exps):
+            exps = None
+        if self.entries >= _MAX_TABLE_ENTRIES:
+            self.rows.clear()
+            self.entries = 0
+        self.rows.setdefault(ea, {})[eb] = exps
+        self.entries += 1
+        return exps
+
+
+def _product_table(nvars: int, relations: Sequence[Polynomial]) -> _ProductTable:
+    key = (nvars, frozenset(e for r in relations for e in r._terms))
+    table = _TABLES.get(key)
+    if table is None:
+        if len(_TABLES) >= _MAX_TABLES:
+            _TABLES.clear()
+        table = _TABLES[key] = _ProductTable()
+    return table
+
+
 class FpAlgebra:
     """A finitely presented commutative algebra with a normal-form engine.
 
@@ -88,6 +134,7 @@ class FpAlgebra:
         "order",
         "degree_cap",
         "_divisors",
+        "_table",
         "_gb",
         "_signature",
         "_hash",
@@ -123,9 +170,12 @@ class FpAlgebra:
         self.order = order
         self.degree_cap = degree_cap
         self._divisors: _Divisors | None = None
+        self._table: _ProductTable | None = None
         self._gb: GroebnerBasis | None = None
         if ideal.is_monomial():
             self._divisors = _Divisors(self.relations, order, len(varset))
+            if self.relations:  # a free algebra multiplies directly
+                self._table = _product_table(len(varset), self.relations)
         elif not ring.is_field:
             offending = " ; ".join(
                 str(r) for r in self.relations if not Ideal(varset, ring, (r,)).is_monomial()
@@ -178,6 +228,9 @@ class FpAlgebra:
 
         Over monomial relations only the exponent sums that no relation
         divides are formed; the terms normal_form would delete never are.
+        Each pair of exponents is looked up in the product table this
+        algebra shares with every algebra of the same relation exponents,
+        and the divisibility test runs only for a pair the table lacks.
         """
         if not a._terms or not b._terms:
             return Polynomial._raw(self.varset, self.ring, {})
@@ -188,11 +241,17 @@ class FpAlgebra:
         ring = self.ring
         add, mul, is_zero = ring.add, ring.mul, ring.is_zero
         dividing = self._divisors.dividing
+        table = self._table
+        rows = table.rows
         out: dict[tuple[int, ...], object] = {}
         for ea, va in a._terms.items():
+            row = rows.get(ea, _NO_ROW)
             for eb, vb in b._terms.items():
-                exps = tuple(map(operator.add, ea, eb))
-                if dividing(exps):
+                try:
+                    exps = row[eb]
+                except KeyError:
+                    exps = table.fill(ea, eb, dividing)
+                if exps is None:
                     continue
                 s = mul(va, vb)
                 if exps in out:

@@ -346,17 +346,6 @@ class Polynomial:
                 out[exps] = s
         return Polynomial._raw(self.varset, ring, out)
 
-    def times_term(self, exps: tuple[int, ...], value) -> "Polynomial":
-        """Multiply by a single term given as raw exponents and raw value."""
-        ring = self.ring
-        v = ring.normalize(value)
-        out = {}
-        for e, old in self._terms.items():
-            s = ring.mul(old, v)
-            if not ring.is_zero(s):
-                out[mono_mul(e, exps)] = s
-        return Polynomial._raw(self.varset, ring, out)
-
     def substitute(
         self,
         images: Sequence["Polynomial"],

@@ -1498,6 +1498,7 @@ class VerificationReport:
         return {r.check_id: r.verdict for r in self.records}
 
     def record(self, check_id: str) -> CheckRecord:
+        """The record of one check, by id; KeyError for an id not run."""
         for r in self.records:
             if r.check_id == check_id:
                 return r

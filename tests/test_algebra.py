@@ -32,7 +32,9 @@ from nbhd.errors import (
     RingMismatch,
     VarSetMismatch,
 )
-from nbhd.ideal import Ideal, buchberger, s_polynomial
+import nbhd.algebra
+import nbhd.ideal
+from nbhd.ideal import Ideal, buchberger, monomial_reduce, s_polynomial
 from nbhd.neighbour import universal_dtilde
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
 
@@ -239,6 +241,72 @@ def test_zero_divisor_products_drop_out():
     a, b = A.element("2 + 2*x"), A.element("2 + 2*y")
     assert (a * b).is_zero()  # every coefficient is 4 = 0
     assert str(A.element("2 + x") * b) == "2*x*y + 2*x"  # 4 and 4*y vanish
+
+
+def _count_divisibility_tests(monkeypatch):
+    calls = []
+    dividing = nbhd.ideal._Divisors.dividing
+
+    def counted(self, exps):
+        calls.append(exps)
+        return dividing(self, exps)
+
+    monkeypatch.setattr(nbhd.ideal._Divisors, "dividing", counted)
+    return calls
+
+
+def test_algebras_of_one_shape_share_their_product_table(monkeypatch):
+    # the table is keyed by the relation exponents alone: ring, order and
+    # variable names do not change which exponent sums a relation divides
+    monkeypatch.setattr(nbhd.algebra, "_TABLES", {})
+    A = FpAlgebra(QQ, ("e1", "e2"), ["e1^2", "e2^2"])
+    a, b = A.element("1 + 2*e1 - e2"), A.element("3 + e1 + e2")
+    calls = _count_divisibility_tests(monkeypatch)
+    first = a * b
+    assert calls  # the first product fills the table
+    B = FpAlgebra(RingSpec.modular(4), ("u", "v"), ["3*u^2", "v^2"], MonomialOrder.LEX)
+    assert B._table is A._table
+    c, d = B.element("1 + 2*u - v"), B.element("3 + u + v")
+    del calls[:]
+    assert str(c * d) == "u*v + 3*u + 2*v + 3"  # 2*u*u and -v*v deleted, 6 = 2 and -3 = 1
+    assert calls == []
+    assert str(first) == "e1*e2 + 7*e1 - 2*e2 + 3"
+    # a different exponent set, or more variables, is another table
+    assert FpAlgebra(QQ, ("e1", "e2"), ["e1^2", "e2^3"])._table is not A._table
+    assert FpAlgebra(QQ, ("e1", "e2", "e3"), ["e1^2", "e2^2"])._table is not A._table
+    assert FpAlgebra(QQ, ("X", "Y"), ["X^2 - Y"])._table is None  # Groebner engine
+    assert free_algebra(QQ, ("e1", "e2"))._table is None  # multiplies directly
+
+
+def test_product_tables_stay_bounded_and_correct_after_a_clear(monkeypatch):
+    # Q[X,Y]/(X*Y) is infinite-dimensional: products of growing degree keep
+    # asking for new exponent pairs, and a full table is cleared
+    monkeypatch.setattr(nbhd.algebra, "_TABLES", {})
+    A = FpAlgebra(QQ, ("X", "Y"), ["X*Y"])
+    table, cap = A._table, nbhd.algebra._MAX_TABLE_ENTRIES
+    cleared = False
+    for degree in range(6):
+        powers = range(32 * degree, 32 * degree + 32)
+        terms = [((k, 0), k + 1) for k in powers] + [((0, k), 1) for k in powers]
+        p = Polynomial(A.varset, QQ, terms)
+        before = table.entries
+        product = A._product(p, p)
+        cleared = cleared or table.entries < before
+        assert product == monomial_reduce(p * p, A._divisors)
+        assert table.entries <= cap
+        assert table.entries == sum(len(row) for row in table.rows.values())
+    assert cleared
+    # right after a clear the table answers from scratch, and correctly
+    table.rows.clear()
+    table.entries = 0
+    q = A.element("X + Y + 1").rep
+    assert A._product(q, q) == parse_poly("X^2 + 2*X + Y^2 + 2*Y + 1", A.varset, QQ)
+    # the map of tables is cleared once it holds its cap
+    for k in range(1, nbhd.algebra._MAX_TABLES + 10):
+        FpAlgebra(ZZ, ("t",), [f"t^{k}"])
+        assert 0 < len(nbhd.algebra._TABLES) <= nbhd.algebra._MAX_TABLES
+    assert A._table is table  # an algebra keeps the table it was built with
+    assert A._product(q, q) == parse_poly("X^2 + 2*X + Y^2 + 2*Y + 1", A.varset, QQ)
 
 
 def test_maps_into_the_zero_algebra():

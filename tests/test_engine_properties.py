@@ -8,7 +8,10 @@ subtraction-free form, and hold exactly when the pair factors through the
 universal p = 1 simplex.  Element sums skip a second normal form, which
 is sound only because a sum of normal forms is already one.  Products in a
 monomial quotient form only the surviving terms, and maps evaluate inside
-their codomain; both must give what the free ring gives after deletion.
+their codomain; both must give what the free ring gives after deletion,
+also when algebras of one relation shape over different rings share a
+product table, and elements of monomial quotients over Z and Z/m, m prime
+or composite, satisfy the ring axioms.
 The universal presentations pass buchberger their Hilbert series, which
 certifies their row-echelon form as the reduced basis: it must equal the
 pair loop's basis, and a series the leads do not match must fall back to
@@ -155,10 +158,10 @@ KERNEL_RINGS = MAP_RINGS + (RingSpec.parse("Z/4"),)  # Z/4 has zero divisors
 
 
 @st.composite
-def monomial_quotients(draw):
+def monomial_quotients(draw, rings=KERNEL_RINGS):
     """A monomial quotient in either order: a random_weil_algebra, or unit
     monomial relations on X, Y, Z that may leave it infinite-dimensional."""
-    ring = draw(st.sampled_from(KERNEL_RINGS))
+    ring = draw(st.sampled_from(rings))
     order = draw(st.sampled_from(list(MonomialOrder)))
     if draw(st.booleans()):
         pattern = draw(st.sampled_from(WEIL_PATTERNS))
@@ -181,6 +184,55 @@ def test_product_forms_exactly_the_reduced_free_product(algebra, data):
     for x, y in ((a.rep, b.rep), (b.rep, a.rep), (p, q), (q, p), (p + 1, p - 1)):
         assert algebra._product(x, y) == monomial_reduce(x * y, algebra._divisors)
     assert (a * b).rep == monomial_reduce(a.rep * b.rep, algebra._divisors)
+
+
+SHARING_RINGS = (QQ, RingSpec.parse("Z"), RingSpec.parse("Z/4"))
+SHARING_NAMES = (("X", "Y", "Z"), ("a", "b", "c"), ("u", "v", "w"))
+
+
+@st.composite
+def quotients_of_one_shape(draw):
+    """Two or three monomial quotients with the same relation exponents, over
+    different rings (a unit coefficient such as 3 over Z/4 included), in
+    drawn orders and on different variable names."""
+    exponents = draw(st.lists(_exponents(VARSET, 3), max_size=4))
+    rings = draw(st.permutations(SHARING_RINGS))[: draw(st.integers(2, 3))]
+    algebras = []
+    for ring, names in zip(rings, SHARING_NAMES):
+        varset = VarSet(names)
+        unit = _coefficients(ring, units=True).filter(lambda v: ring.is_unit(ring.normalize(v)))
+        relations = [Polynomial(varset, ring, {e: draw(unit)}) for e in exponents]
+        order = draw(st.sampled_from(list(MonomialOrder)))
+        algebras.append(FpAlgebra(ring, varset, relations, order))
+    return algebras
+
+
+@PROPERTY
+@given(quotients_of_one_shape(), st.data())
+def test_algebras_sharing_a_product_table_multiply_as_the_free_ring(algebras, data):
+    assert all(algebra._table is algebras[0]._table for algebra in algebras)
+    for _ in range(data.draw(st.integers(1, 6))):  # products interleaved between the algebras
+        algebra = data.draw(st.sampled_from(algebras))
+        polys = _polynomials(algebra.varset, algebra.ring, 6, 3)
+        p, q = data.draw(polys), data.draw(polys)
+        if data.draw(st.booleans()):
+            p, q = algebra.normal_form(p), algebra.normal_form(q)
+        for x, y in ((p, q), (p + 1, p - 1)):
+            assert algebra._product(x, y) == monomial_reduce(x * y, algebra._divisors)
+
+
+AXIOM_RINGS = tuple(RingSpec.parse(name) for name in ("Z", "Z/5", "Z/4", "Z/6"))
+
+
+@PROPERTY
+@given(monomial_quotients(AXIOM_RINGS), st.data())
+def test_monomial_quotients_satisfy_the_ring_axioms(algebra, data):
+    polys = _polynomials(algebra.varset, algebra.ring, 4, 2)
+    a, b, c = (algebra.element(data.draw(polys)) for _ in range(3))
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert algebra.one() * a == a
 
 
 @st.composite

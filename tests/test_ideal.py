@@ -60,6 +60,11 @@ def _odiv(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
+def _times_term(p, exps, value):
+    """p times the single term value * x^exps."""
+    return p * Polynomial(p.varset, p.ring, {exps: value})
+
+
 def ref_remainder(p, basis, order):
     work = p
     remainder = Polynomial.zero(p.varset, p.ring)
@@ -79,7 +84,7 @@ def ref_remainder(p, basis, order):
         else:
             g_exps, g_value = hit.leading(order)
             factor = ring.mul(value, ring.invert(g_value))
-            work = work - hit.times_term(_odiv(exps, g_exps), factor)
+            work = work - _times_term(hit, _odiv(exps, g_exps), factor)
     return remainder
 
 
@@ -87,8 +92,8 @@ def ref_spoly(f, g, order):
     (fe, fv), (ge, gv) = f.leading(order), g.leading(order)
     lcm = _olcm(fe, ge)
     ring = f.ring
-    left = f.times_term(_odiv(lcm, fe), ring.invert(fv))
-    right = g.times_term(_odiv(lcm, ge), ring.invert(gv))
+    left = _times_term(f, _odiv(lcm, fe), ring.invert(fv))
+    right = _times_term(g, _odiv(lcm, ge), ring.invert(gv))
     return left - right
 
 

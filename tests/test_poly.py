@@ -149,11 +149,6 @@ def test_mixed_scalar_coercion():
     assert -p == P("-X - Y")
 
 
-def test_times_term():
-    p = P("X + Y")
-    assert p.times_term((1, 0, 0), Fraction(3)) == P("3*X^2 + 3*X*Y")
-
-
 def test_cancellation_drops_terms():
     p = P("X^2 + X") - P("X^2")
     assert len(p) == 1
