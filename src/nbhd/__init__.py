@@ -8,7 +8,7 @@ matrices, and a self-checking verification suite.
 
 __version__ = "0.1.0"
 
-from .arith import Coefficient, QQ, RingSpec, ZZ
+from .arith import QQ, RingSpec, ZZ
 from .errors import (
     ArityMismatch,
     CoefficientsNotAffine,
@@ -16,6 +16,7 @@ from .errors import (
     DegreeGuardExceeded,
     DomainMismatch,
     IllDefinedMap,
+    InvalidArgument,
     InvalidExponent,
     InvalidVariableName,
     NbhdError,
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .poly import (
     DEFAULT_ORDER,
-    Monomial,
     MonomialOrder,
     Polynomial,
     VarSet,
@@ -48,7 +48,6 @@ from .ideal import (
     Ideal,
     buchberger,
     contains,
-    monomial_reduce,
     reduce_full,
     s_polynomial,
 )

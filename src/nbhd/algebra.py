@@ -41,13 +41,14 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
-from .arith import Coefficient, RingSpec
+from .arith import RingSpec
 from .errors import (
     ArityMismatch,
     CompositionMismatch,
     DomainMismatch,
     IllDefinedMap,
-    NonFieldCoefficients,
+    InvalidArgument,
+    InvalidExponent,
     ParentMismatch,
     RingMismatch,
     VarSetMismatch,
@@ -176,14 +177,6 @@ class FpAlgebra:
             self._divisors = _Divisors(self.relations, order, len(varset))
             if self.relations:  # a free algebra multiplies directly
                 self._table = _product_table(len(varset), self.relations)
-        elif not ring.is_field:
-            offending = " ; ".join(
-                str(r) for r in self.relations if not Ideal(varset, ring, (r,)).is_monomial()
-            )
-            raise NonFieldCoefficients(
-                f"relations {offending} are not unit monomials, so they need "
-                f"a Groebner basis and field coefficients, got {ring}"
-            )
         else:
             self._gb = buchberger(ideal, order, degree_cap, hilbert=hilbert)
         self._signature = (ring, varset.names, frozenset(self.relations), order)
@@ -269,10 +262,6 @@ class FpAlgebra:
             return value
         if isinstance(value, str):
             value = parse_poly(value, self.varset, self.ring)
-        elif isinstance(value, Coefficient):
-            if value.ring != self.ring:
-                raise RingMismatch(f"{value.ring} vs {self.ring}")
-            value = Polynomial.constant(self.varset, self.ring, value.value)
         elif isinstance(value, (int, Fraction)):
             value = Polynomial.constant(self.varset, self.ring, value)
         if not isinstance(value, Polynomial):
@@ -322,9 +311,7 @@ class AlgebraElement:
             raise ParentMismatch(
                 f"cannot combine elements of {self.parent!r} and {other.parent!r}"
             )
-        if isinstance(other, Polynomial):
-            return self.parent.element(other)
-        if isinstance(other, (int, Fraction, Coefficient)):
+        if isinstance(other, (int, Fraction, Polynomial)):
             return self.parent.element(other)
         return None
 
@@ -371,7 +358,7 @@ class AlgebraElement:
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+            raise InvalidExponent("exponent must be a non-negative integer")
         return _power(self, n) if n else self.parent.one()
 
     def is_zero(self) -> bool:
@@ -381,7 +368,7 @@ class AlgebraElement:
         return not self.rep.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Coefficient, Polynomial)):
+        if isinstance(other, (int, Fraction, Polynomial)):
             o = self._coerce(other)
             return self.rep == o.rep
         if not isinstance(other, AlgebraElement):
@@ -490,7 +477,7 @@ def tensor_power(
     inclusion of each copy.
     """
     if count < 1:
-        raise ValueError("need at least one tensor factor")
+        raise InvalidArgument("need at least one tensor factor")
     return _tensor_many([algebra] * count)
 
 
@@ -552,7 +539,7 @@ def diagonal_ideal(algebra: FpAlgebra, power: int = 1) -> Ideal:
     the same ideal of the tensor algebra pulled back along the presentation.
     """
     if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
+        raise InvalidArgument("power must be 1 or 2")
     if power == 2:
         return multi_diagonal_ideal(algebra, 1)
     t, _, _ = tensor(algebra, algebra)
@@ -566,7 +553,7 @@ def multi_diagonal_ideal(algebra: FpAlgebra, p: int) -> Ideal:
     """Sum over all copy pairs r < s of the squared diagonal ideal between
     copies r and s, inside the (p+1)-fold tensor power."""
     if p < 1:
-        raise ValueError("p must be at least 1")
+        raise InvalidArgument("p must be at least 1")
     t, _ = tensor_power(algebra, p + 1)
     return Ideal(t.varset, t.ring, _multi_diagonal_generators(t, len(algebra.varset), p))
 
@@ -712,16 +699,16 @@ def universal_simplex(
     S-polynomial (README, "Hilbert series certify the universal bases").
     """
     if p < 1:
-        raise ValueError("p must be at least 1")
+        raise InvalidArgument("p must be at least 1")
     if representation == "auto":
         representation = "difference" if base.is_free else "tensor"
     if representation == "difference":
         if not base.is_free:
-            raise ValueError("the difference representation needs a free base algebra")
+            raise InvalidArgument("the difference representation needs a free base algebra")
         return _difference_representation(base, p, order, degree_cap)
     if representation == "tensor":
         return _tensor_representation(base, p, order, degree_cap)
-    raise ValueError(f"unknown representation {representation!r}")
+    raise InvalidArgument(f"unknown representation {representation!r}")
 
 
 def neighbourhood_of_diagonal(

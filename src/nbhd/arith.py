@@ -7,7 +7,6 @@ and all arithmetic goes through the RingSpec so the polynomial layer can stay
 representation-agnostic.  Keeping integral rationals as ints lets the small
 integer coefficients of typical relations use machine-integer arithmetic; a
 rational sum or product that comes out integral is turned back into an int.
-The Coefficient wrapper pairs a value with its ring for the public API.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, RingMismatch
+from .errors import ParseError
 
 # Moduli must fit in a machine word.
 MAX_MODULUS = 2**63 - 1
@@ -237,72 +236,3 @@ class RingSpec:
 #: Shared ring instances for the two parameter-free rings.
 QQ = RingSpec.rationals()
 ZZ = RingSpec.integers()
-
-
-@dataclass(frozen=True)
-class Coefficient:
-    """A ring element tagged with its ring.
-
-    Arithmetic between coefficients of different rings raises RingMismatch;
-    plain ints (and Fractions over Q) mix in freely.
-    """
-
-    ring: RingSpec
-    value: object
-
-    @staticmethod
-    def of(ring: RingSpec, value) -> "Coefficient":
-        return Coefficient(ring, ring.normalize(value))
-
-    def _coerce(self, other) -> "Coefficient":
-        if isinstance(other, Coefficient):
-            if other.ring != self.ring:
-                raise RingMismatch(f"cannot mix {self.ring} and {other.ring}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Coefficient.of(self.ring, other)
-        return NotImplemented  # type: ignore[return-value]
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Coefficient(self.ring, self.ring.add(self.value, o.value))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Coefficient(self.ring, self.ring.sub(self.value, o.value))
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Coefficient(self.ring, self.ring.sub(o.value, self.value))
-
-    def __neg__(self):
-        return Coefficient(self.ring, self.ring.neg(self.value))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return Coefficient(self.ring, self.ring.mul(self.value, o.value))
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "Coefficient | None":
-        inv = self.ring.invert(self.value)
-        return None if inv is None else Coefficient(self.ring, inv)
-
-    def is_zero(self) -> bool:
-        return self.ring.is_zero(self.value)
-
-    def __str__(self) -> str:
-        return self.ring.format_value(self.value)
-
-    def __repr__(self) -> str:
-        return f"Coefficient({self.ring}, {self})"

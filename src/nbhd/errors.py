@@ -24,6 +24,10 @@ class ArityMismatch(NbhdError):
     """A sequence has the wrong length for the operation (images, rows, ...)."""
 
 
+class InvalidArgument(NbhdError, ValueError):
+    """A size, count or option passed to a function is out of its range."""
+
+
 class InvalidExponent(NbhdError, ValueError):
     """A monomial exponent is negative or not an integer."""
 

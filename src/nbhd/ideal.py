@@ -43,13 +43,13 @@ from typing import Iterable, Sequence
 from .arith import RingSpec
 from .errors import (
     DegreeGuardExceeded,
+    InvalidArgument,
     NonFieldCoefficients,
     RingMismatch,
     VarSetMismatch,
 )
 from .poly import (
     DEFAULT_ORDER,
-    Monomial,
     MonomialOrder,
     Polynomial,
     VarSet,
@@ -87,10 +87,7 @@ class Ideal:
         This alone picks the normal-form engine of an FpAlgebra and of
         contains: monomial deletion when it holds, a Groebner basis otherwise.
         """
-        return all(
-            len(g) == 1 and self.ring.is_unit(next(iter(g._terms.values())))
-            for g in self.generators
-        )
+        return all(map(_is_unit_monomial, self.generators))
 
     def __iter__(self):
         return iter(self.generators)
@@ -99,40 +96,18 @@ class Ideal:
         return len(self.generators)
 
 
-def _monomial_exps(gens: Iterable, varset: VarSet) -> list[tuple[int, ...]]:
-    exps = []
-    for g in gens:
-        if isinstance(g, Monomial):
-            if g.varset != varset:
-                raise VarSetMismatch(f"{g.varset} vs {varset}")
-            exps.append(g.exps)
-        else:
-            e = tuple(g)
-            if len(e) != len(varset):
-                raise VarSetMismatch(
-                    f"{len(e)} exponents for {len(varset)} variables"
-                )
-            exps.append(e)
-    return exps
+def _is_unit_monomial(g: Polynomial) -> bool:
+    return len(g) == 1 and g.ring.is_unit(next(iter(g._terms.values())))
 
 
-def monomial_reduce(p: Polynomial, gens: Iterable) -> Polynomial:
-    """Delete every term divisible by one of the given monomials.
+def monomial_reduce(p: Polynomial, divisors: _Divisors) -> Polynomial:
+    """Delete every term divisible by the leading monomial of a divisor.
 
-    This is the normal form modulo the monomial ideal they generate, valid
-    over any coefficient ring.  Generators may be Monomial objects or raw
-    exponent tuples, which are checked against p's variables, or a divisor
-    list this module built from single-term polynomials (an FpAlgebra
-    builds one from its relations), which is not checked again.
+    For a divisor list of unit monomials (an FpAlgebra builds one from its
+    relations) this is the normal form modulo the monomial ideal they
+    generate, valid over any coefficient ring.
     """
-    if not isinstance(gens, _Divisors):
-        one = p.ring.one()
-        gens = _Divisors(
-            (Polynomial._raw(p.varset, p.ring, {e: one}) for e in _monomial_exps(gens, p.varset)),
-            DEFAULT_ORDER,
-            len(p.varset),
-        )
-    dividing = gens.dividing
+    dividing = divisors.dividing
     kept = {exps: value for exps, value in p._terms.items() if not dividing(exps)}
     return Polynomial._raw(p.varset, p.ring, kept)
 
@@ -220,7 +195,7 @@ def reduce_full(
     """
     if isinstance(basis, _Divisors):
         if basis.order is not order:
-            raise ValueError(f"divisors prepared for {basis.order}, not {order}")
+            raise InvalidArgument(f"divisors prepared for {basis.order}, not {order}")
         divisors = basis
     else:
         divisors = _Divisors(basis, order, len(p.varset))
@@ -417,12 +392,14 @@ def buchberger(
     reduced basis it does not depend on these choices.
 
     Over a ring that is not a field, only an ideal of unit monomials is
-    accepted (NonFieldCoefficients otherwise): making its generators monic
-    inverts units alone, and the S-polynomial of two monic monomials is zero.
+    accepted (NonFieldCoefficients otherwise, naming the generators that are
+    not unit monomials): making its generators monic inverts units alone, and the S-polynomial of two monic monomials is zero.
     """
     if not ideal.ring.is_field and not ideal.is_monomial():
+        offending = " ; ".join(str(g) for g in ideal.generators if not _is_unit_monomial(g))
         raise NonFieldCoefficients(
-            f"Groebner bases need field coefficients, got {ideal.ring}"
+            f"relations {offending} are not unit monomials, so they need "
+            f"a Groebner basis and field coefficients, got {ideal.ring}"
         )
     gens = sorted(ideal.generators, key=Polynomial.total_degree)
     basis = _row_echelon(gens, order, len(ideal.varset), degree_cap)

@@ -37,6 +37,7 @@ from .errors import (
     ArityMismatch,
     CoefficientsNotAffine,
     DomainMismatch,
+    InvalidArgument,
     NotInDtilde,
     NotInKernel,
     NotNeighbours,
@@ -634,7 +635,7 @@ def universal_dtilde(
     S-polynomial is formed and no intermediate exceeds degree 2.
     """
     if p < 1 or n < 1:
-        raise ValueError("matrix dimensions must be at least 1 x 1")
+        raise InvalidArgument("matrix dimensions must be at least 1 x 1")
     compact = p <= 9 and n <= 9
     names = tuple(
         f"a{i + 1}{j + 1}" if compact else f"a{i + 1}_{j + 1}"

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .arith import Coefficient, RingSpec, parse_int
+from .arith import RingSpec, parse_int
 from .errors import (
     ArityMismatch,
     InvalidExponent,
@@ -123,25 +123,6 @@ def mono_lcm(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def mono_degree(a: tuple[int, ...]) -> int:
     return sum(a)
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """A single power product over a VarSet."""
-
-    varset: VarSet
-    exps: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exps", tuple(self.exps))
-        if len(self.exps) != len(self.varset):
-            raise ArityMismatch(
-                f"{len(self.exps)} exponents for {len(self.varset)} variables"
-            )
-        _check_exponents(self.exps)
-
-    def __str__(self) -> str:
-        return format_monomial(self.varset, self.exps)
 
 
 def format_monomial(varset: VarSet, exps: tuple[int, ...]) -> str:
@@ -261,10 +242,6 @@ class Polynomial:
             if other.ring is not self.ring or other.varset is not self.varset:
                 self._check_compatible(other)
             return other
-        if isinstance(other, Coefficient):
-            if other.ring != self.ring:
-                raise RingMismatch(f"{self.ring} vs {other.ring}")
-            return Polynomial.constant(self.varset, self.ring, other.value)
         if isinstance(other, (int, Fraction)):
             return Polynomial.constant(self.varset, self.ring, other)
         return None
@@ -329,14 +306,10 @@ class Polynomial:
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
+            raise InvalidExponent("exponent must be a non-negative integer")
         return _power(self, n) if n else Polynomial.one(self.varset, self.ring)
 
     def scale(self, value) -> "Polynomial":
-        if isinstance(value, Coefficient):
-            if value.ring != self.ring:
-                raise RingMismatch(f"{value.ring} vs {self.ring}")
-            value = value.value
         v = self.ring.normalize(value)
         ring = self.ring
         out = {}

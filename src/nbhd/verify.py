@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .arith import RingSpec
-from .errors import IllDefinedMap, NbhdError, NotInKernel, UnknownFormat
+from .errors import IllDefinedMap, InvalidArgument, NbhdError, NotInKernel, UnknownFormat
 from .algebra import (
     AlgebraMap,
     FpAlgebra,
@@ -74,21 +74,21 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         if self.p_max < 1:
-            raise ValueError("p_max must be at least 1")
+            raise InvalidArgument("p_max must be at least 1")
         if self.n_max < 1:
-            raise ValueError("n_max must be at least 1")
+            raise InvalidArgument("n_max must be at least 1")
         if self.degree_bound < 2:
-            raise ValueError("degree_bound must be at least 2")
+            raise InvalidArgument("degree_bound must be at least 2")
         if self.case_count < 1:
-            raise ValueError("case_count must be at least 1")
+            raise InvalidArgument("case_count must be at least 1")
         object.__setattr__(self, "rings", tuple(self.rings))
         if not self.rings:
-            raise ValueError("need at least one ring")
+            raise InvalidArgument("need at least one ring")
         unknown = [r for r in self.rings if r not in ALLOWED_RINGS]
         if unknown:
-            raise ValueError(f"unsupported rings {unknown}; allowed: {ALLOWED_RINGS}")
+            raise InvalidArgument(f"unsupported rings {unknown}; allowed: {ALLOWED_RINGS}")
         if len(set(self.rings)) != len(self.rings):
-            raise ValueError("duplicate ring names")
+            raise InvalidArgument("duplicate ring names")
 
     def ring_specs(self) -> list[RingSpec]:
         return [RingSpec.parse(name) for name in self.rings]
@@ -211,7 +211,7 @@ def random_weil_algebra(
     gives the same algebra.
     """
     if n_vars < 1:
-        raise ValueError("need at least one generator")
+        raise InvalidArgument("need at least one generator")
     if pattern == "square-zero-full":
         return square_zero_full(ring, n_vars)
     if pattern == "squares-only":
@@ -219,7 +219,7 @@ def random_weil_algebra(
     if pattern == "random-monomial":
         rng = random.Random(f"{seed}:weil-pattern:{ring}:{n_vars}")
         return _mixed_weil_algebra(rng, ring, n_vars)
-    raise ValueError(f"unknown pattern {pattern!r}; expected one of {WEIL_PATTERNS}")
+    raise InvalidArgument(f"unknown pattern {pattern!r}; expected one of {WEIL_PATTERNS}")
 
 
 @dataclass(frozen=True)

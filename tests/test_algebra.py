@@ -27,6 +27,7 @@ from nbhd.errors import (
     DegreeGuardExceeded,
     DomainMismatch,
     IllDefinedMap,
+    InvalidExponent,
     NonFieldCoefficients,
     ParentMismatch,
     RingMismatch,
@@ -96,6 +97,8 @@ def test_groebner_strategy_quotient():
     x = A.generator(0)
     assert x * x == x
     assert (x ** 5) == x
+    with pytest.raises(InvalidExponent):
+        x ** -1
 
 
 def test_monomial_strategy_guards():

@@ -462,6 +462,21 @@ def test_bad_variable_names_are_typed_errors(capsys, names, message):
     assert doc == {"error": message, "kind": "InvalidVariableName"}
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["universal", "--ring", "Q", "--vars", "X", "--p", "0"], "p must be at least 1"),
+        (["verify", "--p-max", "0"], "p_max must be at least 1"),
+        (["dtilde", "--universal", "--p", "0"], "matrix dimensions must be at least 1 x 1"),
+    ],
+    ids=["universal", "verify", "dtilde"],
+)
+def test_out_of_range_sizes_are_typed_errors(capsys, argv, message):
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 2
+    assert doc == {"error": message, "kind": "InvalidArgument"}
+
+
 def test_usage_error(capsys):
     code, out, _ = run(capsys, ["frobnicate"])
     assert code == 2

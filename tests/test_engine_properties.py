@@ -5,8 +5,10 @@ must give the normal forms of a reduced Groebner basis of the same ideal,
 which is what makes letting the relations pick the engine safe.  The
 neighbour relation must be reflexive and symmetric, agree with its
 subtraction-free form, and hold exactly when the pair factors through the
-universal p = 1 simplex.  Element sums skip a second normal form, which
-is sound only because a sum of normal forms is already one.  Products in a
+universal p = 1 simplex; p + 1 mutual neighbours, p = 2 or 3, factor
+through the universal p-simplex, and one pair that is not spoils that.
+Element sums skip a second normal form, which is sound only because a sum
+of normal forms is already one.  Products in a
 monomial quotient form only the surviving terms, and maps evaluate inside
 their codomain; both must give what the free ring gives after deletion,
 also when algebras of one relation shape over different rings share a
@@ -15,7 +17,8 @@ or composite, satisfy the ring axioms.
 The universal presentations pass buchberger their Hilbert series, which
 certifies their row-echelon form as the reduced basis: it must equal the
 pair loop's basis, and a series the leads do not match must fall back to
-the pair loop.  Normal forms are linear under both engines.
+the pair loop.  Normal forms are linear under both engines.  Algebras and
+matrices dumped to text parse back to themselves, under either engine.
 """
 
 from fractions import Fraction
@@ -35,9 +38,15 @@ from nbhd.algebra import (  # noqa: E402
 )
 from nbhd.arith import QQ, RingSpec  # noqa: E402
 from nbhd.errors import IllDefinedMap  # noqa: E402
+from nbhd.formats import dump_algebra, dump_matrix, parse_algebra, parse_matrix  # noqa: E402
 import nbhd.ideal  # noqa: E402
 from nbhd.ideal import Ideal, buchberger, monomial_reduce  # noqa: E402
-from nbhd.neighbour import is_neighbour, is_neighbour_product_form, universal_dtilde  # noqa: E402
+from nbhd.neighbour import (  # noqa: E402
+    SimplexMatrix,
+    is_neighbour,
+    is_neighbour_product_form,
+    universal_dtilde,
+)
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly  # noqa: E402
 from nbhd.verify import WEIL_PATTERNS, random_weil_algebra  # noqa: E402
 
@@ -123,6 +132,57 @@ def test_classifying_map_exists_exactly_for_neighbours(pair):
     else:
         assert is_neighbour(f, g)
         assert compose(h, simplex.maps[0]) == f and compose(h, simplex.maps[1]) == g
+
+
+SIMPLEX_RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z/2", "Z/3"))
+
+
+@st.composite
+def neighbour_tuples(draw):
+    """p + 1 maps, p = 2 or 3, from a free algebra on X1, X2 into
+    R[u, v, e1, ...] modulo every product of two variables except u*v.  Each
+    map is c + D_r with D_r linear in the e's, so every pair is neighbours.
+    With spoil, u is added to map a at X1 and v to map b at X2: the pair
+    (a, b) then has the product -u*v of its differences, and every other
+    pair differs by u, v or e's alone, so it stays neighbours."""
+    ring = draw(st.sampled_from(SIMPLEX_RINGS))
+    p = draw(st.integers(2, 3))
+    representation = draw(st.sampled_from(("difference", "tensor")))
+    names = ("u", "v", *(f"e{i + 1}" for i in range(draw(st.integers(1, 2)))))
+    relations = [f"{s}*{t}" for i, s in enumerate(names) for t in names[i:] if {s, t} != {"u", "v"}]
+    codomain = FpAlgebra(ring, names, relations)
+    domain = free_algebra(ring, ("X1", "X2"))
+    base = draw(st.lists(_polynomials(codomain.varset, ring, 3, 2), min_size=2, max_size=2))
+    linear = st.lists(_coefficients(ring), min_size=len(names) - 2, max_size=len(names) - 2).map(
+        lambda cs: sum((c * codomain.generator(e) for c, e in zip(cs, names[2:])), codomain.zero())
+    )
+    images = [[codomain.element(c) + draw(linear) for c in base] for _ in range(p + 1)]
+    spoil = None
+    if draw(st.booleans()):
+        spoil = tuple(sorted(draw(st.lists(st.integers(0, p), min_size=2, max_size=2, unique=True))))
+        images[spoil[0]][0] += codomain.generator("u")
+        images[spoil[1]][1] += codomain.generator("v")
+    simplex = universal_simplex(domain, p, representation)
+    return simplex, [AlgebraMap(domain, codomain, row) for row in images], spoil
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(neighbour_tuples())
+def test_classifying_map_restores_mutual_neighbours_and_refuses_one_bad_pair(case):
+    simplex, maps, spoil = case
+    bad = [
+        (r, s)
+        for r in range(len(maps))
+        for s in range(r + 1, len(maps))
+        if not is_neighbour(maps[r], maps[s])
+    ]
+    assert bad == ([] if spoil is None else [spoil])
+    if spoil is not None:
+        with pytest.raises(IllDefinedMap):
+            classifying_map(simplex, maps)
+        return
+    h = classifying_map(simplex, maps)
+    assert all(compose(h, inclusion) == f for inclusion, f in zip(simplex.maps, maps))
 
 
 GROEBNER_RELATIONS = (("X^2 - Y", "X*Y - 1"), ("X^3 - Y", "X*Y^2 - 1"), ("X*Y - Z^2", "Y^2 - X*Z"))
@@ -392,3 +452,50 @@ def test_normal_forms_are_linear_under_both_engines(case):
     assert algebra.strategy == ("monomial" if algebra._gb is None else "groebner")
     nf = algebra.normal_form
     assert nf(f.scale(a) + g.scale(b)) == nf(f).scale(a) + nf(g).scale(b)
+
+
+# -- text formats round trip ------------------------------------------------------
+
+FORMAT = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+FORMAT_RINGS = pytest.mark.parametrize("ring", ("Q", "Z", "Z/4", "Z/5"))
+FORMAT_NAMES = (("X", "Y"), ("u", "v", "w"), ("e1", "e2"))
+
+
+@st.composite
+def presented_algebras(draw, ring):
+    """An algebra over the named ring in either order: over a field,
+    Groebner relations of degree at most two half of the time; otherwise
+    unit monomial relations, such as 3*u^2 over Z/4."""
+    ring = RingSpec.parse(ring)
+    groebner = ring.is_field and draw(st.booleans())
+    order = draw(st.sampled_from(list(MonomialOrder)))
+    varset = VarSet(draw(st.sampled_from(FORMAT_NAMES)))
+    if groebner:
+        relation = _polynomials(varset, ring, 3, 2).filter(lambda p: len(p) > 1)
+    else:
+        unit = _coefficients(ring, units=True).filter(lambda v: ring.is_unit(ring.normalize(v)))
+        relation = st.tuples(_exponents(varset, 3), unit).map(lambda t: Polynomial(varset, ring, [t]))
+    return FpAlgebra(ring, varset, draw(st.lists(relation, min_size=1 if groebner else 0, max_size=3)), order)
+
+
+@FORMAT_RINGS
+@FORMAT
+@given(data=st.data())
+def test_algebras_survive_dump_and_parse(ring, data):
+    algebra = data.draw(presented_algebras(ring))
+    text = dump_algebra(algebra)
+    again = parse_algebra(text, algebra.order)
+    assert again == algebra
+    assert again.strategy == algebra.strategy
+    assert dump_algebra(again) == text
+
+
+@FORMAT_RINGS
+@FORMAT
+@given(data=st.data())
+def test_matrices_survive_dump_and_parse(ring, data):
+    algebra = data.draw(presented_algebras(ring))
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entry = _polynomials(algebra.varset, algebra.ring, 4, 3)
+    matrix = SimplexMatrix(algebra, [[data.draw(entry) for _ in range(cols)] for _ in range(rows)])
+    assert parse_matrix(dump_matrix(matrix), algebra) == matrix

@@ -15,6 +15,7 @@ from nbhd.ideal import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     Ideal,
+    _Divisors,
     _row_echelon,
     buchberger,
     contains,
@@ -275,7 +276,8 @@ def test_monomial_membership_over_nonfields():
 
 def test_monomial_reduce_deletes_divisible_terms():
     p = P("X^2*Y + X*Y + Y^3 + 1", ring=ZZ)
-    got = monomial_reduce(p, [(2, 0), (1, 1)])
+    divisors = _Divisors([P("X^2", ring=ZZ), P("X*Y", ring=ZZ)], MonomialOrder.DEGREVLEX, 2)
+    got = monomial_reduce(p, divisors)
     assert got == P("Y^3 + 1", ring=ZZ)
 
 

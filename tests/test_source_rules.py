@@ -62,6 +62,23 @@ def test_no_true_division_outside_arith():
     assert not found, f"true division at {found}"
 
 
+def test_no_bare_value_errors_outside_arith():
+    # the library raises typed NbhdErrors; arith.py keeps RingSpec's own
+    # ValueErrors, which RingSpec.parse and parse_poly re-raise as ParseError
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "arith.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)
+            and getattr(getattr(node.exc, "func", node.exc), "id", None) == "ValueError"
+        ]
+    assert not found, f"bare ValueError raised at {found}"
+
+
 def test_groebner_bases_are_built_only_by_buchberger():
     # one Groebner entry point: every GroebnerBasis the library builds comes
     # out of ideal.buchberger, so no second basis builder grows back
