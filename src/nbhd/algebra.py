@@ -57,6 +57,7 @@ from .ideal import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     Ideal,
+    _check_degree_cap,
     _Divisors,
     buchberger,
     monomial_reduce,
@@ -155,6 +156,7 @@ class FpAlgebra:
     def _present(self, ring, varset, relations, order, degree_cap, hilbert) -> None:
         # validate, pick the engine and, for the Groebner engine, build the
         # basis, passing buchberger the quotient's Hilbert series if known
+        _check_degree_cap(degree_cap)
         if not isinstance(varset, VarSet):
             varset = VarSet(tuple(varset))
         rels = []

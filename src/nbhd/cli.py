@@ -288,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_DEGREE_CAP,
         dest="degree_bound",
-        help="degree guard for every basis the command computes",
+        help="degree guard for every basis the command computes (an integer, 0 or more)",
     )
 
     source = argparse.ArgumentParser(add_help=False)

@@ -30,7 +30,8 @@ A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
 buchberger forms, or a term that a division step creates, exceeds the cap.
 A certified basis forms no S-polynomial, and dividing homogeneous
-generators by each other creates no term above their own degree.
+generators by each other creates no term above their own degree.  A cap is
+an int, 0 or more; any other raises InvalidArgument.
 """
 
 from __future__ import annotations
@@ -62,6 +63,12 @@ from .poly import (
 DEFAULT_DEGREE_CAP = 24
 
 
+def _check_degree_cap(degree_cap) -> None:
+    """Raise InvalidArgument unless the degree cap is an int, 0 or more."""
+    if isinstance(degree_cap, bool) or not isinstance(degree_cap, int) or degree_cap < 0:
+        raise InvalidArgument(f"degree cap must be a non-negative integer, got {degree_cap!r}")
+
+
 @dataclass(frozen=True)
 class Ideal:
     """A finitely generated ideal, stored as its nonzero generators."""
@@ -84,8 +91,8 @@ class Ideal:
     def is_monomial(self) -> bool:
         """True when every generator is a single term with a unit coefficient.
 
-        This alone picks the normal-form engine of an FpAlgebra and of
-        contains: monomial deletion when it holds, a Groebner basis otherwise.
+        This alone picks the normal-form engine of an FpAlgebra: monomial
+        deletion when it holds, a Groebner basis otherwise.
         """
         return all(map(_is_unit_monomial, self.generators))
 
@@ -193,6 +200,7 @@ def reduce_full(
     (a GroebnerBasis's, or buchberger's), whose leading terms are not read
     again.
     """
+    _check_degree_cap(degree_cap)
     if isinstance(basis, _Divisors):
         if basis.order is not order:
             raise InvalidArgument(f"divisors prepared for {basis.order}, not {order}")
@@ -395,6 +403,7 @@ def buchberger(
     accepted (NonFieldCoefficients otherwise, naming the generators that are
     not unit monomials): making its generators monic inverts units alone, and the S-polynomial of two monic monomials is zero.
     """
+    _check_degree_cap(degree_cap)
     if not ideal.ring.is_field and not ideal.is_monomial():
         offending = " ; ".join(str(g) for g in ideal.generators if not _is_unit_monomial(g))
         raise NonFieldCoefficients(
@@ -487,16 +496,13 @@ def contains(
     order: MonomialOrder = DEFAULT_ORDER,
     degree_cap: int = DEFAULT_DEGREE_CAP,
 ) -> bool:
-    """Ideal membership test.
+    """Ideal membership test, through the reduced Groebner basis.
 
-    Monomial ideals are decided by divisibility over any ring; everything
-    else needs field coefficients and goes through a Groebner basis.
+    An ideal of unit monomials is decided over any ring (its basis is its
+    minimal generators); everything else needs field coefficients.
     """
     if p.varset != ideal.varset:
         raise VarSetMismatch(f"{p.varset} vs {ideal.varset}")
     if p.ring != ideal.ring:
         raise RingMismatch(f"{p.ring} vs {ideal.ring}")
-    if ideal.is_monomial():
-        divisors = _Divisors(ideal.generators, order, len(ideal.varset))
-        return monomial_reduce(p, divisors).is_zero()
     return buchberger(ideal, order, degree_cap).contains(p)

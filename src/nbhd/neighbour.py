@@ -16,13 +16,18 @@ formal coefficients, and row extensions of difference matrices.
 The difference products are enumerated in one place,
 algebra._difference_products, which also builds the relations of the
 universal simplices; vectors_neighbour (and so is_neighbour), is_simplex
-and the precondition of the affine combinations all scan it.  Weighted row sums
-(affine combinations, row extensions) are formed by _weighted_row_sum.  The
-product form, the square test and in_dtilde are independent second
-implementations, kept so that the verification suite can compare answers.
+and the precondition of the affine combinations all scan it.  The equations
+of the difference variety are enumerated in _dtilde_equations, which
+in_dtilde scans and universal_dtilde takes its relations from.  Weighted row
+sums (affine combinations, row extensions) are formed by _weighted_row_sum.
+The product form, the square test and in_dtilde stay off
+_difference_products: they are second implementations, kept so that the
+verification suite can compare answers.
 
 Decision functions return a CheckResult, which is truthy on success and
-carries an explicit nonzero witness on failure.
+carries an explicit nonzero witness on failure: each yields its own
+equations, lazily, to _first_defect, the one scan that reports the first
+nonzero value.
 """
 
 from __future__ import annotations
@@ -93,6 +98,19 @@ class CheckResult:
         return f"false ({self.witness})"
 
 
+def _first_defect(equations, notes: tuple[str, ...] = ()) -> CheckResult:
+    """Fail with the first nonzero value among (indices, label, value) triples.
+
+    The triples are read lazily, so no equation after the first nonzero one
+    is formed.  When every value is zero the result passes; either way it
+    carries the notes.
+    """
+    for indices, label, value in equations:
+        if not value.is_zero():
+            return CheckResult(False, Witness(indices, value, label), notes)
+    return CheckResult(True, None, notes)
+
+
 def _require_parallel(f: AlgebraMap, g: AlgebraMap) -> None:
     if f.domain != g.domain:
         raise DomainMismatch(f"domains differ: {f.domain!r} vs {g.domain!r}")
@@ -121,18 +139,15 @@ def is_neighbour_product_form(f: AlgebraMap, g: AlgebraMap) -> CheckResult:
     """
     _require_parallel(f, g)
     gens = f.domain.generators()
-    for i, a in enumerate(gens):
-        for j in range(i, len(gens)):
-            b = gens[j]
-            ab = a * b
-            lhs = f.images[i] * g.images[j] + g.images[i] * f.images[j]
-            rhs = f.apply(ab) + g.apply(ab)
-            diff = lhs - rhs
-            if not diff.is_zero():
-                return CheckResult(
-                    False, Witness((i + 1, j + 1), diff, "product form defect")
-                )
-    return CheckResult(True)
+
+    def defects():
+        for i, a in enumerate(gens):
+            for j in range(i, len(gens)):
+                ab = a * gens[j]
+                lhs = f.images[i] * g.images[j] + g.images[i] * f.images[j]
+                yield (i + 1, j + 1), "product form defect", lhs - (f.apply(ab) + g.apply(ab))
+
+    return _first_defect(defects())
 
 
 def is_square_zero_pair(f: AlgebraMap, g: AlgebraMap) -> CheckResult:
@@ -153,36 +168,25 @@ def is_square_zero_pair(f: AlgebraMap, g: AlgebraMap) -> CheckResult:
             "bounded square test only: 2 is not invertible over "
             f"{ring}, so vanishing squares need not imply the neighbour relation",
         )
-    for i, d in enumerate(deltas):
-        square = d * d
-        if not square.is_zero():
-            return CheckResult(
-                False, Witness((i + 1,), square, "difference square"), notes
-            )
-    for i in range(len(deltas)):
-        for j in range(i + 1, len(deltas)):
-            square = (deltas[i] + deltas[j]) ** 2
-            if not square.is_zero():
-                return CheckResult(
-                    False,
-                    Witness((i + 1, j + 1), square, "square of difference sum"),
-                    notes,
-                )
-    return CheckResult(True, None, notes)
+
+    def squares():
+        for i, d in enumerate(deltas):
+            yield (i + 1,), "difference square", d * d
+        for i in range(len(deltas)):
+            for j in range(i + 1, len(deltas)):
+                yield (i + 1, j + 1), "square of difference sum", (deltas[i] + deltas[j]) ** 2
+
+    return _first_defect(squares(), notes)
 
 
-def vectors_neighbour(
-    a: Sequence[AlgebraElement], b: Sequence[AlgebraElement]
-) -> CheckResult:
+def vectors_neighbour(a: Sequence[AlgebraElement], b: Sequence[AlgebraElement]) -> CheckResult:
     """Neighbour test for coordinate vectors (rows of a would-be simplex)."""
     if len(a) != len(b):
         raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
-    for (_, _, i, j), product in _difference_products((a, b)):
-        if not product.is_zero():
-            return CheckResult(
-                False, Witness((i + 1, j + 1), product, "difference product")
-            )
-    return CheckResult(True)
+    return _first_defect(
+        ((i + 1, j + 1), "difference product", product)
+        for (_, _, i, j), product in _difference_products((a, b))
+    )
 
 
 class SimplexMatrix:
@@ -285,17 +289,14 @@ def is_simplex(matrix: SimplexMatrix) -> CheckResult:
 
     The witness on failure names rows (r, s) and columns (i, j), 1-based.
     """
-    for (r, s, i, j), product in _difference_products(matrix.entries):
-        if not product.is_zero():
-            return CheckResult(
-                False,
-                Witness((r + 1, s + 1, i + 1, j + 1), product, "rows r,s columns i,j"),
-            )
-    return CheckResult(True)
+    return _first_defect(
+        ((r + 1, s + 1, i + 1, j + 1), "rows r,s columns i,j", product)
+        for (r, s, i, j), product in _difference_products(matrix.entries)
+    )
 
 
-# Kept independent of the difference-product scan on purpose: the suite
-# compares it with is_simplex on the matrix with a zero row prepended.
+# Kept independent of _difference_products on purpose: the suite compares
+# it with is_simplex on the matrix with a zero row prepended.
 def in_dtilde(matrix: SimplexMatrix) -> CheckResult:
     """Membership in the zero-anchored difference variety.
 
@@ -312,39 +313,27 @@ def in_dtilde(matrix: SimplexMatrix) -> CheckResult:
             "row-product equations are implied by the cross-product equations "
             "here (2 is invertible); both families checked anyway",
         )
-    for r in range(matrix.rows):
-        for s in range(r + 1, matrix.rows):
-            for i in range(matrix.cols):
-                for j in range(i, matrix.cols):
-                    value = (
-                        matrix.entry(r, i) * matrix.entry(s, j)
-                        + matrix.entry(s, i) * matrix.entry(r, j)
-                    )
-                    if not value.is_zero():
-                        return CheckResult(
-                            False,
-                            Witness(
-                                (r + 1, s + 1, i + 1, j + 1),
-                                value,
-                                "cross products, rows r,s columns i,j",
-                            ),
-                            notes,
-                        )
-    for r in range(matrix.rows):
-        for i in range(matrix.cols):
-            for j in range(i, matrix.cols):
-                value = matrix.entry(r, i) * matrix.entry(r, j)
-                if not value.is_zero():
-                    return CheckResult(
-                        False,
-                        Witness(
-                            (r + 1, i + 1, j + 1),
-                            value,
-                            "row products, row r columns i,j",
-                        ),
-                        notes,
-                    )
-    return CheckResult(True, None, notes)
+    return _first_defect(_dtilde_equations(matrix.entries), notes)
+
+
+def _dtilde_equations(rows: Sequence[Sequence]):
+    """Yield (indices, label, value) for the equations of the difference
+    variety, with 1-based indices: the cross products
+    a_ri * a_sj + a_si * a_rj for rows r < s and columns i <= j, then the row
+    products a_ri * a_rj for columns i <= j, in that nesting order.  The
+    entries may be Polynomials or AlgebraElements.
+    """
+    cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
+    for r, x in enumerate(rows):
+        for s in range(r + 1, len(rows)):
+            y = rows[s]
+            for i in range(len(x)):
+                for j in range(i, len(x)):
+                    yield (r + 1, s + 1, i + 1, j + 1), cross, x[i] * y[j] + y[i] * x[j]
+    for r, x in enumerate(rows):
+        for i in range(len(x)):
+            for j in range(i, len(x)):
+                yield (r + 1, i + 1, j + 1), row, x[i] * x[j]
 
 
 class CoefficientVector:
@@ -365,10 +354,7 @@ class CoefficientVector:
         return cls(codomain, [codomain.one() - sum(tail, codomain.zero()), *tail])
 
     def total(self) -> AlgebraElement:
-        total = self.codomain.zero()
-        for x in self.entries:
-            total = total + x
-        return total
+        return sum(self.entries, self.codomain.zero())
 
     def is_affine(self) -> bool:
         return self.total() == self.codomain.one()
@@ -483,9 +469,7 @@ def decompose_difference(p: Polynomial) -> tuple[Polynomial, ...]:
     copy0 = [Polynomial.variable(pvs, ring, i) for i in range(n)]
     copy1 = [Polynomial.variable(pvs, ring, n + i) for i in range(n)]
     expected = p.substitute(copy1) - p.substitute(copy0)
-    actual = Polynomial.zero(pvs, ring)
-    for i in range(n):
-        actual = actual + qs[i] * (copy1[i] - copy0[i])
+    actual = sum((q * (b - a) for q, a, b in zip(qs, copy0, copy1)), Polynomial.zero(pvs, ring))
     if actual != expected:
         raise ReexpansionFailed(
             f"difference decomposition of {p} re-expands to {actual}, not {expected}"
@@ -530,9 +514,7 @@ def rewrite_kernel_element(
         b = base.element(monomial)
         generator = include1.apply(b) - include0.apply(b)
         pairs.append((coefficient, generator))
-    total = tensor_algebra.zero()
-    for coefficient, generator in pairs:
-        total = total + coefficient * generator
+    total = sum((c * k for c, k in pairs), tensor_algebra.zero())
     if total != t:
         raise ReexpansionFailed(f"kernel rewriting of {t} re-expands to {total}")
     return pairs
@@ -622,10 +604,12 @@ def universal_dtilde(
 ) -> tuple[FpAlgebra, SimplexMatrix]:
     """The generic p x n difference matrix and its coordinate algebra.
 
-    The algebra has one generator per matrix entry and is presented by the
-    cross-product and row-product equations; the returned matrix of
-    generators therefore satisfies in_dtilde tautologically, and any
-    difference matrix over any algebra arises from it by specialization.
+    The algebra has one generator per matrix entry.  Its relations are the
+    cross-product and row-product equations of the matrix of variables, as
+    _dtilde_equations yields them, the enumeration in_dtilde scans; the
+    returned matrix of generators therefore satisfies in_dtilde
+    tautologically, and any difference matrix over any algebra arises from
+    it by specialization.
     For p = 1 the equations are the row products, unit monomials, so the
     algebra works over any ring; for p >= 2 the cross products need a
     Groebner basis and field coefficients (NonFieldCoefficients otherwise).
@@ -644,22 +628,8 @@ def universal_dtilde(
     )
     varset = VarSet(names)
     variables = Polynomial.variables(varset, ring)
-
-    def entry(i: int, j: int) -> Polynomial:
-        return variables[i * n + j]
-
-    relations: list[Polynomial] = []
-    for r in range(p):
-        for s in range(r + 1, p):
-            for i in range(n):
-                for j in range(i, n):
-                    relations.append(entry(r, i) * entry(s, j) + entry(s, i) * entry(r, j))
-    for r in range(p):
-        for i in range(n):
-            for j in range(i, n):
-                relations.append(entry(r, i) * entry(r, j))
+    generic = [variables[i * n : (i + 1) * n] for i in range(p)]
+    relations = [value for _, _, value in _dtilde_equations(generic)]
     algebra = _universal_quotient(ring, varset, relations, order, degree_cap, p, n, 0)
-    rows = [
-        [algebra.generator(i * n + j) for j in range(n)] for i in range(p)
-    ]
+    rows = [[algebra.generator(i * n + j) for j in range(n)] for i in range(p)]
     return algebra, SimplexMatrix(algebra, rows)

@@ -27,6 +27,7 @@ from nbhd.errors import (
     DegreeGuardExceeded,
     DomainMismatch,
     IllDefinedMap,
+    InvalidArgument,
     InvalidExponent,
     NonFieldCoefficients,
     ParentMismatch,
@@ -111,6 +112,16 @@ def test_monomial_strategy_guards():
     # unit coefficients are fine for the monomial engine over any ring
     A = FpAlgebra(ZZ, ("X",), ["X^2"])
     assert A.element("X^3 + X").rep == parse_poly("X", A.varset, ZZ)
+
+
+@pytest.mark.parametrize("cap", [-5, "3"], ids=repr)
+def test_degree_cap_is_checked_under_both_engines(cap):
+    # the monomial engine never reaches the guard, so the cap is checked on entry
+    for relations in (["x^2"], ["x^2 - 1"]):
+        with pytest.raises(InvalidArgument, match="degree cap"):
+            FpAlgebra(QQ, ("x",), relations, degree_cap=cap)
+    with pytest.raises(InvalidArgument, match="degree cap"):
+        universal_dtilde(2, 2, QQ, degree_cap=cap)
 
 
 def test_element_arithmetic():

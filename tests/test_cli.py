@@ -477,6 +477,20 @@ def test_out_of_range_sizes_are_typed_errors(capsys, argv, message):
     assert doc == {"error": message, "kind": "InvalidArgument"}
 
 
+@pytest.mark.parametrize(
+    "rels", ["X^2 - 1", "X^2 - Y;X*Y - 1", "X^2"], ids=["basis", "guard", "monomial"]
+)
+def test_negative_degree_bound_is_a_typed_error(capsys, rels):
+    # it used to exit 0, or 2 with DegreeGuardExceeded, depending on the relations
+    argv = ["gb", "--ring", "Q", "--vars", "X,Y", "--rels", rels, "--degree-bound", "-1"]
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 2
+    assert doc == {
+        "error": "degree cap must be a non-negative integer, got -1",
+        "kind": "InvalidArgument",
+    }
+
+
 def test_usage_error(capsys):
     code, out, _ = run(capsys, ["frobnicate"])
     assert code == 2

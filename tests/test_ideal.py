@@ -7,6 +7,7 @@ from nbhd.algebra import universal_simplex
 from nbhd.arith import QQ, RingSpec, ZZ
 from nbhd.errors import (
     DegreeGuardExceeded,
+    InvalidArgument,
     NonFieldCoefficients,
     RingMismatch,
     VarSetMismatch,
@@ -315,6 +316,22 @@ def test_groebner_of_unit_monomials_over_any_ring():
 def test_degree_guard_trips():
     with pytest.raises(DegreeGuardExceeded):
         buchberger(I(["X^2 - Y", "X*Y - 1"]), MonomialOrder.LEX, degree_cap=1)
+
+
+@pytest.mark.parametrize("cap", [-1, -3, "3", 2.0, True, None], ids=repr)
+def test_degree_caps_outside_the_non_negative_ints_are_refused(cap):
+    # a negative cap used to pass silently whenever nothing reached the guard
+    with pytest.raises(InvalidArgument, match="degree cap"):
+        buchberger(I(["X^2 - 1"]), degree_cap=cap)
+    with pytest.raises(InvalidArgument, match="degree cap"):
+        reduce_full(P("X^3"), [P("X^2 - 1")], degree_cap=cap)
+    with pytest.raises(InvalidArgument, match="degree cap"):
+        contains(I(["X^2"]), P("X^3"), degree_cap=cap)
+
+
+def test_degree_cap_zero_is_accepted():
+    assert buchberger(I(["X^2 - 1"]), degree_cap=0).basis == (P("X^2 - 1"),)
+    assert reduce_full(P("X^3"), [P("X^2 - 1")], degree_cap=0) == P("X")
 
 
 def test_default_degree_cap_is_generous():

@@ -79,6 +79,39 @@ def test_no_bare_value_errors_outside_arith():
     assert not found, f"bare ValueError raised at {found}"
 
 
+def test_failing_check_results_are_built_only_by_first_defect():
+    # one witness scan: every decision procedure hands its equations to
+    # neighbour._first_defect, so no hand-written witness loop grows back
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and path.name == "neighbour.py"
+            and function.name == "_first_defect"
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
+            and _is_false(node.args[0] if node.args else _keyword(node, "ok"))
+            and id(node) not in inside
+        ]
+    assert not found, f"failing CheckResult built outside neighbour._first_defect at {found}"
+
+
+def _keyword(call, name):
+    return next((k.value for k in call.keywords if k.arg == name), None)
+
+
+def _is_false(node):
+    return isinstance(node, ast.Constant) and node.value is False
+
+
 def test_groebner_bases_are_built_only_by_buchberger():
     # one Groebner entry point: every GroebnerBasis the library builds comes
     # out of ideal.buchberger, so no second basis builder grows back
