@@ -26,11 +26,13 @@ violations raise IllDefinedMap.
 
 The second half of the module builds tensor products (coproducts) and the
 quotients by (squared) diagonal ideals which classify neighbouring pairs,
-together with the classifying maps given by their universal property.  Over
-a free base both simplices, like universal_dtilde, have the Hilbert series
-of D~(p, n) with free variables adjoined, and _universal_quotient passes it
-to buchberger, which then certifies the row-echelon relations as the
-reduced basis without forming an S-polynomial.
+together with the classifying maps given by their universal property.  The
+simplices' maps are built from generator images, with no tensor power,
+projection or composite.  Over a free base both simplices, like
+universal_dtilde, have the Hilbert series of D~(p, n) with free variables
+adjoined, and _universal_quotient passes it to buchberger, which then
+certifies the row-echelon relations as the reduced basis without forming an
+S-polynomial.
 """
 
 from __future__ import annotations
@@ -460,16 +462,6 @@ def compose(after: AlgebraMap, before: AlgebraMap) -> AlgebraMap:
 # tensor products
 
 
-def _merge_order(parts: Sequence[FpAlgebra]) -> tuple[MonomialOrder, int]:
-    """The order of the last part with a Groebner basis (else of the first
-    part) and the largest degree cap."""
-    order = parts[0].order
-    for p in parts:
-        if p._gb is not None:
-            order = p.order
-    return order, max(p.degree_cap for p in parts)
-
-
 def tensor_power(
     algebra: FpAlgebra, count: int
 ) -> tuple[FpAlgebra, tuple[AlgebraMap, ...]]:
@@ -492,6 +484,19 @@ def tensor(
 
 
 def _tensor_many(parts: Sequence[FpAlgebra]) -> tuple[FpAlgebra, tuple[AlgebraMap, ...]]:
+    t = _tensor_algebra(parts)
+    inclusions = []
+    offset = 0
+    for part in parts:
+        images = [t.generator(offset + i) for i in range(len(part.varset))]
+        inclusions.append(AlgebraMap(part, t, images))
+        offset += len(part.varset)
+    return t, tuple(inclusions)
+
+
+def _tensor_ideal(parts: Sequence[FpAlgebra]) -> Ideal:
+    """The relations of the coproduct: each part's relations on its own copy
+    of the variables, renamed by copy index as in _tensor_many."""
     ring = parts[0].ring
     for p in parts:
         if p.ring != ring:
@@ -509,15 +514,20 @@ def _tensor_many(parts: Sequence[FpAlgebra]) -> tuple[FpAlgebra, tuple[AlgebraMa
         for rel in part.relations:
             relations.append(_embed_poly(rel, varset, offset, ring))
         offset += len(part.varset)
-    order, cap = _merge_order(parts)
-    t = FpAlgebra(ring, varset, relations, order, cap)
-    inclusions = []
-    offset = 0
-    for part in parts:
-        images = [t.generator(offset + i) for i in range(len(part.varset))]
-        inclusions.append(AlgebraMap(part, t, images))
-        offset += len(part.varset)
-    return t, tuple(inclusions)
+    return Ideal(varset, ring, tuple(relations))
+
+
+def _tensor_algebra(parts: Sequence[FpAlgebra]) -> FpAlgebra:
+    """The coproduct of the parts, without its inclusions, in the order of
+    the last part with a Groebner basis (else of the first part) and with
+    the largest degree cap."""
+    ideal = _tensor_ideal(parts)
+    order = parts[0].order
+    for p in parts:
+        if p._gb is not None:
+            order = p.order
+    cap = max(p.degree_cap for p in parts)
+    return FpAlgebra(ideal.ring, ideal.varset, ideal.generators, order, cap)
 
 
 def multiplication_map(algebra: FpAlgebra) -> AlgebraMap:
@@ -526,9 +536,8 @@ def multiplication_map(algebra: FpAlgebra) -> AlgebraMap:
     Both renamed copies of a generator map to the original generator, so the
     map sends a tensor a (x) b to the product a*b.
     """
-    t, _, _ = tensor(algebra, algebra)
     gens = algebra.generators()
-    return AlgebraMap(t, algebra, gens + gens)
+    return AlgebraMap(_tensor_algebra([algebra, algebra]), algebra, gens + gens)
 
 
 def diagonal_ideal(algebra: FpAlgebra, power: int = 1) -> Ideal:
@@ -544,20 +553,24 @@ def diagonal_ideal(algebra: FpAlgebra, power: int = 1) -> Ideal:
         raise InvalidArgument("power must be 1 or 2")
     if power == 2:
         return multi_diagonal_ideal(algebra, 1)
-    t, _, _ = tensor(algebra, algebra)
+    t = _tensor_ideal([algebra, algebra])
     n = len(algebra.varset)
     variables = Polynomial.variables(t.varset, t.ring)
     diffs = [variables[n + i] - variables[i] for i in range(n)]
-    return Ideal(t.varset, t.ring, (*diffs, *t.relations))
+    return Ideal(t.varset, t.ring, (*diffs, *t.generators))
 
 
 def multi_diagonal_ideal(algebra: FpAlgebra, p: int) -> Ideal:
     """Sum over all copy pairs r < s of the squared diagonal ideal between
-    copies r and s, inside the (p+1)-fold tensor power."""
+    copies r and s, inside the (p+1)-fold tensor power: the difference
+    products of the copies' variables, then the tensor power's relations."""
     if p < 1:
         raise InvalidArgument("p must be at least 1")
-    t, _ = tensor_power(algebra, p + 1)
-    return Ideal(t.varset, t.ring, _multi_diagonal_generators(t, len(algebra.varset), p))
+    t = _tensor_ideal([algebra] * (p + 1))
+    n = len(algebra.varset)
+    variables = Polynomial.variables(t.varset, t.ring)
+    copies = [variables[r * n : (r + 1) * n] for r in range(p + 1)]
+    return Ideal(t.varset, t.ring, (*(q for _, q in _difference_products(copies)), *t.generators))
 
 
 def _difference_products(rows: Sequence[Sequence]):
@@ -577,30 +590,22 @@ def _difference_products(rows: Sequence[Sequence]):
                     yield (r, s, i, j), d * diffs[j]
 
 
-def _multi_diagonal_generators(t: FpAlgebra, n: int, p: int) -> tuple[Polynomial, ...]:
-    """The generators of multi_diagonal_ideal, given the (p+1)-fold tensor
-    power t of an algebra with n generators: the difference products of the
-    copies' variables, then the relations of t."""
-    variables = Polynomial.variables(t.varset, t.ring)
-    copies = [variables[r * n : (r + 1) * n] for r in range(p + 1)]
-    return (*(product for _, product in _difference_products(copies)), *t.relations)
-
-
 @dataclass(frozen=True)
 class UniversalSimplex:
     """A quotient of a tensor power classifying tuples of mutual neighbours.
 
-    `maps` are the compositions (projection after r-th inclusion); any two of
+    `maps` are given by their generator images: map r sends each generator g
+    of the base to copy r of g, which is g_r in the "tensor" presentation
+    and g + d_g_r in the "difference" one (g itself for r = 0).  Any two of
     them are neighbours, and the construction is universal with that
-    property (see classifying_map).  `representation` records how the
-    quotient is presented: "difference" uses displacement variables d_* on
-    top of the base variables, "tensor" quotients the renamed tensor algebra
-    directly.
+    property (see classifying_map).  No tensor power or projection onto the
+    quotient is built.  `representation` records how the quotient is
+    presented: "difference" uses displacement variables d_* on top of the
+    base variables, "tensor" quotients the renamed tensor algebra directly.
     """
 
     base: FpAlgebra
     algebra: FpAlgebra
-    projection: AlgebraMap
     maps: tuple[AlgebraMap, ...]
     representation: str
 
@@ -643,41 +648,34 @@ def _difference_representation(
     except ValueError as exc:
         raise VarSetMismatch(f"displacement naming collision: {exc}") from None
     variables = Polynomial.variables(varset, ring)
-    base_vars = variables[:n]
-    blocks = [variables[n + (r - 1) * n : n + r * n] for r in range(1, p + 1)]
+    blocks = [variables[r * n : (r + 1) * n] for r in range(1, p + 1)]
 
     # the zero row is the base point; its pairs with a block give the
-    # products of that block's displacements
+    # products of that block's displacements, and map r sends g to g + d_g_r
     anchored = [[Polynomial.zero(varset, ring)] * n, *blocks]
     relations = [product for _, product in _difference_products(anchored)]
     quotient = _universal_quotient(ring, varset, relations, order, cap, p, n, n)
-
-    t, inclusions = tensor_power(base, p + 1)
-    proj_images = []
-    proj_images.extend(quotient.element(v) for v in base_vars)
-    for block in blocks:
-        proj_images.extend(quotient.element(base_vars[i] + block[i]) for i in range(n))
-    projection = AlgebraMap(t, quotient, proj_images)
-    maps = tuple(compose(projection, inc) for inc in inclusions)
-    return UniversalSimplex(base, quotient, projection, maps, "difference")
+    maps = tuple(
+        AlgebraMap(base, quotient, [x + d for x, d in zip(variables, row)])
+        for row in anchored
+    )
+    return UniversalSimplex(base, quotient, maps, "difference")
 
 
 def _tensor_representation(
     base: FpAlgebra, p: int, order: MonomialOrder, cap: int
 ) -> UniversalSimplex:
-    ring = base.ring
-    t, inclusions = tensor_power(base, p + 1)
-    n = len(base.varset)
-    squared = _multi_diagonal_generators(t, n, p)
+    squared = multi_diagonal_ideal(base, p)
+    ring, varset, n = base.ring, squared.varset, len(base.varset)
     if base.is_free:  # D~(p, n) and the n variables x_0, after x_s = x_0 + d_s
-        quotient = _universal_quotient(ring, t.varset, squared, order, cap, p, n, n)
+        quotient = _universal_quotient(ring, varset, squared.generators, order, cap, p, n, n)
     else:
-        quotient = FpAlgebra(ring, t.varset, squared, order, cap)
-    projection = AlgebraMap(
-        t, quotient, Polynomial.variables(t.varset, ring)
+        quotient = FpAlgebra(ring, varset, squared.generators, order, cap)
+    variables = Polynomial.variables(varset, ring)
+    maps = tuple(
+        AlgebraMap(base, quotient, variables[r * n : (r + 1) * n]) for r in range(p + 1)
     )
-    maps = tuple(compose(projection, inc) for inc in inclusions)
-    return UniversalSimplex(base, quotient, projection, maps, "tensor")
+    return UniversalSimplex(base, quotient, maps, "tensor")
 
 
 def universal_simplex(
@@ -788,5 +786,5 @@ def pairing_map(f: AlgebraMap, g: AlgebraMap) -> AlgebraMap:
         raise DomainMismatch("the two maps must share a domain")
     if f.codomain != g.codomain:
         raise DomainMismatch("the two maps must share a codomain")
-    t, _, _ = tensor(f.domain, f.domain)
-    return AlgebraMap(t, f.codomain, list(f.images) + list(g.images))
+    t = _tensor_algebra([f.domain, f.domain])
+    return AlgebraMap(t, f.codomain, f.images + g.images)

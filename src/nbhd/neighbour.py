@@ -421,10 +421,11 @@ def _affine_row_sum(
         raise DomainMismatch("coefficients live in a different algebra")
     if len(coefficients) != len(rows):
         raise ArityMismatch(f"{len(coefficients)} weights for {len(rows)} {noun}")
-    for (r, s, i, j), product in _difference_products(rows):
-        if not product.is_zero():
-            pair = Witness((i + 1, j + 1), product, "difference product")
-            raise NotNeighbours(f"{noun} {r + 1} and {s + 1} are not neighbours: {pair}")
+    defect = _first_defect((at, "", d) for at, d in _difference_products(rows))
+    if not defect:  # the failing pair's own scan numbers its witness in the pair
+        r, s = defect.witness.indices[:2]
+        pair = vectors_neighbour(rows[r], rows[s]).witness
+        raise NotNeighbours(f"{noun} {r + 1} and {s + 1} are not neighbours: {pair}")
     if not coefficients.is_affine():
         raise CoefficientsNotAffine(f"weights sum to {coefficients.total()}, not 1")
     return _weighted_row_sum(coefficients, rows)

@@ -39,6 +39,7 @@ import nbhd.ideal
 from nbhd.ideal import Ideal, buchberger, monomial_reduce, s_polynomial
 from nbhd.neighbour import universal_dtilde
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
+from nbhd.verify import WEIL_PATTERNS, random_weil_algebra
 
 
 def dual_numbers(ring=QQ):
@@ -612,6 +613,74 @@ def test_universal_quadrics_need_no_degree_above_two():
     for quotient in (algebra, simplex.algebra):
         with pytest.raises(DegreeGuardExceeded):
             buchberger(Ideal(quotient.varset, QQ, quotient.relations), quotient.order, 2)
+
+
+def _projected_maps(simplex):
+    """The simplex maps as the tensor power's inclusions followed by the
+    projection onto the quotient, the construction the images replace."""
+    quotient, n = simplex.algebra, len(simplex.base.varset)
+    t, inclusions = tensor_power(simplex.base, simplex.p + 1)
+    x = quotient.generators()
+    if simplex.representation == "difference":  # copy r of g is g + d_g_r
+        images = [x[i] + (x[r * n + i] if r else 0) for r in range(simplex.p + 1) for i in range(n)]
+    else:
+        images = x
+    projection = AlgebraMap(t, quotient, images)
+    return [compose(projection, inclusion) for inclusion in inclusions]
+
+
+def _simplex_cases():
+    for ring in (QQ, RingSpec.modular(2), RingSpec.modular(3)):
+        for p in (1, 2, 3):
+            free = free_algebra(ring, ("X", "Y"))
+            yield universal_simplex(free, p, "difference")
+            yield universal_simplex(free, p, "tensor")
+            for pattern in WEIL_PATTERNS:
+                weil = random_weil_algebra(10 * p, ring, 2 if p < 3 else 1, pattern)
+                yield universal_simplex(weil, p, "tensor")
+    yield universal_simplex(free_algebra(ZZ, ("X", "Y")), 1, "difference")
+
+
+def test_simplex_maps_equal_the_projected_inclusions():
+    for simplex in _simplex_cases():
+        assert list(simplex.maps) == _projected_maps(simplex), simplex.algebra
+        factored = classifying_map(simplex, simplex.maps)
+        assert factored == identity_map(simplex.algebra)
+        for f in simplex.maps:
+            assert compose(factored, f) == f
+
+
+def _count_map_builds(monkeypatch):
+    built = []
+    init = AlgebraMap.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AlgebraMap, "__init__", counting)
+    return built
+
+
+def test_universal_constructions_build_only_the_maps_they_return(monkeypatch):
+    free, weil = free_algebra(QQ, ("X", "Y")), square_zero()
+    f, g = AlgebraMap(weil, weil, ["e1", "e2"]), AlgebraMap(weil, weil, ["e2", "e1"])
+    built = _count_map_builds(monkeypatch)
+    for base, representation in ((free, "difference"), (free, "tensor"), (weil, "tensor")):
+        for p in (1, 2, 3):
+            built.clear()
+            universal_simplex(base, p, representation)
+            assert len(built) == p + 1, (representation, p)
+    for build, count in (
+        (lambda: multiplication_map(weil), 1),
+        (lambda: pairing_map(f, g), 1),
+        (lambda: diagonal_ideal(weil, 1), 0),
+        (lambda: diagonal_ideal(weil, 2), 0),
+        (lambda: multi_diagonal_ideal(weil, 3), 0),
+    ):
+        built.clear()
+        build()
+        assert len(built) == count
 
 
 # -- adjoining variables --------------------------------------------------------

@@ -104,6 +104,30 @@ def test_failing_check_results_are_built_only_by_first_defect():
     assert not found, f"failing CheckResult built outside neighbour._first_defect at {found}"
 
 
+def test_witnesses_are_built_only_by_first_defect():
+    # every negative verdict, and every NotNeighbours message, takes its
+    # witness from the one scan rather than from a hand-built Witness
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef)
+            and path.name == "neighbour.py"
+            and function.name == "_first_defect"
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Witness"
+            and id(node) not in inside
+        ]
+    assert not found, f"Witness built outside neighbour._first_defect at {found}"
+
+
 def _keyword(call, name):
     return next((k.value for k in call.keywords if k.arg == name), None)
 
