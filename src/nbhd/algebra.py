@@ -536,8 +536,14 @@ def multiplication_map(algebra: FpAlgebra) -> AlgebraMap:
     Both renamed copies of a generator map to the original generator, so the
     map sends a tensor a (x) b to the product a*b.
     """
+    return _codiagonal(algebra, _tensor_algebra([algebra, algebra]))
+
+
+def _codiagonal(algebra: FpAlgebra, square: FpAlgebra) -> AlgebraMap:
+    """multiplication_map(algebra) out of its already built two-fold tensor
+    power `square`."""
     gens = algebra.generators()
-    return AlgebraMap(_tensor_algebra([algebra, algebra]), algebra, gens + gens)
+    return AlgebraMap(square, algebra, gens + gens)
 
 
 def diagonal_ideal(algebra: FpAlgebra, power: int = 1) -> Ideal:
@@ -580,14 +586,17 @@ def _difference_products(rows: Sequence[Sequence]):
     The products of two differences are the equations of the neighbour
     relation and the relations of the universal simplices.  Each pair of
     rows has its differences formed once; the entries may be Polynomials or
-    AlgebraElements.
+    AlgebraElements.  A product with a zero difference is zero, so it is
+    neither formed nor yielded.
     """
     for r, low in enumerate(rows):
         for s in range(r + 1, len(rows)):
             diffs = [b - a for a, b in zip(low, rows[s])]
             for i, d in enumerate(diffs):
-                for j in range(i, len(diffs)):
-                    yield (r, s, i, j), d * diffs[j]
+                if d:
+                    for j in range(i, len(diffs)):
+                        if diffs[j]:
+                            yield (r, s, i, j), d * diffs[j]
 
 
 @dataclass(frozen=True)

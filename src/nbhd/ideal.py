@@ -21,7 +21,8 @@ for a divisor that is not monic.
 Bases have one entry point, buchberger, and its input one path:
 _row_echelon brings the generators to reduced row-echelon form, dividing
 each by the remainders kept so far.  The pair loop starts from that form
-and skips pairs by Buchberger's product and chain criteria.  A caller may
+and skips pairs by Buchberger's product and chain criteria and pairs of
+two single-term elements, whose S-polynomial is zero.  A caller may
 pass the quotient's Hilbert series: when the generators are homogeneous
 and their row-echelon leads have it, no pair is queued (Traverso's
 criterion; README, "Hilbert series certify the universal bases").
@@ -387,8 +388,10 @@ def buchberger(
     the leads do not match runs the pair loop and never changes the result.
 
     Pairs are selected in increasing (lcm degree, creation index) order.
-    A pair whose leading monomials are coprime is never queued (Buchberger's
-    product criterion).  A selected pair (i, j) is skipped when some other
+    Two kinds of pair are never queued: one whose leading monomials are
+    coprime (Buchberger's product criterion), and one of two single-term
+    elements, whose S-polynomial is zero by construction (the single-term
+    criterion).  A selected pair (i, j) is skipped when some other
     element k has a leading monomial dividing lcm(i, j) and neither (i, k)
     nor (j, k) is still queued (Buchberger's chain criterion).  Every other
     pair has its S-polynomial formed and fully reduced by the basis so far;
@@ -417,9 +420,9 @@ def buchberger(
     queued: set[tuple[int, int]] = set()
 
     def queue(k: int) -> None:
-        lead, _, mask, _, _ = rows[k]
+        lead, _, mask, tail, _ = rows[k]
         for i in range(k):
-            if rows[i][2] & mask:
+            if rows[i][2] & mask and (tail or rows[i][3]):
                 heapq.heappush(pairs, (mono_degree(mono_lcm(rows[i][0], lead)), i, k))
                 queued.add((i, k))
 

@@ -20,6 +20,9 @@ and the precondition of the affine combinations all scan it.  The equations
 of the difference variety are enumerated in _dtilde_equations, which
 in_dtilde scans and universal_dtilde takes its relations from.  Weighted row
 sums (affine combinations, row extensions) are formed by _weighted_row_sum.
+All three skip the products with a zero factor, which are zero: they are
+never formed, and a zero value is never a defect, so every verdict and
+witness is the one the full scan would give.
 The product form, the square test and in_dtilde stay off
 _difference_products: they are second implementations, kept so that the
 verification suite can compare answers.
@@ -54,12 +57,12 @@ from .algebra import (
     AlgebraMap,
     FpAlgebra,
     UniversalSimplex,
+    _codiagonal,
     _difference_products,
     _universal_quotient,
     adjoin_variables,
     compose,
     free_algebra,
-    multiplication_map,
     tensor,
     universal_simplex,
 )
@@ -321,7 +324,9 @@ def _dtilde_equations(rows: Sequence[Sequence]):
     variety, with 1-based indices: the cross products
     a_ri * a_sj + a_si * a_rj for rows r < s and columns i <= j, then the row
     products a_ri * a_rj for columns i <= j, in that nesting order.  The
-    entries may be Polynomials or AlgebraElements.
+    entries may be Polynomials or AlgebraElements.  Only the products of
+    two nonzero entries are formed, and an equation whose products all have
+    a zero factor is zero, so it is not yielded.
     """
     cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
     for r, x in enumerate(rows):
@@ -329,11 +334,15 @@ def _dtilde_equations(rows: Sequence[Sequence]):
             y = rows[s]
             for i in range(len(x)):
                 for j in range(i, len(x)):
-                    yield (r + 1, s + 1, i + 1, j + 1), cross, x[i] * y[j] + y[i] * x[j]
+                    terms = [u * v for u, v in ((x[i], y[j]), (y[i], x[j])) if u and v]
+                    if terms:
+                        yield (r + 1, s + 1, i + 1, j + 1), cross, reduce(add, terms)
     for r, x in enumerate(rows):
-        for i in range(len(x)):
-            for j in range(i, len(x)):
-                yield (r + 1, i + 1, j + 1), row, x[i] * x[j]
+        for i, u in enumerate(x):
+            if u:
+                for j in range(i, len(x)):
+                    if x[j]:
+                        yield (r + 1, i + 1, j + 1), row, u * x[j]
 
 
 class CoefficientVector:
@@ -373,12 +382,16 @@ class CoefficientVector:
 
 
 def _weighted_row_sum(
-    weights: Sequence[AlgebraElement], rows: Sequence[Sequence[AlgebraElement]]
+    codomain: FpAlgebra,
+    weights: Sequence[AlgebraElement],
+    rows: Sequence[Sequence[AlgebraElement]],
 ) -> tuple[AlgebraElement, ...]:
-    """The row sum of t_r * row_r, column by column (at least one row)."""
-    return tuple(
-        reduce(add, (t * x for t, x in zip(weights, column))) for column in zip(*rows)
-    )
+    """The row sum of t_r * row_r, column by column, in the codomain.  A
+    product with a zero factor is zero, so it is not formed, and a column
+    with no other product sums to the codomain's zero."""
+    zero = codomain.zero()
+    products = ([t * x for t, x in zip(weights, column) if t and x] for column in zip(*rows))
+    return tuple(reduce(add, terms) if terms else zero for terms in products)
 
 
 def affine_combination(
@@ -428,7 +441,7 @@ def _affine_row_sum(
         raise NotNeighbours(f"{noun} {r + 1} and {s + 1} are not neighbours: {pair}")
     if not coefficients.is_affine():
         raise CoefficientsNotAffine(f"weights sum to {coefficients.total()}, not 1")
-    return _weighted_row_sum(coefficients, rows)
+    return _weighted_row_sum(codomain, coefficients, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +506,7 @@ def rewrite_kernel_element(
     """
     tensor_algebra, include0, include1 = tensor(base, base)
     t = tensor_algebra.element(element)
-    mult = multiplication_map(base)
-    image = mult.apply(t)
+    image = _codiagonal(base, tensor_algebra).apply(t)
     if not image.is_zero():
         raise NotInKernel(f"multiplication image is {image}, not zero")
     ring = base.ring
@@ -592,7 +604,7 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
     weights = [codomain.element(c) for c in coefficients]
     if len(weights) != matrix.rows:
         raise ArityMismatch(f"{len(weights)} weights for {matrix.rows} rows")
-    new_row = _weighted_row_sum(weights, matrix.entries)
+    new_row = _weighted_row_sum(codomain, weights, matrix.entries)
     return SimplexMatrix(codomain, matrix.entries + (new_row,))
 
 

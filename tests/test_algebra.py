@@ -592,8 +592,10 @@ def test_other_presentations_still_reach_buchberger(monkeypatch):
         return s_polynomial(*args, **kwargs)
 
     monkeypatch.setattr("nbhd.ideal.s_polynomial", recording)
-    # over a Weil base no series is known: the pair loop runs
-    tensor_form = universal_simplex(dual_numbers(), 2, "tensor").algebra
+    # over a presented base no series is known: the pair loop runs.  The
+    # base has a two-term relation, since a Weil base's relations are single
+    # terms and a pair of two single-term elements is never formed.
+    tensor_form = universal_simplex(FpAlgebra(QQ, ("X", "Y"), ["X^2 - Y"]), 1, "tensor").algebra
     assert formed and tensor_form.strategy == "groebner"
     with pytest.raises(NonFieldCoefficients):
         universal_dtilde(2, 2, ZZ)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nbhd.algebra import universal_simplex
 from nbhd.arith import QQ, RingSpec, ZZ
@@ -195,6 +196,57 @@ def test_s_polynomial_matches_reference():
             continue
         assert s_polynomial(f, g, order) == ref_spoly(f, g, order)
         assert s_polynomial(f, f, order).is_zero()
+
+
+def ref_reduced(basis, order):
+    """The reduced basis of the ideal a Groebner basis generates: drop each
+    element whose lead another kept lead divides, make the rest monic and
+    divide each by the others."""
+    def lead(g):
+        return g.leading(order)[0]
+
+    minimal = []
+    for g in sorted(basis, key=lambda g: order.key(lead(g))):
+        if not any(_odivides(lead(h), lead(g)) for h in minimal):
+            minimal.append(g.scale(g.ring.invert(g.leading(order)[1])))
+    reduced = [ref_remainder(g, minimal[:k] + minimal[k + 1 :], order) for k, g in enumerate(minimal)]
+    return tuple(sorted(reduced, key=lambda g: order.key(lead(g)), reverse=True))
+
+
+def _generators(ring):
+    """Single terms and sums of two or three terms, in X, Y, Z up to degree 2."""
+    if ring.kind == "Q":
+        coefficient = st.builds(Fraction, st.integers(1, 4), st.integers(1, 3))
+    else:
+        coefficient = st.integers(1, ring.modulus - 1)
+    term = st.tuples(st.tuples(*[st.integers(0, 2)] * 3), coefficient)
+    return st.lists(term, min_size=1, max_size=3).map(lambda ts: Polynomial(XYZ, ring, ts))
+
+
+@st.composite
+def mixed_ideals(draw):
+    ring = draw(st.sampled_from((QQ, Z5)))
+    gens = draw(st.lists(_generators(ring), min_size=2, max_size=4))
+    return Ideal(XYZ, ring, tuple(gens)), draw(st.sampled_from(list(MonomialOrder)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(mixed_ideals())
+def test_pairs_of_single_terms_are_never_formed(problem):
+    """The single-term criterion leaves the reduced basis as the reference
+    loop, which forms every S-polynomial, finds it."""
+    ideal, order = problem
+    formed = []
+
+    def recording(f, g, *args):
+        formed.append((len(f), len(g)))
+        return s_polynomial(f, g, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nbhd.ideal.s_polynomial", recording)
+        basis = buchberger(ideal, order).basis
+    assert (1, 1) not in formed
+    assert basis == ref_reduced(ref_basis(list(ideal.generators), order), order)
 
 
 # -- canonicality and normal forms -------------------------------------------

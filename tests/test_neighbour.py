@@ -495,6 +495,23 @@ def test_rewrite_kernel_element_rejects_non_kernel():
         rewrite_kernel_element(D, 1)
 
 
+def test_rewrite_kernel_element_presents_one_tensor_algebra(monkeypatch):
+    # the multiplication map starts from the tensor algebra already built
+    D = FpAlgebra(QQ, ("X",), ["X^2"])
+    presented = []
+    present = FpAlgebra._present
+
+    def counting(self, *args):
+        presented.append(args[1])
+        present(self, *args)
+
+    monkeypatch.setattr(FpAlgebra, "_present", counting)
+    rewrite_kernel_element(D, "X_0*X_1")
+    with pytest.raises(NotInKernel):
+        rewrite_kernel_element(D, "X_0")
+    assert [str(varset) for varset in presented] == ["(X_0, X_1)"] * 2
+
+
 def test_rewrite_kernel_element_mismatch_raises_typed_error(monkeypatch):
     # every map now sends everything to zero: the element still passes the
     # kernel test, but the standard generators vanish and cannot rebuild it
@@ -569,6 +586,37 @@ def test_extend_matrix_guards():
     good = SimplexMatrix(full, [["e1", "0"]])
     with pytest.raises(ArityMismatch):
         extend_matrix(good, [1, 2])
+
+
+def test_scans_never_multiply_by_zero(monkeypatch):
+    # a product with a zero factor is zero, so the difference products, the
+    # difference-variety equations and the weighted row sums never form one
+    product = FpAlgebra._product
+
+    def nonzero_product(self, a, b):
+        if a.is_zero() or b.is_zero():
+            raise AssertionError(f"product with a zero factor: ({a}) * ({b})")
+        return product(self, a, b)
+
+    monkeypatch.setattr(FpAlgebra, "_product", nonzero_product)
+    thin, full = squares_only(), square_zero_full()
+    staircase = [["0", "0"], ["e1", "0"], ["e1", "e2"]]
+    assert is_simplex(SimplexMatrix(full, staircase))
+    verdict = is_simplex(SimplexMatrix(thin, [["0", "0"], ["e1", "0"], ["0", "e2"]]))
+    assert verdict.witness.indices == (2, 3, 1, 2) and str(verdict.witness.value) == "-e1*e2"
+    assert in_dtilde(SimplexMatrix(full, [["e1", "0"], ["0", "0"], ["e1", "e2"]]))
+    verdict = in_dtilde(SimplexMatrix(thin, [["e1", "0"], ["0", "0"], ["0", "e2"]]))
+    assert verdict.witness.indices == (1, 3, 1, 2) and str(verdict.witness.value) == "e1*e2"
+    zero_row, row = [full.zero()] * 2, [full.element("e1"), full.zero()]
+    assert vectors_neighbour(zero_row, row) and vectors_neighbour(row, row)
+    assert not vectors_neighbour([thin.zero()] * 2, [thin.element("e1"), thin.element("e2")])
+    maps = maps_of_matrix(SimplexMatrix(full, staircase))
+    combined = affine_combination(maps, [-1, 1, 1])
+    assert [str(x) for x in combined.images] == ["2*e1", "e2"]
+    combined = affine_combination_rows(SimplexMatrix(full, staircase), ["1 - e2", "e2", 0])
+    assert [str(x) for x in combined] == ["0", "0"]
+    extended = extend_matrix(SimplexMatrix(full, [["e1", "0"], ["0", "0"]]), [3, "e2"])
+    assert [str(x) for x in extended.row(2)] == ["3*e1", "0"]
 
 
 def test_universal_dtilde_2x2_determinant():
