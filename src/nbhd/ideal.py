@@ -20,12 +20,16 @@ for a divisor that is not monic.
 
 Bases have one entry point, buchberger, and its input one path:
 _row_echelon brings the generators to reduced row-echelon form, dividing
-each by the remainders kept so far.  The pair loop starts from that form
-and skips pairs by Buchberger's product and chain criteria and pairs of
-two single-term elements, whose S-polynomial is zero.  A caller may
-pass the quotient's Hilbert series: when the generators are homogeneous
-and their row-echelon leads have it, no pair is queued (Traverso's
-criterion; README, "Hilbert series certify the universal bases").
+each by the remainders kept so far; generators of one total degree that
+share no monomial already are that form once monic, and are not divided.
+The pair loop starts from that form and skips pairs by Buchberger's
+product and chain criteria and pairs of two single-term elements, whose
+S-polynomial is zero.  A caller may pass the quotient's Hilbert series:
+when the generators are homogeneous and their row-echelon leads have it,
+no pair is queued (Traverso's criterion; README, "Hilbert series certify
+the universal bases").  Only quadratic leads are checked, by counting the
+standard monomials on bitmasks of variables (_standard_counts); any other
+lead runs the pair loop.
 
 A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
@@ -40,7 +44,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .arith import RingSpec
 from .errors import (
@@ -283,7 +287,7 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEFAULT_OR
 
 def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     _, value = p.leading(order)
-    return p.scale(p.ring.invert(value))
+    return p if value == p.ring.one() else p.scale(p.ring.invert(value))
 
 
 def _tail_reduce(divisors: _Divisors, cap: int) -> list[Polynomial]:
@@ -322,16 +326,22 @@ def _interreduce(basis: _Divisors, cap: int) -> list[Polynomial]:
 
 
 def _row_echelon(
-    gens: Iterable[Polynomial], order: MonomialOrder, nvars: int, degree_cap: int
+    gens: Sequence[Polynomial], order: MonomialOrder, nvars: int, degree_cap: int
 ) -> _Divisors:
     """The generators in reduced row-echelon form, as a divisor list.
 
-    Each generator, in turn, is divided by the monic remainders kept so
-    far; a nonzero remainder joins them, made monic, and a zero one is
-    dropped.  Then every tail is divided by all of them (_tail_reduce).
+    When the generators share one total degree and no monomial occurs in
+    two of them, that form is the generators made monic: a lead divides a
+    term of its own degree only by being it, so nothing is divided.
+    Otherwise each generator, in turn, is divided by the monic remainders
+    kept so far; a nonzero remainder joins them, made monic, and a zero one
+    is dropped.  Then every tail is divided by all of them (_tail_reduce).
     The results span the same ideal as the generators, no two share a
     leading monomial, and no lead divides a term of any tail.
     """
+    monomials = {e for g in gens for e in g._terms}
+    if len(monomials) == sum(map(len, gens)) and len(set(map(mono_degree, monomials))) < 2:
+        return _Divisors([_monic(g, order) for g in gens if g], order, nvars)
     kept = _Divisors((), order, nvars)
     for g in gens:
         r = reduce_full(g, kept, order, degree_cap)
@@ -340,30 +350,55 @@ def _row_echelon(
     return _Divisors(_tail_reduce(kept, degree_cap), order, nvars)
 
 
+def _standard_counts(leads: Sequence[tuple[int, ...]], bound: Sequence[int]) -> Iterator[int]:
+    """The number of standard monomials in the variables `bound` in each
+    degree 0, 1, 2, ..., without end, for quadratic leads in them.
+
+    Each standard monomial is met once, as one of the degree below times a
+    variable no smaller than its last.  The partners of a variable v are
+    the u for which x_u*x_v is a lead (u = v when x_v^2 is one), and for a
+    standard m, m*x_v is standard exactly when v is no partner of a
+    variable of m.  So a standard monomial is carried as two ints, the
+    bitmask of its variables' partners and its last variable, and the next
+    degree is read off the zero bits of the masks: no exponent tuple is
+    formed and no divisibility is tested.
+    """
+    position = {v: k for k, v in enumerate(bound)}  # bit k of a mask is bound[k]
+    partners = [0] * len(bound)
+    for lead in leads:
+        u, v = (position[i] for i, x in enumerate(lead) for _ in range(x))
+        partners[u] |= 1 << v
+        partners[v] |= 1 << u
+    everything = (1 << len(bound)) - 1
+    layer = [(0, 0)]  # the monomial 1
+    while True:
+        yield len(layer)
+        below, layer = layer, []
+        for blocked, last in below:
+            open_ = (everything >> last << last) & ~blocked
+            while open_:
+                low = open_ & -open_
+                v = low.bit_length() - 1
+                layer.append((blocked | partners[v], v))
+                open_ ^= low
+
+
 def _leads_have_series(divisors: _Divisors, hilbert: tuple[Sequence[int], int]) -> bool:
     """Whether k[x]/<leads> has the series sum(numerator[k] t^k) / (1 - t)^free.
 
     It has when exactly `free` variables occur in no lead and the standard
-    monomials in the others number numerator[k] in each degree k.  Each is
-    counted once, as one of the degree below times a variable no smaller
-    than its last, and the count stops at the first degree that differs.
+    monomials in the others number numerator[k] in each degree k, counted
+    by _standard_counts up to the first degree that differs.  Only
+    quadratic leads are counted: a lead of another degree declines (False),
+    and the pair loop runs.
     """
     numerator, free = hilbert
-    nvars = len(divisors.excluded)
+    leads = [row[0] for row in divisors.rows]
     bound = [v for v, row in enumerate(divisors.excluded) if row]  # the variables in leads
-    if nvars - len(bound) != free:
+    if len(divisors.excluded) - len(bound) != free or any(mono_degree(e) != 2 for e in leads):
         return False
-    layer = [((0,) * nvars, 0)]  # (standard monomial, position in bound of its last variable)
-    for expected in numerator:
-        if len(layer) != expected:
-            return False
-        layer = [
-            (m, k)
-            for exps, last in layer
-            for k, v in enumerate(bound[last:], last)
-            if not divisors.dividing(m := exps[:v] + (exps[v] + 1,) + exps[v + 1 :])
-        ]
-    return not layer
+    counts = _standard_counts(leads, bound)
+    return all(next(counts) == expected for expected in numerator) and not next(counts)
 
 
 def buchberger(
@@ -382,10 +417,12 @@ def buchberger(
 
     hilbert = (numerator, free) vouches that k[x]/ideal has the Hilbert
     series sum(numerator[k] t^k) / (1 - t)^free.  If the generators are
-    homogeneous and the row-echelon leads have that series, they generate
-    the initial ideal, so no pair is queued (Traverso, "Hilbert functions
-    and the Buchberger algorithm", J. Symbolic Comput. 22, 1996).  A series
-    the leads do not match runs the pair loop and never changes the result.
+    homogeneous and the row-echelon leads are quadratic and have that
+    series, they generate the initial ideal, so no pair is queued
+    (Traverso, "Hilbert functions and the Buchberger algorithm",
+    J. Symbolic Comput. 22, 1996).  A series the leads do not match, or
+    leads of another degree, run the pair loop and never change the
+    result.
 
     Pairs are selected in increasing (lcm degree, creation index) order.
     Two kinds of pair are never queued: one whose leading monomials are
@@ -456,9 +493,11 @@ def buchberger(
             basis.append(_monic(r, order))
             queue(len(rows) - 1)
     if len(rows) > echelon or any(basis.dividing(row[0]) != 1 << i for i, row in enumerate(rows)):
-        polys = _interreduce(basis, degree_cap)
-    reduced = tuple(sorted(polys, key=lambda g: order.key(g.leading(order)[0]), reverse=True))
-    return GroebnerBasis(ideal.varset, ideal.ring, order, reduced, degree_cap)
+        reduced = _interreduce(basis, degree_cap)[::-1]
+    else:
+        ranks = sorted(range(len(rows)), key=lambda i: order.key(rows[i][0]), reverse=True)
+        reduced = [polys[i] for i in ranks]
+    return GroebnerBasis(ideal.varset, ideal.ring, order, tuple(reduced), degree_cap)
 
 
 @dataclass(frozen=True)

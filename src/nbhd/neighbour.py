@@ -626,10 +626,12 @@ def universal_dtilde(
     For p = 1 the equations are the row products, unit monomials, so the
     algebra works over any ring; for p >= 2 the cross products need a
     Groebner basis and field coefficients (NonFieldCoefficients otherwise).
-    That basis is the equations row-reduced, in either order and every
-    characteristic, and buchberger certifies it by the algebra's Hilbert
-    series (README, "Hilbert series certify the universal bases"): no
-    S-polynomial is formed and no intermediate exceeds degree 2.
+    That basis is the equations made monic, in either order and every
+    characteristic: they are quadrics and no two share a monomial, so they
+    are their own row-echelon form and nothing is divided.  buchberger
+    certifies them by the algebra's Hilbert series (README, "Hilbert
+    series certify the universal bases"): no S-polynomial is formed and no
+    intermediate exceeds degree 2.
     """
     if p < 1 or n < 1:
         raise InvalidArgument("matrix dimensions must be at least 1 x 1")

@@ -330,7 +330,9 @@ class Polynomial:
         All images must share one varset and this polynomial's ring; the
         result lives over that varset (or over `varset` when there are no
         variables to substitute).  Powers and terms are formed by `product`;
-        an algebra passes its reducing one, and images in normal form.
+        an algebra passes its reducing one, and images in normal form.  A
+        term with a variable whose image is zero is skipped, so no power of
+        a zero image and no product with one is formed.
         """
         if len(images) != len(self.varset):
             raise ArityMismatch(
@@ -350,6 +352,7 @@ class Polynomial:
         ring = self.ring
         result = Polynomial.zero(target, ring)
         powers: dict[tuple[int, int], Polynomial] = {}
+        zeros = [i for i, img in enumerate(images) if not img._terms]
 
         def power(i: int, e: int) -> Polynomial:
             got = powers.get((i, e))
@@ -358,6 +361,8 @@ class Polynomial:
             return got
 
         for exps, value in self._terms.items():
+            if zeros and any(exps[i] for i in zeros):
+                continue  # a variable whose image is zero makes the term zero
             term = None
             for i, e in enumerate(exps):
                 if e:

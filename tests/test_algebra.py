@@ -251,6 +251,27 @@ def test_products_and_maps_never_delete_terms(monkeypatch):
         AlgebraMap(A, D, [one, e])  # x^3 maps to 1
 
 
+def test_zero_images_are_never_multiplied(monkeypatch):
+    # every term with y or z maps to zero, so evaluation skips it: no power
+    # of a zero image and no product with one is formed, in the relation
+    # check at construction or in apply
+    zero_operands = []
+    product = FpAlgebra._product
+
+    def counted(self, a, b):
+        if a.is_zero() or b.is_zero():
+            zero_operands.append((a, b))
+        return product(self, a, b)
+
+    monkeypatch.setattr(FpAlgebra, "_product", counted)
+    A = FpAlgebra(QQ, ("x", "y", "z"), ["y^3", "x*z^2"])
+    D = FpAlgebra(QQ, ("e",), ["e^2"])
+    f = AlgebraMap(A, D, ["1 + e", "0", "0"])
+    assert str(f.apply(A.element("x*y^2 + y*z + z^2 + x^2 + 3"))) == "2*e + 4"
+    assert str(f.apply(A.element("y + z"))) == "0"
+    assert zero_operands == []
+
+
 def test_zero_divisor_products_drop_out():
     A = FpAlgebra(RingSpec.modular(4), ("x", "y"), ["x^2", "y^2"])
     a, b = A.element("2 + 2*x"), A.element("2 + 2*y")

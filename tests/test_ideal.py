@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,9 @@ from nbhd.ideal import (
     GroebnerBasis,
     Ideal,
     _Divisors,
+    _leads_have_series,
     _row_echelon,
+    _standard_counts,
     buchberger,
     contains,
     monomial_reduce,
@@ -453,6 +457,150 @@ def test_a_row_echelon_lead_dividing_another_is_interreduced(order):
     # divide the first row's lead, which must go
     assert buchberger(I(["Y^2", "X*Y^3 - Y"]), order).basis == (P("Y"),)
     assert buchberger(I(["X", "X - 1"]), order).basis == (P("1"),)
+
+
+# -- the row-echelon shortcut ---------------------------------------------------
+
+
+def _form_none(*args, **kwargs):
+    raise AssertionError("no S-polynomial may be formed here")
+
+
+def _record_divisions(monkeypatch):
+    """The list of every polynomial nbhd.ideal divides from now on."""
+    divided = []
+
+    def recording(p, *args, **kwargs):
+        divided.append(p)
+        return reduce_full(p, *args, **kwargs)
+
+    monkeypatch.setattr("nbhd.ideal.reduce_full", recording)
+    return divided
+
+
+@pytest.mark.parametrize("ring", [QQ, RingSpec.modular(2)], ids=str)
+@pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
+def test_difference_variety_relations_are_not_divided(monkeypatch, ring, order):
+    # the D~(p, n) relations are quadrics sharing no monomial, so their
+    # row-echelon form is themselves made monic: nothing is divided while
+    # the basis is built, and its series forms no S-polynomial.  The only
+    # divisions are the normal forms of the p*n generators that fill the
+    # returned matrix, after the basis exists.
+    divided = _record_divisions(monkeypatch)
+    monkeypatch.setattr("nbhd.ideal.s_polynomial", _form_none)
+    for p, n in ((2, 2), (3, 3), (4, 5)):
+        divided.clear()
+        algebra, _ = universal_dtilde(p, n, ring, order)
+        assert divided == Polynomial.variables(algebra.varset, ring)
+        monic = {g.scale(ring.invert(g.leading(order)[1])) for g in algebra.relations}
+        assert set(algebra._gb.basis) == monic
+
+
+@pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
+def test_the_shortcut_needs_disjoint_supports_of_one_degree(monkeypatch, order):
+    divided = _record_divisions(monkeypatch)
+    for gens, expected in (
+        ((P("X^2 + Y^2"), P("Y^2")), [P("X^2"), P("Y^2")]),  # Y^2 occurs in both
+        ((P("X"), P("X^2 + Y^2")), [P("X"), P("Y^2")]),  # disjoint, degrees 1 and 2
+    ):
+        divided.clear()
+        assert _row_echelon(gens, order, 2, DEFAULT_DEGREE_CAP).polys == expected
+        assert divided  # the generators went through division
+        assert set(buchberger(Ideal(XY, QQ, gens), order).basis) == set(expected)
+
+
+@st.composite
+def quadratic_leads(draw):
+    """Distinct squares and cross products of up to six variables."""
+    nvars = draw(st.integers(1, 6))
+    pairs = [(u, v) for u in range(nvars) for v in range(u, nvars)]
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=len(pairs), unique=True))
+    leads = []
+    for u, v in chosen:
+        exps = [0] * nvars
+        exps[u] += 1
+        exps[v] += 1
+        leads.append(tuple(exps))
+    return nvars, leads
+
+
+def _brute_counts(leads, bound, degrees):
+    """Standard monomials in the variables bound, per degree, by testing
+    every monomial against every lead."""
+    counts = []
+    for d in range(degrees):
+        counts.append(0)
+        for chosen in combinations_with_replacement(bound, d):
+            power = Counter(chosen)
+            exps = tuple(power[v] for v in range(len(leads[0])))
+            counts[-1] += not any(_odivides(lead, exps) for lead in leads)
+    return counts
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(quadratic_leads())
+def test_support_masks_count_the_standard_monomials(problem):
+    nvars, leads = problem
+    bound = sorted({v for lead in leads for v, x in enumerate(lead) if x})
+    brute = _brute_counts(leads, bound, 8)  # squarefree ones end by degree 6
+    assert list(islice(_standard_counts(leads, bound), 8)) == brute
+    varset = VarSet(tuple(f"x{i}" for i in range(nvars)))
+    divisors = _Divisors([Polynomial(varset, QQ, {e: 1}) for e in leads], MonomialOrder.LEX, nvars)
+    free = nvars - len(bound)
+    if brute[-1] == 0:  # a finite quotient: its counts are a numerator
+        numerator = brute[: brute.index(0)]
+        assert _leads_have_series(divisors, (numerator, free))
+        assert not _leads_have_series(divisors, (numerator[:-1] + [numerator[-1] + 1], free))
+        assert not _leads_have_series(divisors, (numerator + [1], free))
+        assert not _leads_have_series(divisors, (numerator, free + 1))
+    else:
+        assert not _leads_have_series(divisors, (brute, free))
+
+
+@st.composite
+def cubic_ideals(draw):
+    """X^3, Y^3, Z^3 and one to three cubics in the other cubic monomials:
+    homogeneous, with a finite quotient."""
+    ring = draw(st.sampled_from((QQ, Z5)))
+    if ring.kind == "Q":
+        coefficient = st.integers(-3, 3).filter(bool)
+    else:
+        coefficient = st.integers(1, 4)
+    mixed = [e for e in product(range(3), repeat=3) if sum(e) == 3]
+    term = st.tuples(st.sampled_from(mixed), coefficient)
+    cubic = st.lists(term, min_size=1, max_size=3).map(lambda ts: Polynomial(XYZ, ring, ts))
+    cubes = [P(f"{x}^3", XYZ, ring) for x in XYZ]
+    gens = draw(st.lists(cubic, min_size=1, max_size=3))
+    return Ideal(XYZ, ring, tuple(cubes + gens)), draw(st.sampled_from(list(MonomialOrder)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(cubic_ideals())
+def test_a_true_series_of_cubic_leads_runs_the_pair_loop(problem):
+    # only quadratic leads are counted: with cubic ones the certificate
+    # declines even for the true series, and the pair loop forms the same
+    # S-polynomials as with no series at all
+    ideal, order = problem
+    formed = []
+
+    def recording(f, g, *args):
+        formed.append((f, g))
+        return s_polynomial(f, g, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("nbhd.ideal.s_polynomial", recording)
+        reference = buchberger(ideal, order).basis
+        unseries, formed[:] = formed[:], []
+        leads = [g.leading(order)[0] for g in reference]
+        counts = [
+            sum(not any(_odivides(lead, e) for lead in leads) for e in product(range(3), repeat=3) if sum(e) == d)
+            for d in range(7)  # X^3, Y^3, Z^3 are in the ideal: no standard monomial above degree 6
+        ]
+        numerator = counts[: counts.index(0)] if 0 in counts else counts
+        echelon = _row_echelon(ideal.generators, order, 3, DEFAULT_DEGREE_CAP)
+        assert not _leads_have_series(echelon, (numerator, 0))
+        assert buchberger(ideal, order, hilbert=(numerator, 0)).basis == reference
+    assert formed == unseries
 
 
 # -- differential test against sympy ------------------------------------------
