@@ -246,9 +246,18 @@ class Polynomial:
             return Polynomial.constant(self.varset, self.ring, other)
         return None
 
-    def _combine(self, other: "Polynomial", op) -> "Polynomial":
-        """Termwise self op other, for op the ring's add or sub."""
+    def _combine(self, other: "Polynomial", subtract: bool = False) -> "Polynomial":
+        """Termwise self + other, or self - other when subtract is set.
+
+        x + 0, x - 0 and 0 + x return the nonzero operand itself, and 0 - x
+        is -x: polynomials are immutable, so a result may share an operand.
+        """
+        if not other._terms:
+            return self
+        if not self._terms:
+            return -other if subtract else other
         ring = self.ring
+        op = ring.sub if subtract else ring.add
         zero, is_zero = ring.zero(), ring.is_zero
         terms = dict(self._terms)
         get = terms.get
@@ -264,7 +273,7 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, self.ring.add)
+        return self._combine(o)
 
     __radd__ = __add__
 
@@ -272,13 +281,13 @@ class Polynomial:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._combine(o, self.ring.sub)
+        return self._combine(o, subtract=True)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o._combine(self, self.ring.sub)
+        return o._combine(self, subtract=True)
 
     def __neg__(self) -> "Polynomial":
         ring = self.ring
@@ -332,7 +341,9 @@ class Polynomial:
         variables to substitute).  Powers and terms are formed by `product`;
         an algebra passes its reducing one, and images in normal form.  A
         term with a variable whose image is zero is skipped, so no power of
-        a zero image and no product with one is formed.
+        a zero image and no product with one is formed.  A term also stops
+        at the first power or partial product that comes out zero (say e^2
+        in Q[e]/(e^2)), so no product with a zero operand is formed at all.
         """
         if len(images) != len(self.varset):
             raise ArityMismatch(
@@ -366,11 +377,17 @@ class Polynomial:
             term = None
             for i, e in enumerate(exps):
                 if e:
-                    term = power(i, e).scale(value) if term is None else product(term, power(i, e))
-            if term is None:  # the constant term, reduced like the others
-                one = Polynomial.one(target, ring)
-                term = product(one.scale(value), one)
-            result = result + term
+                    factor = power(i, e)
+                    if not factor:
+                        break  # a power that is zero makes the term zero
+                    term = factor.scale(value) if term is None else product(term, factor)
+                    if not term:
+                        break  # so does a partial product that is zero
+            else:
+                if term is None:  # the constant term, reduced like the others
+                    one = Polynomial.one(target, ring)
+                    term = product(one.scale(value), one)
+                result = result + term
         return result
 
     # -- equality, printing ------------------------------------------------
@@ -403,14 +420,22 @@ class Polynomial:
 
 
 def _power(base, n: int, product=operator.mul):
-    """base ** n for n >= 1, by square-and-multiply with `product`."""
+    """base ** n for n >= 1, by square-and-multiply with `product`.
+
+    A running product or a square that is zero ends the loop: the power is
+    zero then, and no product with a zero operand is formed.
+    """
     result = None
     while n:
         if n & 1:
             result = base if result is None else product(result, base)
+            if not result:
+                return result
         n >>= 1
         if n:
             base = product(base, base)
+            if not base:
+                return base
     return result
 
 

@@ -90,9 +90,13 @@ class SuiteConfig:
             raise InvalidArgument(f"unsupported rings {unknown}; allowed: {ALLOWED_RINGS}")
         if len(set(self.rings)) != len(self.rings):
             raise InvalidArgument("duplicate ring names")
+        # parsed once and shared, so every corpus object over a ring holds
+        # the same RingSpec and the arithmetic's identity tests succeed; not
+        # a field, so == and as_dict ignore it
+        object.__setattr__(self, "_specs", tuple(RingSpec.parse(name) for name in self.rings))
 
     def ring_specs(self) -> list[RingSpec]:
-        return [RingSpec.parse(name) for name in self.rings]
+        return list(self._specs)
 
     def as_dict(self) -> dict:
         return {
@@ -117,8 +121,8 @@ def _rng(config: SuiteConfig, label: str) -> random.Random:
 
 def _ring_at(config: SuiteConfig, i: int) -> tuple[str, RingSpec]:
     """The name and ring of case i when cases cycle through the rings."""
-    name = config.rings[i % len(config.rings)]
-    return name, RingSpec.parse(name)
+    i %= len(config.rings)
+    return config.rings[i], config._specs[i]
 
 
 def _random_value(rng: random.Random, ring: RingSpec):
@@ -240,13 +244,25 @@ class PairCase:
 
 @dataclass
 class Corpus:
+    """The algebras and map pairs the checks sample from.
+
+    `algebras` holds the Weil algebras by (ring name, pattern, n) and
+    `domains` the free domains on X1..Xn by (ring name, n), for every n the
+    checks reach; each is built once, and the cases and the checks' map
+    tuples share them instead of presenting their own copies.
+    """
+
     config: SuiteConfig
     sabotaged: bool
     algebras: dict[tuple[str, str, int], FpAlgebra] = field(default_factory=dict)
+    domains: dict[tuple[str, int], FpAlgebra] = field(default_factory=dict)
     pairs: list[PairCase] = field(default_factory=list)
 
     def weil(self, ring_name: str, pattern: str, n: int) -> FpAlgebra:
         return self.algebras[(ring_name, pattern, n)]
+
+    def domain(self, ring_name: str, n: int) -> FpAlgebra:
+        return self.domains[(ring_name, n)]
 
 
 def _free_domain(ring: RingSpec, n: int) -> FpAlgebra:
@@ -283,11 +299,15 @@ def _augmentation_delta(
 
 
 def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
+    """The seeded corpus of config: per ring and n, the three Weil algebras
+    and the free domain, each built once, then the pinned case and
+    config.case_count drawn pair cases over them."""
     corpus = Corpus(config, sabotage)
     # the row-extension and combination-pair checks deliberately reach n = 3
     # even under smaller configured bounds, so stock algebras up to there
     for name, ring in zip(config.rings, config.ring_specs()):
         for n in range(1, max(config.n_max, 3) + 1):
+            corpus.domains[(name, n)] = _free_domain(ring, n)
             rng = _rng(config, f"weil:{name}:{n}")
             drop = sabotage and name == config.rings[0] and n == 2
             corpus.algebras[(name, "full", n)] = square_zero_full(ring, n, drop_cross=drop)
@@ -296,9 +316,9 @@ def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
 
     # pinned case: (0,...) vs the generators in the full square-zero algebra;
     # exactly the case the sabotage hook breaks
-    first_name, first_ring = _ring_at(config, 0)
+    first_name = config.rings[0]
     pinned_codomain = corpus.weil(first_name, "full", 2)
-    pinned_domain = _free_domain(first_ring, 2)
+    pinned_domain = corpus.domain(first_name, 2)
     zero = pinned_codomain.zero()
     gens = pinned_codomain.generators()
     corpus.pairs.append(
@@ -325,7 +345,7 @@ def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
             kind = "random"
         if kind == "separated":
             codomain = corpus.weil(name, "squares", 2)
-            domain = _free_domain(ring, 2)
+            domain = corpus.domain(name, 2)
             base = [
                 codomain.element(_random_poly(rng, codomain.varset, ring, 1))
                 for _ in range(2)
@@ -339,7 +359,7 @@ def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
         n = rng.randint(1, config.n_max)
         pattern = patterns[idx % len(patterns)]
         codomain = corpus.weil(name, pattern, n)
-        domain = _free_domain(ring, n)
+        domain = corpus.domain(name, n)
         f_images = [
             codomain.element(_random_poly(rng, codomain.varset, ring, 2))
             for _ in range(n)
@@ -834,7 +854,7 @@ def _neighbour_tuple(
     """p+1 mutually neighbouring maps into a corpus Weil algebra."""
     pattern = "full" if rng.random() < 0.5 else "squares"
     codomain = corpus.weil(ring_name, pattern, n)
-    domain = _free_domain(ring, n)
+    domain = corpus.domain(ring_name, n)
     base_images = [
         codomain.element(_random_poly(rng, codomain.varset, ring, 2)) for _ in range(n)
     ]

@@ -39,7 +39,7 @@ import nbhd.ideal
 from nbhd.ideal import Ideal, buchberger, monomial_reduce, s_polynomial
 from nbhd.neighbour import universal_dtilde
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
-from nbhd.verify import WEIL_PATTERNS, random_weil_algebra
+from nbhd.verify import WEIL_PATTERNS, random_weil_algebra, squares_only
 
 
 def dual_numbers(ring=QQ):
@@ -269,6 +269,29 @@ def test_zero_images_are_never_multiplied(monkeypatch):
     f = AlgebraMap(A, D, ["1 + e", "0", "0"])
     assert str(f.apply(A.element("x*y^2 + y*z + z^2 + x^2 + 3"))) == "2*e + 4"
     assert str(f.apply(A.element("y + z"))) == "0"
+    assert zero_operands == []
+
+
+def test_zero_powers_and_partial_products_are_never_multiplied(monkeypatch):
+    # e^2 = 0 ends square-and-multiply for x^5, and a partial product that
+    # comes out zero (x*z here, x*y*z in the squares-only codomain) ends its
+    # term before the next factor is multiplied on
+    zero_operands = []
+    product = FpAlgebra._product
+
+    def counted(self, a, b):
+        if a.is_zero() or b.is_zero():
+            zero_operands.append((a, b))
+        return product(self, a, b)
+
+    monkeypatch.setattr(FpAlgebra, "_product", counted)
+    A = free_algebra(QQ, ("x", "y", "z", "w"))
+    D = FpAlgebra(QQ, ("e",), ["e^2"])
+    f = AlgebraMap(A, D, ["e", "1 + e", "2*e", "1"])
+    assert str(f.apply(A.element("x^5 + x^2*y^3 + x*y^2 + y^4 + x*z*w + 3"))) == "5*e + 4"
+    S = squares_only(QQ, 2)
+    g = AlgebraMap(A, S, ["e1 + e2", "e1", "e2", "1 + e1"])
+    assert str(g.apply(A.element("x^5 + x*y*z*w + y*z + w^3"))) == "e1*e2 + 3*e1 + 1"
     assert zero_operands == []
 
 

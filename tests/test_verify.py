@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -297,6 +298,33 @@ def test_sabotaged_seed_42_report_matches_the_golden_bytes():
     # pins the six fail witnesses of the sabotaged corpus, not only their number
     report = emit_report(run_suite(SuiteConfig(seed=42), sabotage=True))
     assert report == SABOTAGE_GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("seed", [7, 783424])
+def test_report_matches_the_golden_bytes_at_more_seeds(seed):
+    golden = Path(__file__).resolve().parent / "golden" / f"verify-seed{seed}.json"
+    assert emit_report(run_suite(SuiteConfig(seed=seed)), "json") == golden.read_text()
+
+
+def test_rings_are_parsed_once_and_free_domains_built_once():
+    config = SuiteConfig(seed=5, rings=("Q", "Z/3"), case_count=30)
+    specs = config.ring_specs()
+    assert specs is not config.ring_specs() and specs == [QQ, RingSpec.modular(3)]
+    assert all(a is b for a, b in zip(specs, config.ring_specs()))
+    assert config == SuiteConfig(seed=5, rings=("Q", "Z/3"), case_count=30)
+    corpus = build_corpus(config)
+    assert set(corpus.domains) == {(name, n) for name in config.rings for n in (1, 2, 3)}
+    for name, ring in zip(config.rings, specs):
+        for n in (1, 2, 3):
+            assert corpus.domain(name, n).ring is ring
+            assert corpus.domain(name, n).varset.names == tuple(f"X{i + 1}" for i in range(n))
+    for case in corpus.pairs:
+        assert case.domain is corpus.domain(case.ring_name, len(case.domain.varset))
+        assert case.codomain.ring is case.domain.ring
+    for n in (1, 2, 3):
+        rng = random.Random(n)
+        domain, _, maps = nbhd.verify._neighbour_tuple(rng, corpus, "Z/3", specs[1], 2, n)
+        assert domain is corpus.domain("Z/3", n) and all(f.domain is domain for f in maps)
 
 
 def test_rejection_without_witness_fails_instead_of_asserting(monkeypatch):
