@@ -77,6 +77,7 @@ from .neighbour import (
     Witness,
     affine_combination,
     affine_combination_rows,
+    affine_combinations,
     canonical_map,
     decompose_difference,
     extend_matrix,

@@ -16,13 +16,19 @@ formal coefficients, and row extensions of difference matrices.
 The difference products are enumerated in one place,
 algebra._difference_products, which also builds the relations of the
 universal simplices; vectors_neighbour (and so is_neighbour), is_simplex
-and the precondition of the affine combinations all scan it.  The equations
-of the difference variety are enumerated in _dtilde_equations, which
-in_dtilde scans and universal_dtilde takes its relations from.  Weighted row
-sums (affine combinations, row extensions) are formed by _weighted_row_sum.
+and the precondition of the affine combinations all scan it.
+affine_combinations forms several combinations of the same maps after one
+scan; affine_combination is its one-vector case.  The equations of the
+difference variety are enumerated in _dtilde_equations, which in_dtilde
+scans and universal_dtilde takes its relations from.  Weighted row sums
+(affine combinations, row extensions) are formed by _weighted_row_sum.
 All three skip the products with a zero factor, which are zero: they are
 never formed, and a zero value is never a defect, so every verdict and
-witness is the one the full scan would give.
+witness is the one the full scan would give.  For the same reason
+in_dtilde skips the equations among the rows that extend_matrix's own
+in_dtilde precondition proved: a matrix it returns records how many
+leading rows those are, and only equations that touch a later row are
+formed again.
 The product form, the square test and in_dtilde stay off
 _difference_products: they are second implementations, kept so that the
 verification suite can compare answers.
@@ -197,10 +203,12 @@ class SimplexMatrix:
 
     Rows play the role of coordinate vectors of maps into the algebra; the
     same container serves both (p+1)-row simplices and p-row zero-anchored
-    difference matrices.
+    difference matrices.  The private _proven is the number of leading rows
+    known to lie in the difference variety: 0 unless extend_matrix built the
+    matrix after its in_dtilde precondition passed.
     """
 
-    __slots__ = ("codomain", "entries")
+    __slots__ = ("codomain", "entries", "_proven")
 
     def __init__(self, codomain: FpAlgebra, rows: Sequence[Sequence]):
         if not rows:
@@ -213,6 +221,7 @@ class SimplexMatrix:
             raise ShapeMismatch("rows have unequal lengths")
         self.codomain = codomain
         self.entries = entries
+        self._proven = 0
 
     @property
     def rows(self) -> int:
@@ -308,7 +317,8 @@ def in_dtilde(matrix: SimplexMatrix) -> CheckResult:
     row: a_ri * a_rj = 0).  Equivalent to: prepending a zero row yields a
     simplex.  When 2 is invertible the row products already follow from the
     cross products; they are checked regardless and a note records the
-    implication.
+    implication.  The equations among the rows that extend_matrix proved are
+    known to be zero and are not formed again.
     """
     notes: tuple[str, ...] = ()
     if matrix.codomain.ring.two_invertible:
@@ -316,28 +326,31 @@ def in_dtilde(matrix: SimplexMatrix) -> CheckResult:
             "row-product equations are implied by the cross-product equations "
             "here (2 is invertible); both families checked anyway",
         )
-    return _first_defect(_dtilde_equations(matrix.entries), notes)
+    return _first_defect(_dtilde_equations(matrix.entries, matrix._proven), notes)
 
 
-def _dtilde_equations(rows: Sequence[Sequence]):
+def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
     """Yield (indices, label, value) for the equations of the difference
     variety, with 1-based indices: the cross products
     a_ri * a_sj + a_si * a_rj for rows r < s and columns i <= j, then the row
     products a_ri * a_rj for columns i <= j, in that nesting order.  The
     entries may be Polynomials or AlgebraElements.  Only the products of
     two nonzero entries are formed, and an equation whose products all have
-    a zero factor is zero, so it is not yielded.
+    a zero factor is zero, so it is not yielded.  Only the equations that
+    touch a row at or after start are yielded: the caller knows the others
+    to be zero.
     """
     cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
     for r, x in enumerate(rows):
-        for s in range(r + 1, len(rows)):
+        for s in range(max(r + 1, start), len(rows)):
             y = rows[s]
             for i in range(len(x)):
                 for j in range(i, len(x)):
                     terms = [u * v for u, v in ((x[i], y[j]), (y[i], x[j])) if u and v]
                     if terms:
                         yield (r + 1, s + 1, i + 1, j + 1), cross, reduce(add, terms)
-    for r, x in enumerate(rows):
+    for r in range(start, len(rows)):
+        x = rows[r]
         for i, u in enumerate(x):
             if u:
                 for j in range(i, len(x)):
@@ -404,12 +417,24 @@ def affine_combination(
     checked explicitly first: NotNeighbours carries a witness pair, and
     CoefficientsNotAffine reports a weight sum different from 1.
     """
+    return affine_combinations(maps, (coefficients,))[0]
+
+
+def affine_combinations(maps: Sequence[AlgebraMap], weight_vectors) -> list[AlgebraMap]:
+    """affine_combination of the same maps for each weight vector, in order.
+
+    The maps are checked to be mutual neighbours once, not once per vector.
+    The errors and their precedence are affine_combination's: parallelism,
+    then each vector's coercion and arity, then the neighbour scan, then each
+    vector's weight sum.
+    """
     if not maps:
         raise ShapeMismatch("need at least one map")
     for f in maps[1:]:
         _require_parallel(maps[0], f)
-    images = _affine_row_sum(maps[0].codomain, [f.images for f in maps], coefficients, "maps")
-    return AlgebraMap(maps[0].domain, maps[0].codomain, images)
+    domain, codomain = maps[0].domain, maps[0].codomain
+    sums = _affine_row_sums(codomain, [f.images for f in maps], weight_vectors, "maps")
+    return [AlgebraMap(domain, codomain, images) for images in sums]
 
 
 def affine_combination_rows(matrix: SimplexMatrix, coefficients) -> tuple[AlgebraElement, ...]:
@@ -418,30 +443,35 @@ def affine_combination_rows(matrix: SimplexMatrix, coefficients) -> tuple[Algebr
     Rows must be pairwise neighbouring vectors and the weights must sum
     to 1; returns the combined row.
     """
-    return _affine_row_sum(matrix.codomain, matrix.entries, coefficients, "rows")
+    return _affine_row_sums(matrix.codomain, matrix.entries, (coefficients,), "rows")[0]
 
 
-def _affine_row_sum(
-    codomain: FpAlgebra, rows: Sequence[Sequence[AlgebraElement]], coefficients, noun: str
-) -> tuple[AlgebraElement, ...]:
-    """The checks and the row sum of both affine combinations; noun names
-    the rows in messages.  Rows, not a SimplexMatrix: maps out of an algebra
-    with no generators have empty image rows, which a matrix does not allow.
+def _affine_row_sums(
+    codomain: FpAlgebra, rows: Sequence[Sequence[AlgebraElement]], weight_vectors, noun: str
+) -> list[tuple[AlgebraElement, ...]]:
+    """The checks and the row sums of the affine combinations, one per weight
+    vector; noun names the rows in messages.  Rows, not a SimplexMatrix:
+    maps out of an algebra with no generators have empty image rows, which
+    a matrix does not allow.
     """
-    if not isinstance(coefficients, CoefficientVector):
-        coefficients = CoefficientVector(codomain, coefficients)
-    elif coefficients.codomain != codomain:
-        raise DomainMismatch("coefficients live in a different algebra")
-    if len(coefficients) != len(rows):
-        raise ArityMismatch(f"{len(coefficients)} weights for {len(rows)} {noun}")
+    vectors = []
+    for coefficients in weight_vectors:
+        if not isinstance(coefficients, CoefficientVector):
+            coefficients = CoefficientVector(codomain, coefficients)
+        elif coefficients.codomain != codomain:
+            raise DomainMismatch("coefficients live in a different algebra")
+        if len(coefficients) != len(rows):
+            raise ArityMismatch(f"{len(coefficients)} weights for {len(rows)} {noun}")
+        vectors.append(coefficients)
     defect = _first_defect((at, "", d) for at, d in _difference_products(rows))
     if not defect:  # the failing pair's own scan numbers its witness in the pair
         r, s = defect.witness.indices[:2]
         pair = vectors_neighbour(rows[r], rows[s]).witness
         raise NotNeighbours(f"{noun} {r + 1} and {s + 1} are not neighbours: {pair}")
-    if not coefficients.is_affine():
-        raise CoefficientsNotAffine(f"weights sum to {coefficients.total()}, not 1")
-    return _weighted_row_sum(codomain, coefficients, rows)
+    for coefficients in vectors:
+        if not coefficients.is_affine():
+            raise CoefficientsNotAffine(f"weights sum to {coefficients.total()}, not 1")
+    return [_weighted_row_sum(codomain, coefficients, rows) for coefficients in vectors]
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +635,9 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
     if len(weights) != matrix.rows:
         raise ArityMismatch(f"{len(weights)} weights for {matrix.rows} rows")
     new_row = _weighted_row_sum(codomain, weights, matrix.entries)
-    return SimplexMatrix(codomain, matrix.entries + (new_row,))
+    extended = SimplexMatrix(codomain, matrix.entries + (new_row,))
+    extended._proven = matrix.rows  # in_dtilde(matrix) passed above
+    return extended
 
 
 def universal_dtilde(

@@ -42,6 +42,7 @@ from .neighbour import (
     SimplexMatrix,
     adjoin_weights,
     affine_combination,
+    affine_combinations,
     canonical_map,
     decompose_difference,
     extend_matrix,
@@ -843,6 +844,26 @@ def _pointwise_combination(
     return total
 
 
+def _displaced_images(
+    rng: random.Random, corpus: Corpus, ring_name: str, ring: RingSpec, p: int, n: int
+) -> tuple[FpAlgebra, list, list[list]]:
+    """A corpus Weil algebra, n base images in it and p displacement rows.
+
+    The base images and their sums with each displacement row are mutual
+    neighbours, and the displacement rows lie in the difference variety.
+    Returns (codomain, base images, displacement rows).
+    """
+    pattern = "full" if rng.random() < 0.5 else "squares"
+    codomain = corpus.weil(ring_name, pattern, n)
+    base_images = [
+        codomain.element(_random_poly(rng, codomain.varset, ring, 2)) for _ in range(n)
+    ]
+    displacements = [
+        _augmentation_delta(rng, codomain, general=(pattern == "full")) for _ in range(p)
+    ]
+    return codomain, base_images, displacements
+
+
 def _neighbour_tuple(
     rng: random.Random,
     corpus: Corpus,
@@ -852,22 +873,11 @@ def _neighbour_tuple(
     n: int,
 ) -> tuple[FpAlgebra, FpAlgebra, list[AlgebraMap]]:
     """p+1 mutually neighbouring maps into a corpus Weil algebra."""
-    pattern = "full" if rng.random() < 0.5 else "squares"
-    codomain = corpus.weil(ring_name, pattern, n)
+    codomain, base_images, displacements = _displaced_images(rng, corpus, ring_name, ring, p, n)
     domain = corpus.domain(ring_name, n)
-    base_images = [
-        codomain.element(_random_poly(rng, codomain.varset, ring, 2)) for _ in range(n)
-    ]
     maps = [AlgebraMap(domain, codomain, base_images)]
-    for _ in range(p):
-        deltas = _augmentation_delta(rng, codomain, general=(pattern == "full"))
-        maps.append(
-            AlgebraMap(
-                domain,
-                codomain,
-                [b + d for b, d in zip(base_images, deltas)],
-            )
-        )
+    for deltas in displacements:
+        maps.append(AlgebraMap(domain, codomain, [b + d for b, d in zip(base_images, deltas)]))
     return domain, codomain, maps
 
 
@@ -890,11 +900,14 @@ def check_affine_multiplicative(config: SuiteConfig, corpus: Corpus) -> CheckOut
                 simplex = universal_simplex(base, p)
                 _, _, weights, lifted = generic_coefficients(simplex)
                 combined = affine_combination(lifted, weights)
+                values = {}  # the pointwise combination at each monomial, formed once
                 for u, v in _monomial_pairs(base, config.degree_bound):
-                    left = _pointwise_combination(lifted, weights, base.element(u))
-                    right = _pointwise_combination(lifted, weights, base.element(v))
-                    both = _pointwise_combination(lifted, weights, base.element(u * v))
-                    if left * right != both:
+                    uv = u * v
+                    for m in (u, v, uv):
+                        if m not in values:
+                            values[m] = _pointwise_combination(lifted, weights, base.element(m))
+                    left = values[u]
+                    if left * values[v] != values[uv]:
                         return CheckOutcome(
                             "fail",
                             f"universal p={p}, n={n}: pointwise combination is not "
@@ -919,15 +932,13 @@ def check_affine_multiplicative(config: SuiteConfig, corpus: Corpus) -> CheckOut
         for _ in range(2):
             a = domain.element(_random_poly(rng, domain.varset, ring, 2))
             b = domain.element(_random_poly(rng, domain.varset, ring, 2))
+            left = _pointwise_combination(maps, weights, a)
             lhs = _pointwise_combination(maps, weights, a * b)
-            rhs = _pointwise_combination(maps, weights, a) * _pointwise_combination(
-                maps, weights, b
-            )
-            if lhs != rhs:
+            if lhs != left * _pointwise_combination(maps, weights, b):
                 return CheckOutcome(
                     "fail", f"corpus instance {i}: pointwise combination not multiplicative"
                 )
-            if combined.apply(a) != _pointwise_combination(maps, weights, a):
+            if combined.apply(a) != left:
                 return CheckOutcome(
                     "fail", f"corpus instance {i}: map disagrees with pointwise values"
                 )
@@ -995,15 +1006,12 @@ def check_bracket_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     return CheckOutcome("pass", None, {"instances": instances})
 
 
-def _two_generic_combinations(simplex) -> tuple[AlgebraMap, AlgebraMap]:
+def _two_generic_combinations(simplex) -> list[AlgebraMap]:
     """F = sum t_r f_r and G = sum s_r f_r with independent formal weights."""
     extended, _, t_weights, lifted = adjoin_weights(simplex.algebra, simplex.maps, "t")
     wider, inclusion, s_weights, lifted2 = adjoin_weights(extended, lifted, "s")
     t_weights2 = CoefficientVector(wider, [inclusion.apply(w) for w in t_weights])
-    return (
-        affine_combination(lifted2, t_weights2),
-        affine_combination(lifted2, s_weights),
-    )
+    return affine_combinations(lifted2, (t_weights2, s_weights))
 
 
 def check_combinations_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
@@ -1031,8 +1039,7 @@ def check_combinations_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckO
                 _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
                 w1 = _random_affine_weights(rng, codomain, p + 1)
                 w2 = _random_affine_weights(rng, codomain, p + 1)
-                first = affine_combination(maps, w1)
-                second = affine_combination(maps, w2)
+                first, second = affine_combinations(maps, (w1, w2))
                 if not is_neighbour(first, second):
                     return CheckOutcome(
                         "fail", f"corpus combination pair fails at p={p}, n={n}, case {i}"
@@ -1057,13 +1064,12 @@ def check_combination_of_combinations(config: SuiteConfig, corpus: Corpus) -> Ch
         v = wider.generator(len(extended.varset))
         w = wider.generator(len(extended.varset) + 1)
         one = wider.one()
-        g0 = affine_combination(maps, CoefficientVector(wider, [one - u, u]))
-        g1 = affine_combination(maps, CoefficientVector(wider, [one - v, v]))
-        outer = affine_combination([g0, g1], CoefficientVector(wider, [one - w, w]))
         inner_weight = (one - w) * u + w * v
-        direct = affine_combination(
-            maps, CoefficientVector(wider, [one - inner_weight, inner_weight])
+        g0, g1, direct = affine_combinations(
+            maps,
+            [CoefficientVector(wider, [one - x, x]) for x in (u, v, inner_weight)],
         )
+        outer = affine_combination([g0, g1], CoefficientVector(wider, [one - w, w]))
         if outer != direct:
             return CheckOutcome("fail", "universal composed weights disagree")
         instances += 1
@@ -1074,16 +1080,15 @@ def check_combination_of_combinations(config: SuiteConfig, corpus: Corpus) -> Ch
         n = rng.randint(1, config.n_max)
         _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
         rows = [_random_affine_weights(rng, codomain, p + 1) for _ in range(2)]
-        combos = [affine_combination(maps, row) for row in rows]
         outer_weights = _random_affine_weights(rng, codomain, 2)
-        lhs = affine_combination(combos, outer_weights)
         merged = []
         for r in range(p + 1):
             acc = codomain.zero()
             for l in range(2):
                 acc = acc + outer_weights[l] * rows[l][r]
             merged.append(acc)
-        rhs = affine_combination(maps, CoefficientVector(codomain, merged))
+        *combos, rhs = affine_combinations(maps, [*rows, CoefficientVector(codomain, merged)])
+        lhs = affine_combination(combos, outer_weights)
         if lhs != rhs:
             return CheckOutcome("fail", f"instance {i}: composed weights disagree")
         instances += 1
@@ -1119,14 +1124,10 @@ def check_generic_classifier(config: SuiteConfig, corpus: Corpus) -> CheckOutcom
 def _random_dtilde_matrix(
     rng: random.Random, corpus: Corpus, name: str, ring: RingSpec, p: int, n: int
 ) -> SimplexMatrix:
-    """A member of the difference variety: anchored differences of a simplex."""
-    _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
-    rows = []
-    for r in range(1, p + 1):
-        rows.append(
-            [maps[r].images[j] - maps[0].images[j] for j in range(n)]
-        )
-    return SimplexMatrix(codomain, rows)
+    """A member of the difference variety: the anchored differences of the
+    simplex _neighbour_tuple would draw, which are its displacement rows."""
+    codomain, _, displacements = _displaced_images(rng, corpus, name, ring, p, n)
+    return SimplexMatrix(codomain, displacements)
 
 
 def _dtilde_candidate(

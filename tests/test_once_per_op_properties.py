@@ -1,0 +1,286 @@
+"""Each precondition is proven once per operation.
+
+affine_combinations(maps, weight_vectors) scans the mutual-neighbour pairs
+of the maps once and forms one combination per weight vector; it must give
+what affine_combination gives vector by vector, and raise the same error.
+extend_matrix records how many leading rows its in_dtilde precondition
+proved, and in_dtilde of the extended matrix forms no equation among those
+rows; verdict, witness and notes must be those of a fresh matrix with the
+same entries.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+import nbhd.neighbour  # noqa: E402
+from nbhd.algebra import AlgebraMap, FpAlgebra, free_algebra  # noqa: E402
+from nbhd.arith import QQ, RingSpec  # noqa: E402
+from nbhd.errors import (  # noqa: E402
+    ArityMismatch,
+    CoefficientsNotAffine,
+    DomainMismatch,
+    NbhdError,
+    NotNeighbours,
+)
+from nbhd.neighbour import (  # noqa: E402
+    CoefficientVector,
+    SimplexMatrix,
+    affine_combination,
+    affine_combinations,
+    extend_matrix,
+    in_dtilde,
+    maps_of_matrix,
+)
+from nbhd.poly import Polynomial  # noqa: E402
+from nbhd.verify import (  # noqa: E402
+    WEIL_PATTERNS,
+    random_weil_algebra,
+    square_zero_full,
+    squares_only,
+)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z", "Z/2", "Z/3", "Z/4"))
+
+
+def outcome(call):
+    """The value of call(), or the type and message of the NbhdError it raises."""
+    try:
+        return call()
+    except NbhdError as error:
+        return type(error), str(error)
+
+
+@st.composite
+def codomains(draw):
+    ring = draw(st.sampled_from(RINGS))
+    pattern = draw(st.sampled_from(WEIL_PATTERNS))
+    return random_weil_algebra(draw(st.integers(0, 999)), ring, draw(st.integers(1, 3)), pattern)
+
+
+def elements(codomain, constant_free=False):
+    """Sums of at most three terms of degree at most one in each variable."""
+    ring, varset = codomain.ring, codomain.varset
+    exponents = st.tuples(*[st.integers(0, 1)] * len(varset))
+    if constant_free:
+        exponents = exponents.filter(any)
+    term = st.tuples(exponents, st.integers(-3, 3))
+    return st.lists(term, max_size=3).map(lambda ts: codomain.element(Polynomial(varset, ring, ts)))
+
+
+@st.composite
+def neighbour_tuples(draw):
+    """p + 1 maps from a free domain: base images moved by multiples of e1,
+    whose square vanishes in every pattern, so the maps are mutual
+    neighbours; or by arbitrary constant-free elements, which need not be."""
+    codomain = draw(codomains())
+    domain = free_algebra(codomain.ring, ("X1", "X2", "X3")[: draw(st.integers(1, 3))])
+    size = len(domain.varset)
+    base = [draw(elements(codomain)) for _ in range(size)]
+    e1 = codomain.generator(0)
+    maps = [AlgebraMap(domain, codomain, base)]
+    for _ in range(draw(st.integers(1, 2))):
+        if draw(st.booleans()):
+            moves = [draw(st.integers(-3, 3)) * e1 for _ in range(size)]
+        else:
+            moves = [draw(elements(codomain, constant_free=True)) for _ in range(size)]
+        maps.append(AlgebraMap(domain, codomain, [b + d for b, d in zip(base, moves)]))
+    return maps
+
+
+@st.composite
+def weight_vectors(draw, codomain, count):
+    """Weights for count maps, affine but now and then not."""
+    if draw(st.integers(0, 5)):
+        tail = [draw(elements(codomain)) for _ in range(count - 1)]
+        return CoefficientVector.affine(codomain, tail)
+    return CoefficientVector(codomain, [draw(elements(codomain)) for _ in range(count)])
+
+
+@PROPERTY
+@given(st.data())
+def test_several_combinations_are_the_combinations_one_by_one(data):
+    maps = data.draw(neighbour_tuples())
+    codomain = maps[0].codomain
+    vectors = [
+        data.draw(weight_vectors(codomain, len(maps))) for _ in range(data.draw(st.integers(1, 3)))
+    ]
+    singles = [outcome(lambda w=w: affine_combination(maps, w)) for w in vectors]
+    # with equal arities the scan is shared, so the first failing vector
+    # decides: NotNeighbours for every vector, or its own weight sum
+    failures = [s for s in singles if isinstance(s, tuple)]
+    expected = failures[0] if failures else singles
+    assert outcome(lambda: affine_combinations(maps, vectors)) == expected
+
+
+def unit_tuples():
+    """Neighbours in the full square-zero algebra, and a non-neighbour pair
+    in the squares-only one (their difference product e1*e2 survives)."""
+    full, thin = square_zero_full(QQ, 2), squares_only(QQ, 2)
+    good = maps_of_matrix(SimplexMatrix(full, [["e1", "0"], ["0", "e2"]]))
+    bad = maps_of_matrix(SimplexMatrix(thin, [["0", "0"], ["e1", "e2"]]))
+    return good, bad
+
+
+def foreign_weights():
+    # an algebra equal to no corpus algebra: the weights are refused
+    other = FpAlgebra(QQ, ("u",), ["u^3"])
+    return CoefficientVector(other, [Fraction(1, 2), Fraction(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "case, error",
+    [
+        ("non-neighbours", NotNeighbours),
+        ("wrong arity", ArityMismatch),
+        ("not affine", CoefficientsNotAffine),
+        ("foreign algebra", DomainMismatch),
+    ],
+)
+def test_each_error_is_the_one_vector_error(case, error):
+    good, bad = unit_tuples()
+    affine = [Fraction(1, 2), Fraction(1, 2)]
+    maps, weights = {
+        "non-neighbours": (bad, affine),
+        "wrong arity": (good, [1]),
+        "not affine": (good, [1, 1]),
+        "foreign algebra": (good, foreign_weights()),
+    }[case]
+    single = outcome(lambda: affine_combination(maps, weights))
+    assert single[0] is error
+    assert outcome(lambda: affine_combinations(maps, [weights])) == single
+    # behind a good vector, and ahead of one, the same error is raised
+    ok = CoefficientVector(maps[0].codomain, affine)
+    assert outcome(lambda: affine_combinations(maps, [ok, weights])) == single
+    assert outcome(lambda: affine_combinations(maps, [weights, ok])) == single
+
+
+def test_coercion_and_arity_come_before_the_neighbour_scan():
+    # affine_combination's precedence: a wrong arity in any vector is
+    # reported before the maps are found not to be neighbours
+    _, bad = unit_tuples()
+    expected = outcome(lambda: affine_combination(bad, [1]))
+    assert expected[0] is ArityMismatch
+    assert outcome(lambda: affine_combinations(bad, [[1, 0], [1]])) == expected
+    assert outcome(lambda: affine_combination(bad, [1, 0]))[0] is NotNeighbours
+    assert outcome(lambda: affine_combinations(bad, [[1, 0], [1, 1]]))[0] is NotNeighbours
+
+
+def counted_scans(monkeypatch):
+    calls = []
+    scan = nbhd.neighbour._difference_products
+
+    def counted(rows):
+        calls.append(len(rows))
+        return scan(rows)
+
+    monkeypatch.setattr(nbhd.neighbour, "_difference_products", counted)
+    return calls
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_k_weight_vectors_cost_one_difference_product_pass(monkeypatch, k):
+    good, _ = unit_tuples()
+    vectors = [[Fraction(r, k + 1), 1 - Fraction(r, k + 1)] for r in range(k)]
+    expected = [affine_combination(good, w) for w in vectors]
+    calls = counted_scans(monkeypatch)
+    assert affine_combinations(good, vectors) == expected
+    assert calls == [2]
+
+
+# -- rows proven by extend_matrix ---------------------------------------------
+
+
+def counted_products(monkeypatch, proven_entries):
+    """A list that collects every element product both of whose operands are
+    (by identity) normal forms of proven_entries."""
+    reps = {id(x.rep) for x in proven_entries}
+    seen = []
+    product = FpAlgebra._product
+
+    def watched(self, a, b):
+        if id(a) in reps and id(b) in reps:
+            seen.append((a, b))
+        return product(self, a, b)
+
+    monkeypatch.setattr(FpAlgebra, "_product", watched)
+    return seen
+
+
+@st.composite
+def members(draw):
+    """A member of the difference variety: constant-free entries in the full
+    square-zero algebra, or multiples of e1, whose square vanishes, in a
+    random Weil algebra."""
+    ring = draw(st.sampled_from(RINGS))
+    p, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        codomain = square_zero_full(ring, n)
+        rows = [[draw(elements(codomain, constant_free=True)) for _ in range(n)] for _ in range(p)]
+    else:
+        pattern = draw(st.sampled_from(WEIL_PATTERNS))
+        codomain = random_weil_algebra(draw(st.integers(0, 999)), ring, n, pattern)
+        e1 = codomain.generator(0)
+        rows = [[draw(st.integers(-3, 3)) * e1 for _ in range(n)] for _ in range(p)]
+    return SimplexMatrix(codomain, rows)
+
+
+@PROPERTY
+@given(st.data())
+def test_in_dtilde_of_an_extension_is_that_of_a_fresh_matrix(data):
+    matrix = data.draw(members())
+    codomain = matrix.codomain
+    current = matrix
+    for _ in range(data.draw(st.integers(1, 3))):
+        weights = [data.draw(elements(codomain)) for _ in range(current.rows)]
+        current = extend_matrix(current, weights)
+        fresh = SimplexMatrix(codomain, current.entries)
+        assert current == fresh
+        assert in_dtilde(current) == in_dtilde(fresh)
+
+
+@PROPERTY
+@given(st.data())
+def test_equations_from_a_start_row_are_those_that_touch_it(data):
+    # any matrix, member or not: what in_dtilde skips is exactly the
+    # equations among the rows before start
+    codomain = data.draw(codomains())
+    p, n = data.draw(st.integers(1, 3)), len(codomain.varset)
+    rows = [[data.draw(elements(codomain)) for _ in range(n)] for _ in range(p)]
+    start = data.draw(st.integers(0, p))
+    every = list(nbhd.neighbour._dtilde_equations(rows))
+    # cross products are indexed (r, s, i, j), row products (r, i, j)
+    touching = [eq for eq in every if (eq[0][1] if len(eq[0]) == 4 else eq[0][0]) > start]
+    assert list(nbhd.neighbour._dtilde_equations(rows, start)) == touching
+
+
+def test_in_dtilde_forms_no_product_among_the_proven_rows(monkeypatch):
+    full = square_zero_full(QQ, 3)
+    matrix = SimplexMatrix(full, [["e1", "e2", "e1 + e3"], ["e2 - e3", "e3", "2*e1"]])
+    extended = extend_matrix(matrix, [3, "2 + e2"])
+    twice = extend_matrix(extended, [2, -3, 5])
+    proven = [x for row in matrix.entries for x in row]
+    seen = counted_products(monkeypatch, proven)
+    fresh = in_dtilde(SimplexMatrix(full, extended.entries))
+    assert seen, "the fresh matrix forms the products among the first rows"
+    seen.clear()
+    assert in_dtilde(extended) == fresh and not seen
+    # after a second extension, all three rows of the first are proven
+    seen = counted_products(monkeypatch, [x for row in extended.entries for x in row])
+    fresh = in_dtilde(SimplexMatrix(full, twice.entries))
+    assert seen
+    seen.clear()
+    assert in_dtilde(twice) == fresh and not seen
+
+
+def test_only_extend_matrix_marks_rows_proven():
+    full = square_zero_full(QQ, 2)
+    matrix = SimplexMatrix(full, [["e1", "0"], ["0", "e2"]])
+    extended = extend_matrix(matrix, [1, 1])
+    assert extended._proven == 2 and matrix._proven == 0
+    for derived in (extended.transpose(), extended.prepend_zero_row()):
+        assert derived._proven == 0

@@ -300,10 +300,40 @@ def test_sabotaged_seed_42_report_matches_the_golden_bytes():
     assert report == SABOTAGE_GOLDEN.read_text()
 
 
+def test_sabotaged_seed_7_report_matches_the_golden_bytes():
+    # the sabotaged corpus trips the preconditions each op proves once: the
+    # neighbour scan shared by several combinations, and extend_matrix's
+    # in_dtilde
+    report = run_suite(SuiteConfig(seed=7), sabotage=True)
+    golden = Path(__file__).resolve().parent / "golden" / "verify-seed7-sabotage.json"
+    assert emit_report(report) == golden.read_text()
+    combination = report.record("affine-combinations-pairwise-neighbours")
+    assert combination.verdict == "fail"
+    assert combination.witness.startswith("NotNeighbours: maps ")
+    extension = report.record("dtilde-row-extension")
+    assert extension.verdict == "fail" and extension.witness.startswith("NotInDtilde: ")
+
+
 @pytest.mark.parametrize("seed", [7, 783424])
 def test_report_matches_the_golden_bytes_at_more_seeds(seed):
     golden = Path(__file__).resolve().parent / "golden" / f"verify-seed{seed}.json"
     assert emit_report(run_suite(SuiteConfig(seed=seed)), "json") == golden.read_text()
+
+
+def test_dtilde_matrices_are_the_anchored_differences_of_neighbour_tuples():
+    # both draw from one helper in the same order; the matrix takes the
+    # displacement rows as they are, which are the differences of the maps
+    config = SuiteConfig(seed=11, rings=("Q", "Z/2", "Z/3"), case_count=1)
+    corpus = build_corpus(config)
+    for i in range(12):
+        name, ring = nbhd.verify._ring_at(config, i)
+        p, n = 1 + i % 3, 1 + i // 3 % 3
+        by_maps, by_rows = random.Random(i), random.Random(i)
+        _, codomain, maps = nbhd.verify._neighbour_tuple(by_maps, corpus, name, ring, p, n)
+        matrix = nbhd.verify._random_dtilde_matrix(by_rows, corpus, name, ring, p, n)
+        differences = [[x - y for x, y in zip(f.images, maps[0].images)] for f in maps[1:]]
+        assert matrix == SimplexMatrix(codomain, differences)
+        assert by_maps.getstate() == by_rows.getstate()
 
 
 def test_rings_are_parsed_once_and_free_domains_built_once():
