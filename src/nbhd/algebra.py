@@ -284,10 +284,11 @@ class FpAlgebra:
             if value.parent is not self and value.parent != self:
                 raise ParentMismatch(f"element of {value.parent!r} used in {self!r}")
             return value
+        if isinstance(value, (int, Fraction)):
+            # a number's normal form is the number times the unit's
+            return AlgebraElement(self, self.one().rep.scale(value))
         if isinstance(value, str):
             value = parse_poly(value, self.varset, self.ring)
-        elif isinstance(value, (int, Fraction)):
-            value = Polynomial.constant(self.varset, self.ring, value)
         if not isinstance(value, Polynomial):
             raise TypeError(f"cannot interpret {value!r} as an element")
         return AlgebraElement(self, self.normal_form(value))
@@ -300,7 +301,7 @@ class FpAlgebra:
         # polynomial, not an element, which would refer back to the algebra
         # and keep it alive until the next garbage collection
         if self._one is None:
-            self._one = self.element(1).rep
+            self._one = self.normal_form(Polynomial.one(self.varset, self.ring))
         return AlgebraElement(self, self._one)
 
     def generator(self, which: int | str) -> "AlgebraElement":

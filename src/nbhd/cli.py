@@ -27,7 +27,7 @@ from .errors import (
     NotInKernel,
     NotNeighbours,
 )
-from .algebra import FpAlgebra, free_algebra, universal_simplex
+from .algebra import FpAlgebra, universal_simplex
 from .formats import (
     dump_algebra,
     dump_matrix,
@@ -144,8 +144,7 @@ def _cmd_neighbour(args):
     verdict = vectors_neighbour(a, b)
     payload = {"neighbours": verdict.ok, "witness": _witness_json(verdict.witness)}
     if args.all_criteria:
-        domain = free_algebra(algebra.ring, [f"X{i + 1}" for i in range(len(a))])
-        maps = maps_of_matrix(SimplexMatrix(algebra, [a, b]), domain)
+        maps = maps_of_matrix(SimplexMatrix(algebra, [a, b]))
         product_form = is_neighbour_product_form(maps[0], maps[1])
         squares = is_square_zero_pair(maps[0], maps[1])
         payload["product_form"] = product_form.ok

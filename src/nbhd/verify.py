@@ -120,10 +120,9 @@ def _rng(config: SuiteConfig, label: str) -> random.Random:
     return random.Random(f"{config.seed}:{label}")
 
 
-def _ring_at(config: SuiteConfig, i: int) -> tuple[str, RingSpec]:
-    """The name and ring of case i when cases cycle through the rings."""
-    i %= len(config.rings)
-    return config.rings[i], config._specs[i]
+def _ring_at(config: SuiteConfig, i: int) -> RingSpec:
+    """The ring of case i when cases cycle through the rings."""
+    return config._specs[i % len(config._specs)]
 
 
 # (i - 4)/(j + 1) for i < 9 and j < 3 in the canonical raw form over Q: an
@@ -282,7 +281,6 @@ class PairCase:
     algebra, with the designed verdict when one exists."""
 
     index: int
-    ring_name: str
     domain: FpAlgebra
     codomain: FpAlgebra
     f: AlgebraMap
@@ -290,28 +288,33 @@ class PairCase:
     expected: bool | None
     tag: str
 
+    @property
+    def ring_name(self) -> str:
+        return str(self.codomain.ring)
+
 
 @dataclass
 class Corpus:
     """The algebras and map pairs the checks sample from.
 
-    `algebras` holds the Weil algebras by (ring name, pattern, n) and
-    `domains` the free domains on X1..Xn by (ring name, n), for every n the
-    checks reach; each is built once, and the cases and the checks' map
-    tuples share them instead of presenting their own copies.
+    `algebras` holds the Weil algebras by (ring, pattern, n) and `domains`
+    the free domains on X1..Xn by (ring, n), where ring is the
+    configuration's shared RingSpec, for every n the checks reach; each is
+    built once, and the cases and the checks' map tuples share them instead
+    of presenting their own copies.
     """
 
     config: SuiteConfig
     sabotaged: bool
-    algebras: dict[tuple[str, str, int], FpAlgebra] = field(default_factory=dict)
-    domains: dict[tuple[str, int], FpAlgebra] = field(default_factory=dict)
+    algebras: dict[tuple[RingSpec, str, int], FpAlgebra] = field(default_factory=dict)
+    domains: dict[tuple[RingSpec, int], FpAlgebra] = field(default_factory=dict)
     pairs: list[PairCase] = field(default_factory=list)
 
-    def weil(self, ring_name: str, pattern: str, n: int) -> FpAlgebra:
-        return self.algebras[(ring_name, pattern, n)]
+    def weil(self, ring: RingSpec, pattern: str, n: int) -> FpAlgebra:
+        return self.algebras[(ring, pattern, n)]
 
-    def domain(self, ring_name: str, n: int) -> FpAlgebra:
-        return self.domains[(ring_name, n)]
+    def domain(self, ring: RingSpec, n: int) -> FpAlgebra:
+        return self.domains[(ring, n)]
 
 
 def _free_domain(ring: RingSpec, n: int) -> FpAlgebra:
@@ -349,28 +352,27 @@ def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
     and the free domain, each built once, then the pinned case and
     config.case_count drawn pair cases over them."""
     corpus = Corpus(config, sabotage)
+    first = _ring_at(config, 0)
     # the row-extension and combination-pair checks deliberately reach n = 3
     # even under smaller configured bounds, so stock algebras up to there
-    for name, ring in zip(config.rings, config.ring_specs()):
+    for ring in config.ring_specs():
         for n in range(1, max(config.n_max, 3) + 1):
-            corpus.domains[(name, n)] = _free_domain(ring, n)
-            rng = _rng(config, f"weil:{name}:{n}")
-            drop = sabotage and name == config.rings[0] and n == 2
-            corpus.algebras[(name, "full", n)] = square_zero_full(ring, n, drop_cross=drop)
-            corpus.algebras[(name, "squares", n)] = squares_only(ring, n)
-            corpus.algebras[(name, "mixed", n)] = _mixed_weil_algebra(rng, ring, n)
+            corpus.domains[(ring, n)] = _free_domain(ring, n)
+            rng = _rng(config, f"weil:{ring}:{n}")
+            drop = sabotage and ring is first and n == 2
+            corpus.algebras[(ring, "full", n)] = square_zero_full(ring, n, drop_cross=drop)
+            corpus.algebras[(ring, "squares", n)] = squares_only(ring, n)
+            corpus.algebras[(ring, "mixed", n)] = _mixed_weil_algebra(rng, ring, n)
 
     # pinned case: (0,...) vs the generators in the full square-zero algebra;
     # exactly the case the sabotage hook breaks
-    first_name = config.rings[0]
-    pinned_codomain = corpus.weil(first_name, "full", 2)
-    pinned_domain = corpus.domain(first_name, 2)
+    pinned_codomain = corpus.weil(first, "full", 2)
+    pinned_domain = corpus.domain(first, 2)
     zero = pinned_codomain.zero()
     gens = pinned_codomain.generators()
     corpus.pairs.append(
         PairCase(
             0,
-            first_name,
             pinned_domain,
             pinned_codomain,
             AlgebraMap(pinned_domain, pinned_codomain, [zero, zero]),
@@ -383,26 +385,26 @@ def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
     rng = _rng(config, "pairs")
     patterns = ("full", "squares", "mixed")
     for idx in range(1, config.case_count + 1):
-        name, _ = _ring_at(config, idx - 1)
+        ring = _ring_at(config, idx - 1)
         kind = ("constructed", "random", "constructed", "random", "separated")[
             (idx - 1) // len(config.rings) % 5
         ]
         if kind == "separated" and config.n_max < 2:
             kind = "random"
         if kind == "separated":
-            codomain = corpus.weil(name, "squares", 2)
-            domain = corpus.domain(name, 2)
+            codomain = corpus.weil(ring, "squares", 2)
+            domain = corpus.domain(ring, 2)
             base = [_random_element(rng, codomain, 1) for _ in range(2)]
             f = AlgebraMap(domain, codomain, [base[i] + codomain.generator(i) for i in range(2)])
             g = AlgebraMap(domain, codomain, base)
             corpus.pairs.append(
-                PairCase(idx, name, domain, codomain, f, g, False, "separated")
+                PairCase(idx, domain, codomain, f, g, False, "separated")
             )
             continue
         n = rng.randint(1, config.n_max)
         pattern = patterns[idx % len(patterns)]
-        codomain = corpus.weil(name, pattern, n)
-        domain = corpus.domain(name, n)
+        codomain = corpus.weil(ring, pattern, n)
+        domain = corpus.domain(ring, n)
         f_images = [_random_element(rng, codomain, 2) for _ in range(n)]
         f = AlgebraMap(domain, codomain, f_images)
         if kind == "constructed":
@@ -411,13 +413,13 @@ def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
                 domain, codomain, [fi + di for fi, di in zip(f_images, deltas)]
             )
             corpus.pairs.append(
-                PairCase(idx, name, domain, codomain, f, g, True, "constructed")
+                PairCase(idx, domain, codomain, f, g, True, "constructed")
             )
         else:
             g_images = [_random_element(rng, codomain, 2) for _ in range(n)]
             g = AlgebraMap(domain, codomain, g_images)
             corpus.pairs.append(
-                PairCase(idx, name, domain, codomain, f, g, None, "random")
+                PairCase(idx, domain, codomain, f, g, None, "random")
             )
     return corpus
 
@@ -485,20 +487,13 @@ class CheckSpec:
     fn: Callable[[SuiteConfig, Corpus], CheckOutcome]
 
 
-def _fields(config: SuiteConfig) -> list[tuple[str, RingSpec]]:
-    return [
-        (name, ring)
-        for name, ring in zip(config.rings, config.ring_specs())
-        if ring.is_field
-    ]
+def _fields(config: SuiteConfig) -> list[RingSpec]:
+    return [ring for ring in config.ring_specs() if ring.is_field]
 
 
-def _primary_field(config: SuiteConfig) -> tuple[str, RingSpec] | None:
+def _primary_field(config: SuiteConfig) -> RingSpec | None:
     """The first configured field with 2 invertible (Q preferred by order)."""
-    for name, ring in _fields(config):
-        if ring.two_invertible:
-            return name, ring
-    return None
+    return next((ring for ring in _fields(config) if ring.two_invertible), None)
 
 
 def check_corpus_sanity(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
@@ -638,7 +633,7 @@ def check_postcomposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
                 "fail", f"case {case.index}: rescaling endomorphism broke the relation"
             )
         # collapsing into the full square-zero algebra also works
-        collapse_target = corpus.weil(case.ring_name, "full", n)
+        collapse_target = corpus.weil(ring, "full", n)
         collapse = AlgebraMap(codomain, collapse_target, collapse_target.generators())
         if not is_neighbour(compose(collapse, case.f), compose(collapse, case.g)):
             return CheckOutcome(
@@ -652,10 +647,10 @@ def check_kernel_rewriting(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     rng = _rng(config, "kernel")
     done = 0
     for i in range(config.case_count):
-        name, ring = _ring_at(config, i)
+        ring = _ring_at(config, i)
         n = rng.randint(1, config.n_max)
         presented = rng.random() < 0.25
-        base = corpus.weil(name, "squares", n) if presented else _free_domain(ring, n)
+        base = corpus.weil(ring, "squares", n) if presented else _free_domain(ring, n)
         t_algebra, include0, include1 = tensor(base, base)
         total = t_algebra.zero()
         for _ in range(rng.randint(1, 2)):
@@ -665,7 +660,7 @@ def check_kernel_rewriting(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
         rewrite_kernel_element(base, total)  # raises ReexpansionFailed on a mismatch
         done += 1
     # non-kernel elements must be rejected with their multiplication image
-    ring = config.ring_specs()[0]
+    ring = _ring_at(config, 0)
     base = _free_domain(ring, 1)
     try:  # copy 0 of the generator, whose multiplication image is the generator
         rewrite_kernel_element(base, Polynomial.variable(pair_varset(base.varset), ring, 0))
@@ -677,9 +672,9 @@ def check_kernel_rewriting(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
 
 def check_diagonal_ideal_kernel(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     checked = 0
-    for name, ring in zip(config.rings, config.ring_specs()):
+    for ring in config.ring_specs():
         for n in range(1, config.n_max + 1):
-            for base in (_free_domain(ring, n), corpus.weil(name, "mixed", n)):
+            for base in (_free_domain(ring, n), corpus.weil(ring, "mixed", n)):
                 mult = multiplication_map(base)
                 for gen in diagonal_ideal(base, 1).generators:
                     image = mult.apply(gen)
@@ -698,7 +693,7 @@ def check_difference_decomposition(config: SuiteConfig, corpus: Corpus) -> Check
     done = 0
     max_width = 0
     for i in range(config.case_count):
-        _, ring = _ring_at(config, i)
+        ring = _ring_at(config, i)
         n = rng.randint(1, config.n_max)
         varset = VarSet(tuple(f"X{k + 1}" for k in range(n)))
         p = _random_poly(rng, varset, ring, 4, max_terms=4)
@@ -742,13 +737,13 @@ def check_universal_property(config: SuiteConfig, corpus: Corpus) -> CheckOutcom
 def check_universal_simplex_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     instances = 0
     # p = 1 works over every configured ring, including non-fields
-    for _, ring in zip(config.rings, config.ring_specs()):
+    for ring in config.ring_specs():
         for n in range(1, config.n_max + 1):
             simplex = universal_simplex(_free_domain(ring, n), 1)
             if not is_neighbour(simplex.maps[0], simplex.maps[1]):
                 return CheckOutcome("fail", f"p=1 universal pair fails over {ring}, n={n}")
             instances += 1
-    for _, ring in _fields(config):
+    for ring in _fields(config):
         for p in range(2, config.p_max + 1):
             for n in range(1, config.n_max + 1):
                 simplex = universal_simplex(_free_domain(ring, n), p)
@@ -770,9 +765,8 @@ def check_universal_simplex_neighbours(config: SuiteConfig, corpus: Corpus) -> C
                 f"tensor-representation pair is not a neighbour pair over {ring}",
             )
         instances += 1
-    primary = _primary_field(config)
-    if primary is not None:
-        _, ring = primary
+    ring = _primary_field(config)
+    if ring is not None:
         # the two representations of the free-base neighbourhood are isomorphic:
         # each factors through the other, and the composites restore the maps
         free_base = _free_domain(ring, 2)
@@ -809,7 +803,7 @@ def check_simplex_matrix_criterion(config: SuiteConfig, corpus: Corpus) -> Check
 
 def check_squares_insufficient(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     results = {}
-    for name, ring in zip(config.rings, config.ring_specs()):
+    for ring in config.ring_specs():
         codomain = squares_only(ring, 2)
         domain = _free_domain(ring, 2)
         f = AlgebraMap(domain, codomain, [codomain.zero(), codomain.zero()])
@@ -818,20 +812,20 @@ def check_squares_insufficient(config: SuiteConfig, corpus: Corpus) -> CheckOutc
         squares_vanish = all((d * d).is_zero() for d in deltas)
         verdict = is_neighbour(f, g)
         if not squares_vanish:
-            return CheckOutcome("fail", f"a generator square survived over {name}")
+            return CheckOutcome("fail", f"a generator square survived over {ring}")
         if verdict.ok:
-            return CheckOutcome("fail", f"pair must not be neighbours over {name}")
+            return CheckOutcome("fail", f"pair must not be neighbours over {ring}")
         witness = verdict.witness
         if witness is None:
-            return CheckOutcome("fail", f"rejected without a witness over {name}")
+            return CheckOutcome("fail", f"rejected without a witness over {ring}")
         if witness.value != codomain.generator(0) * codomain.generator(1):
-            return CheckOutcome("fail", f"unexpected witness {witness.value} over {name}")
-        results[name] = str(witness.value)
+            return CheckOutcome("fail", f"unexpected witness {witness.value} over {ring}")
+        results[str(ring)] = str(witness.value)
     return CheckOutcome("pass", None, {"witness": results})
 
 
 def check_not_transitive(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
-    for name, ring in zip(config.rings, config.ring_specs()):
+    for ring in config.ring_specs():
         codomain = squares_only(ring, 2)
         domain = _free_domain(ring, 2)
         zero = codomain.zero()
@@ -840,9 +834,9 @@ def check_not_transitive(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
         g = AlgebraMap(domain, codomain, [e1, zero])
         h = AlgebraMap(domain, codomain, [e1, e2])
         if not (is_neighbour(f, g) and is_neighbour(g, h)):
-            return CheckOutcome("fail", f"chain links must be neighbours over {name}")
+            return CheckOutcome("fail", f"chain links must be neighbours over {ring}")
         if is_neighbour(f, h):
-            return CheckOutcome("fail", f"transitivity unexpectedly holds over {name}")
+            return CheckOutcome("fail", f"transitivity unexpectedly holds over {ring}")
     return CheckOutcome("pass", None, {"rings": list(config.rings)})
 
 
@@ -873,7 +867,7 @@ def _pointwise_combination(
 
 
 def _displaced_images(
-    rng: random.Random, corpus: Corpus, ring_name: str, ring: RingSpec, p: int, n: int
+    rng: random.Random, corpus: Corpus, ring: RingSpec, p: int, n: int
 ) -> tuple[FpAlgebra, list, list[list]]:
     """A corpus Weil algebra, n base images in it and p displacement rows.
 
@@ -882,7 +876,7 @@ def _displaced_images(
     Returns (codomain, base images, displacement rows).
     """
     pattern = "full" if rng.random() < 0.5 else "squares"
-    codomain = corpus.weil(ring_name, pattern, n)
+    codomain = corpus.weil(ring, pattern, n)
     base_images = [_random_element(rng, codomain, 2) for _ in range(n)]
     displacements = [
         _augmentation_delta(rng, codomain, general=(pattern == "full")) for _ in range(p)
@@ -891,16 +885,11 @@ def _displaced_images(
 
 
 def _neighbour_tuple(
-    rng: random.Random,
-    corpus: Corpus,
-    ring_name: str,
-    ring: RingSpec,
-    p: int,
-    n: int,
+    rng: random.Random, corpus: Corpus, ring: RingSpec, p: int, n: int
 ) -> tuple[FpAlgebra, FpAlgebra, list[AlgebraMap]]:
     """p+1 mutually neighbouring maps into a corpus Weil algebra."""
-    codomain, base_images, displacements = _displaced_images(rng, corpus, ring_name, ring, p, n)
-    domain = corpus.domain(ring_name, n)
+    codomain, base_images, displacements = _displaced_images(rng, corpus, ring, p, n)
+    domain = corpus.domain(ring, n)
     maps = [AlgebraMap(domain, codomain, base_images)]
     for deltas in displacements:
         maps.append(AlgebraMap(domain, codomain, [b + d for b, d in zip(base_images, deltas)]))
@@ -917,9 +906,8 @@ def _random_affine_weights(
 
 def check_affine_multiplicative(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     instances = 0
-    primary = _primary_field(config)
-    if primary is not None:
-        _, ring = primary
+    ring = _primary_field(config)
+    if ring is not None:
         for p in range(1, config.p_max + 1):
             for n in range(1, config.n_max + 1):
                 base = _free_domain(ring, n)
@@ -954,10 +942,10 @@ def check_affine_multiplicative(config: SuiteConfig, corpus: Corpus) -> CheckOut
     rng = _rng(config, "affine-multiplicative")
     budget = min(config.case_count, 40)
     for i in range(budget):
-        name, ring = _ring_at(config, i)
+        ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
-        domain, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
+        domain, codomain, maps = _neighbour_tuple(rng, corpus, ring, p, n)
         weights = _random_affine_weights(rng, codomain, p + 1)
         combined = affine_combination(maps, weights)
         for _ in range(2):
@@ -982,13 +970,13 @@ def check_affine_postcomposition(config: SuiteConfig, corpus: Corpus) -> CheckOu
     budget = min(config.case_count, 30)
     done = 0
     for i in range(budget):
-        name, ring = _ring_at(config, i)
+        ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
-        _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
+        _, codomain, maps = _neighbour_tuple(rng, corpus, ring, p, n)
         weights = _random_affine_weights(rng, codomain, p + 1)
         combined = affine_combination(maps, weights)
-        target = corpus.weil(name, "full", n)
+        target = corpus.weil(ring, "full", n)
         post = AlgebraMap(codomain, target, target.generators())
         lhs = compose(post, combined)
         pushed_weights = CoefficientVector(target, [post.apply(w) for w in weights])
@@ -1002,9 +990,8 @@ def check_affine_postcomposition(config: SuiteConfig, corpus: Corpus) -> CheckOu
 
 def check_bracket_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     instances = 0
-    primary = _primary_field(config)
-    if primary is not None:
-        _, ring = primary
+    ring = _primary_field(config)
+    if ring is not None:
         p = min(config.p_max, 2)
         n = min(config.n_max, 2)
         base = _free_domain(ring, n)
@@ -1023,9 +1010,8 @@ def check_bracket_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
                 instances += 1
     rng = _rng(config, "bracket")
     for i in range(min(config.case_count, 30)):
-        name, ring = _ring_at(config, i)
         n = rng.randint(1, config.n_max)
-        domain, _, maps = _neighbour_tuple(rng, corpus, name, ring, 1, n)
+        domain, _, maps = _neighbour_tuple(rng, corpus, _ring_at(config, i), 1, n)
         f, g = maps[0], maps[1]
         a = _random_element(rng, domain, 2)
         b = _random_element(rng, domain, 2)
@@ -1047,9 +1033,8 @@ def _two_generic_combinations(simplex) -> list[AlgebraMap]:
 
 def check_combinations_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     instances = 0
-    primary = _primary_field(config)
-    if primary is not None:
-        _, ring = primary
+    ring = _primary_field(config)
+    if ring is not None:
         for p in range(1, config.p_max + 1):
             for n in range(1, config.n_max + 1):
                 simplex = universal_simplex(_free_domain(ring, n), p)
@@ -1066,8 +1051,7 @@ def check_combinations_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckO
     for p in range(1, p_top + 1):
         for n in range(1, n_top + 1):
             for i in range(config.case_count):
-                name, ring = _ring_at(config, i)
-                _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
+                _, codomain, maps = _neighbour_tuple(rng, corpus, _ring_at(config, i), p, n)
                 w1 = _random_affine_weights(rng, codomain, p + 1)
                 w2 = _random_affine_weights(rng, codomain, p + 1)
                 first, second = affine_combinations(maps, (w1, w2))
@@ -1083,9 +1067,8 @@ def check_combinations_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckO
 
 def check_combination_of_combinations(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     instances = 0
-    primary = _primary_field(config)
-    if primary is not None:
-        _, ring = primary
+    ring = _primary_field(config)
+    if ring is not None:
         n = min(config.n_max, 2)
         simplex = universal_simplex(_free_domain(ring, n), 1)
         extended, _, _, lifted = generic_coefficients(simplex, "u")
@@ -1106,10 +1089,10 @@ def check_combination_of_combinations(config: SuiteConfig, corpus: Corpus) -> Ch
         instances += 1
     rng = _rng(config, "combo-combo")
     for i in range(min(config.case_count, 25)):
-        name, ring = _ring_at(config, i)
+        ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
-        _, codomain, maps = _neighbour_tuple(rng, corpus, name, ring, p, n)
+        _, codomain, maps = _neighbour_tuple(rng, corpus, ring, p, n)
         rows = [_random_affine_weights(rng, codomain, p + 1) for _ in range(2)]
         outer_weights = _random_affine_weights(rng, codomain, 2)
         merged = []
@@ -1129,7 +1112,7 @@ def check_combination_of_combinations(config: SuiteConfig, corpus: Corpus) -> Ch
 def check_generic_classifier(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     instances = 0
     # p = 1 on a free base works over every ring, and has a known shape
-    for _, ring in zip(config.rings, config.ring_specs()):
+    for ring in config.ring_specs():
         base = _free_domain(ring, min(config.n_max, 2))
         generic = canonical_map(base, 1)
         expected_names = [f"d_{v}" for v in base.varset.names]
@@ -1143,7 +1126,7 @@ def check_generic_classifier(config: SuiteConfig, corpus: Corpus) -> CheckOutcom
                     "fail", f"generic image over {ring} is {image}, wanted {shaped}"
                 )
         instances += 1
-    for _, ring in _fields(config):
+    for ring in _fields(config):
         for p in range(1, config.p_max + 1):
             canonical_map(_free_domain(ring, config.n_max), p)  # IllDefinedMap = bug
             instances += 1
@@ -1153,22 +1136,22 @@ def check_generic_classifier(config: SuiteConfig, corpus: Corpus) -> CheckOutcom
 
 
 def _random_dtilde_matrix(
-    rng: random.Random, corpus: Corpus, name: str, ring: RingSpec, p: int, n: int
+    rng: random.Random, corpus: Corpus, ring: RingSpec, p: int, n: int
 ) -> SimplexMatrix:
     """A member of the difference variety: the anchored differences of the
     simplex _neighbour_tuple would draw, which are its displacement rows."""
-    codomain, _, displacements = _displaced_images(rng, corpus, name, ring, p, n)
+    codomain, _, displacements = _displaced_images(rng, corpus, ring, p, n)
     return SimplexMatrix(codomain, displacements)
 
 
 def _dtilde_candidate(
-    rng: random.Random, corpus: Corpus, name: str, ring: RingSpec, p: int, n: int, member: bool
+    rng: random.Random, corpus: Corpus, ring: RingSpec, p: int, n: int, member: bool
 ) -> SimplexMatrix:
     """A constructed member of the difference variety, or a random p x n
     matrix over the mixed Weil algebra."""
     if member:
-        return _random_dtilde_matrix(rng, corpus, name, ring, p, n)
-    codomain = corpus.weil(name, "mixed", n)
+        return _random_dtilde_matrix(rng, corpus, ring, p, n)
+    codomain = corpus.weil(ring, "mixed", n)
     return SimplexMatrix(
         codomain, [[_random_element(rng, codomain, 2) for _ in range(n)] for _ in range(p)]
     )
@@ -1178,7 +1161,7 @@ def check_zero_anchored_criterion(config: SuiteConfig, corpus: Corpus) -> CheckO
     # universal instances: the generic matrix is a member by construction,
     # and prepending a zero row must give a simplex (exact normal forms)
     universal = 0
-    for _, ring in _fields(config):
+    for ring in _fields(config):
         for p, n in ((2, 2), (1, 2)):
             _, matrix = universal_dtilde(p, n, ring)
             if not in_dtilde(matrix).ok:
@@ -1194,10 +1177,9 @@ def check_zero_anchored_criterion(config: SuiteConfig, corpus: Corpus) -> CheckO
     members = 0
     others = 0
     for i in range(min(config.case_count, 80)):
-        name, ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
-        matrix = _dtilde_candidate(rng, corpus, name, ring, p, n, member=i % 2 == 0)
+        matrix = _dtilde_candidate(rng, corpus, _ring_at(config, i), p, n, member=i % 2 == 0)
         direct = in_dtilde(matrix).ok
         anchored = is_simplex(matrix.prepend_zero_row()).ok
         if direct != anchored:
@@ -1222,10 +1204,9 @@ def check_zero_anchored_criterion(config: SuiteConfig, corpus: Corpus) -> CheckO
 
 
 def check_determinant_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
-    primary = _primary_field(config)
-    if primary is None:
+    ring = _primary_field(config)
+    if ring is None:
         return CheckOutcome("skipped", "no configured field has 2 invertible")
-    name, ring = primary
     algebra, matrix = universal_dtilde(2, 2, ring)
     det = matrix.entry(0, 0) * matrix.entry(1, 1) - matrix.entry(0, 1) * matrix.entry(1, 0)
     doubled = matrix.entry(0, 0) * matrix.entry(1, 1) * algebra.element(2)
@@ -1243,7 +1224,7 @@ def check_determinant_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutc
             return CheckOutcome(
                 "fail", f"over Z/2 the determinant must vanish, got {det2}"
             )
-    return CheckOutcome("pass", None, {"field": name, "determinant": str(det)})
+    return CheckOutcome("pass", None, {"field": str(ring), "determinant": str(det)})
 
 
 def _symmetric_equations_hold(matrix: SimplexMatrix) -> bool:
@@ -1276,10 +1257,9 @@ def check_transposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     membership can change (see SimplexMatrix.transpose); there the check asks
     that a member or a transposed member satisfies the transposition-invariant
     equations, and that a matrix and its transpose agree on them."""
-    primary = _primary_field(config)
+    ring = _primary_field(config)
     instances = 0
-    if primary is not None:
-        _, ring = primary
+    if ring is not None:
         shapes = [(2, 2)] + [(1, n) for n in range(1, config.n_max + 1)] + [
             (n, 1) for n in range(2, config.n_max + 1)
         ]
@@ -1293,10 +1273,10 @@ def check_transposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
             instances += 1
     rng = _rng(config, "transpose")
     for i in range(min(config.case_count, 40)):
-        name, ring = _ring_at(config, i)
+        ring = _ring_at(config, i)
         p = rng.randint(1, config.p_max)
         n = rng.randint(1, config.n_max)
-        matrix = _dtilde_candidate(rng, corpus, name, ring, p, n, member=i % 2 == 0)
+        matrix = _dtilde_candidate(rng, corpus, ring, p, n, member=i % 2 == 0)
         flipped = matrix.transpose()
         direct, transposed = in_dtilde(matrix).ok, in_dtilde(flipped).ok
         if ring.two_invertible or ring.kind == "Z":
@@ -1324,8 +1304,7 @@ def check_row_extension(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     for p in range(1, p_top + 1):
         for n in range(1, n_top + 1):
             for i in range(config.case_count):
-                name, ring = _ring_at(config, i)
-                matrix = _random_dtilde_matrix(rng, corpus, name, ring, p, n)
+                matrix = _random_dtilde_matrix(rng, corpus, _ring_at(config, i), p, n)
                 weights = [_random_element(rng, matrix.codomain, 1) for _ in range(p)]
                 extended = extend_matrix(matrix, weights)
                 verdict = in_dtilde(extended)
@@ -1339,10 +1318,9 @@ def check_row_extension(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
                         f"{verdict.witness}; minimal matrix:\n{bad}",
                     )
                 instances += 1
-    primary = _primary_field(config)
-    if primary is not None:
+    ring = _primary_field(config)
+    if ring is not None:
         # fully generic instance: extend the universal 2x2 matrix by formal weights
-        _, ring = primary
         algebra, matrix = universal_dtilde(2, 2, ring)
         wider, inclusion = adjoin_variables(algebra, ("c1", "c2"))
         lifted = SimplexMatrix(

@@ -156,7 +156,7 @@ def test_neighbour_false_with_witness(capsys):
 
 
 def test_neighbour_all_criteria_char_two(capsys):
-    code, doc, _ = run_json(
+    code, out, _ = run(
         capsys,
         [
             "neighbour",
@@ -171,13 +171,36 @@ def test_neighbour_all_criteria_char_two(capsys):
             "--b",
             "e1, e2",
             "--all-criteria",
+            "--json",
         ],
     )
+    doc = json.loads(out)
     assert code == 1
     assert doc["neighbours"] is False
     assert doc["product_form"] is False
     assert doc["square_form"] is True  # the bounded square test diverges here
     assert any("2 is not invertible" in note for note in doc["square_form_notes"])
+    # the maps of the rows run from the default free domain k[X1..Xn]; the
+    # whole document is pinned byte for byte
+    assert out == (
+        "{\n"
+        '  "neighbours": false,\n'
+        '  "product_form": false,\n'
+        '  "square_form": true,\n'
+        '  "square_form_notes": [\n'
+        '    "bounded square test only: 2 is not invertible over Z/2, so vanishing '
+        'squares need not imply the neighbour relation"\n'
+        "  ],\n"
+        '  "witness": {\n'
+        '    "indices": [\n'
+        "      1,\n"
+        "      2\n"
+        "    ],\n"
+        '    "label": "difference product",\n'
+        '    "value": "e1*e2"\n'
+        "  }\n"
+        "}\n"
+    )
 
 
 # -- simplex / dtilde -----------------------------------------------------------

@@ -11,7 +11,7 @@ repeated work, no longer do.
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 
@@ -20,13 +20,15 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import nbhd.neighbour  # noqa: E402
 import nbhd.verify  # noqa: E402
-from nbhd.algebra import AlgebraElement  # noqa: E402
+from nbhd.algebra import AlgebraElement, FpAlgebra  # noqa: E402
+from nbhd.arith import QQ  # noqa: E402
 from nbhd.poly import Polynomial, VarSet  # noqa: E402
 from nbhd.verify import (  # noqa: E402
     ALLOWED_RINGS,
     SuiteConfig,
     _displaced_images,
     _monomial_pairs,
+    _random_affine_weights,
     _random_element,
     _random_poly,
     _random_value,
@@ -154,7 +156,8 @@ def test_elements_are_the_normal_forms_of_the_reference(
 def test_every_corpus_pattern_is_drawn_from():
     patterns = {pattern for (_, pattern, _) in _corpus().algebras}
     assert patterns == {"full", "squares", "mixed"}
-    assert {name for (name, _) in _corpus().domains} == set(ALLOWED_RINGS)
+    assert {ring for (ring, _) in _corpus().domains} == set(CONFIG.ring_specs())
+    assert {str(ring) for (ring, _) in _corpus().domains} == set(ALLOWED_RINGS)
 
 
 # -- counts ------------------------------------------------------------------------
@@ -177,16 +180,47 @@ def test_displaced_images_build_no_polynomial_through_the_constructor(monkeypatc
     inits = _count_calls(monkeypatch, Polynomial, "__init__")
     rng = random.Random(11)
     drawn = 0
-    for name, ring in zip(CONFIG.rings, CONFIG.ring_specs()):
+    for ring in CONFIG.ring_specs():
         for p, n in ((1, 1), (2, 3), (3, 2)):
-            codomain, base, rows = _displaced_images(rng, corpus, name, ring, p, n)
+            codomain, base, rows = _displaced_images(rng, corpus, ring, p, n)
             drawn += sum(1 for x in (*base, *(d for row in rows for d in row)) if x)
     assert drawn > 0
     assert inits == []
 
 
+def test_affine_weights_form_no_constant_once_the_unit_is_cached(monkeypatch):
+    """A number's element is the number times the cached unit, so drawing
+    affine weights in a corpus algebra forms no constant polynomial and
+    takes no normal form; the weights are still the normal forms of
+    1 - sum(tail) and of the drawn tail."""
+    algebras = list(_corpus().algebras.values())
+    for algebra in algebras:
+        algebra.one()
+    constants = _count_calls(monkeypatch, Polynomial, "constant")
+    normal_forms = _count_calls(monkeypatch, FpAlgebra, "normal_form")
+    rng = random.Random(13)
+    drawn = [
+        (algebra, count, _random_affine_weights(rng, algebra, count))
+        for algebra in algebras
+        for count in (2, 3)
+    ]
+    assert constants == [] and normal_forms == []
+    monkeypatch.undo()
+    twin = random.Random(13)
+    for algebra, count, weights in drawn:
+        ring = algebra.ring
+        tail = [_random_value(twin, ring) for _ in range(count - 1)]
+        head = ring.sub(ring.one(), reduce(ring.add, tail, ring.zero()))
+        expected = [
+            algebra.normal_form(Polynomial.constant(algebra.varset, ring, value))
+            for value in (head, *tail)
+        ]
+        assert [w.rep for w in weights] == expected
+        assert [_typed_terms(w.rep) for w in weights] == [_typed_terms(e) for e in expected]
+
+
 def test_monomial_pairs_build_each_monomial_once(monkeypatch):
-    base = _corpus().domain("Q", 2)
+    base = _corpus().domain(QQ, 2)
     inits = _count_calls(monkeypatch, Polynomial, "__init__")
     pairs = list(_monomial_pairs(base, 3))
     assert inits == []
@@ -222,7 +256,7 @@ def test_the_map_is_compared_once_per_monomial(monkeypatch):
     assert outcome.verdict == "pass"
     distinct = 0
     for n in (1, 2):
-        base = corpus.domain("Q", n)
+        base = corpus.domain(QQ, n)
         distinct += len({u for u, _ in _monomial_pairs(base, 3)})
     assert distinct == 14
     assert len(applied) == config.p_max * distinct + 2

@@ -157,3 +157,35 @@ def test_groebner_bases_are_built_only_by_buchberger():
             and id(node) not in inside
         ]
     assert not found, f"GroebnerBasis built outside ideal.buchberger at {found}"
+
+
+def _parameters(function):
+    args = function.args
+    named = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return [a.arg for a in named if a is not None]
+
+
+def test_every_parameter_is_read():
+    # a parameter no body reads is threaded through every caller for
+    # nothing; self and cls are the method protocol, and the check_*
+    # functions keep the (config, corpus) signature of the CHECKS registry
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for function in ast.walk(tree):
+            if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if function.name.startswith("check_"):
+                continue
+            read = {
+                node.id
+                for statement in function.body
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            found += [
+                f"{path.name}:{function.lineno} {function.name}({name})"
+                for name in _parameters(function)
+                if name not in read and name not in ("self", "cls")
+            ]
+    assert not found, f"parameters never read: {found}"

@@ -123,12 +123,13 @@ def test_corpus_expected_verdicts_hold():
 def test_sabotage_drops_one_cross_relation():
     honest = build_corpus(SMALL)
     broken = build_corpus(SMALL, sabotage=True)
-    a = honest.weil("Q", "full", 2)
-    b = broken.weil("Q", "full", 2)
+    a = honest.weil(QQ, "full", 2)
+    b = broken.weil(QQ, "full", 2)
     assert len(a.relations) == len(b.relations) + 1
     assert not b.element("e1*e2").is_zero()
     # only the pinned algebra is touched
-    assert honest.weil("Z/3", "full", 2) == broken.weil("Z/3", "full", 2)
+    z3 = RingSpec.modular(3)
+    assert honest.weil(z3, "full", 2) == broken.weil(z3, "full", 2)
 
 
 # -- running the suite -------------------------------------------------------------
@@ -241,7 +242,7 @@ def test_sabotaged_run_reports_shrunk_witness():
 
 def test_shrink_failing_pair_finds_minimal_width():
     corpus = build_corpus(SMALL)
-    thin = corpus.weil("Q", "squares", 2)
+    thin = corpus.weil(QQ, "squares", 2)
     pinned = corpus.pairs[0]
     from nbhd.algebra import AlgebraMap
     from nbhd.verify import PairCase, _free_domain
@@ -249,13 +250,14 @@ def test_shrink_failing_pair_finds_minimal_width():
     domain = _free_domain(QQ, 2)
     f = AlgebraMap(domain, thin, [thin.zero(), thin.zero()])
     g = AlgebraMap(domain, thin, thin.generators())
-    case = PairCase(99, "Q", domain, thin, f, g, True, "constructed")
+    case = PairCase(99, domain, thin, f, g, True, "constructed")
+    assert case.ring_name == "Q"
     width, text = shrink_failing_pair(case)
     assert width == 2  # each single coordinate is fine, the pair is not
     assert "e1*e2" in text
 
     h = AlgebraMap(domain, thin, [thin.element("e1 + e2"), thin.zero()])
-    case1 = PairCase(100, "Q", domain, thin, f, h, True, "constructed")
+    case1 = PairCase(100, domain, thin, f, h, True, "constructed")
     width1, text1 = shrink_failing_pair(case1)
     assert width1 == 1  # (e1 + e2)^2 = 2*e1*e2 already fails alone
     assert pinned.expected is True  # unrelated sanity anchor
@@ -326,11 +328,11 @@ def test_dtilde_matrices_are_the_anchored_differences_of_neighbour_tuples():
     config = SuiteConfig(seed=11, rings=("Q", "Z/2", "Z/3"), case_count=1)
     corpus = build_corpus(config)
     for i in range(12):
-        name, ring = nbhd.verify._ring_at(config, i)
+        ring = nbhd.verify._ring_at(config, i)
         p, n = 1 + i % 3, 1 + i // 3 % 3
         by_maps, by_rows = random.Random(i), random.Random(i)
-        _, codomain, maps = nbhd.verify._neighbour_tuple(by_maps, corpus, name, ring, p, n)
-        matrix = nbhd.verify._random_dtilde_matrix(by_rows, corpus, name, ring, p, n)
+        _, codomain, maps = nbhd.verify._neighbour_tuple(by_maps, corpus, ring, p, n)
+        matrix = nbhd.verify._random_dtilde_matrix(by_rows, corpus, ring, p, n)
         differences = [[x - y for x, y in zip(f.images, maps[0].images)] for f in maps[1:]]
         assert matrix == SimplexMatrix(codomain, differences)
         assert by_maps.getstate() == by_rows.getstate()
@@ -343,18 +345,20 @@ def test_rings_are_parsed_once_and_free_domains_built_once():
     assert all(a is b for a, b in zip(specs, config.ring_specs()))
     assert config == SuiteConfig(seed=5, rings=("Q", "Z/3"), case_count=30)
     corpus = build_corpus(config)
-    assert set(corpus.domains) == {(name, n) for name in config.rings for n in (1, 2, 3)}
-    for name, ring in zip(config.rings, specs):
+    assert set(corpus.domains) == {(ring, n) for ring in specs for n in (1, 2, 3)}
+    assert {id(ring) for ring, _ in corpus.domains} == {id(ring) for ring in specs}
+    for ring in specs:
         for n in (1, 2, 3):
-            assert corpus.domain(name, n).ring is ring
-            assert corpus.domain(name, n).varset.names == tuple(f"X{i + 1}" for i in range(n))
+            assert corpus.domain(ring, n).ring is ring
+            assert corpus.domain(ring, n).varset.names == tuple(f"X{i + 1}" for i in range(n))
     for case in corpus.pairs:
-        assert case.domain is corpus.domain(case.ring_name, len(case.domain.varset))
+        assert case.domain is corpus.domain(case.codomain.ring, len(case.domain.varset))
         assert case.codomain.ring is case.domain.ring
+        assert case.ring_name in config.rings
     for n in (1, 2, 3):
         rng = random.Random(n)
-        domain, _, maps = nbhd.verify._neighbour_tuple(rng, corpus, "Z/3", specs[1], 2, n)
-        assert domain is corpus.domain("Z/3", n) and all(f.domain is domain for f in maps)
+        domain, _, maps = nbhd.verify._neighbour_tuple(rng, corpus, specs[1], 2, n)
+        assert domain is corpus.domain(specs[1], n) and all(f.domain is domain for f in maps)
 
 
 def test_rejection_without_witness_fails_instead_of_asserting(monkeypatch):
