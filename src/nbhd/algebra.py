@@ -220,6 +220,24 @@ class FpAlgebra:
             return monomial_reduce(p, self._divisors)
         return self._gb.normal_form(p)
 
+    def _deletes(self, exps: tuple) -> bool:
+        """Whether the monomial normal form deletes the monomial exps, that is,
+        whether a relation divides it.
+
+        The answer is the product table's entry for the unit times exps, the
+        memo the products keep, so a repeated monomial costs one lookup.
+        """
+        table = self._table
+        if table is None:
+            if self._gb is not None:
+                raise InvalidArgument("the Groebner engine does not reduce by deletion")
+            return False  # a free algebra deletes nothing
+        unit = (0,) * len(exps)
+        try:
+            return table.rows[unit][exps] is None
+        except KeyError:
+            return table.fill(unit, exps, self._divisors.dividing) is None
+
     def _product(self, a: Polynomial, b: Polynomial) -> Polynomial:
         """The normal form of a * b, for polynomials over this algebra.
 

@@ -336,16 +336,21 @@ def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
     products a_ri * a_rj for columns i <= j, in that nesting order.  The
     entries may be Polynomials or AlgebraElements.  Only the products of
     two nonzero entries are formed, and an equation whose products all have
-    a zero factor is zero, so it is not yielded.  Only the equations that
-    touch a row at or after start are yielded: the caller knows the others
-    to be zero.
+    a zero factor is zero, so it is not yielded.  A cross product with
+    i = j is one product twice, a_ri * a_si + a_si * a_ri, so that product
+    is formed once and added to itself.  Only the equations that touch a
+    row at or after start are yielded: the caller knows the others to be
+    zero.
     """
     cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
     for r, x in enumerate(rows):
         for s in range(max(r + 1, start), len(rows)):
             y = rows[s]
             for i in range(len(x)):
-                for j in range(i, len(x)):
+                if x[i] and y[i]:
+                    w = x[i] * y[i]
+                    yield (r + 1, s + 1, i + 1, i + 1), cross, w + w
+                for j in range(i + 1, len(x)):
                     terms = [u * v for u, v in ((x[i], y[j]), (y[i], x[j])) if u and v]
                     if terms:
                         yield (r + 1, s + 1, i + 1, j + 1), cross, reduce(add, terms)
@@ -359,21 +364,28 @@ def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
 
 
 class CoefficientVector:
-    """A tuple of weights in an algebra, used for (affine) combinations."""
+    """A tuple of weights in an algebra, used for (affine) combinations.
 
-    __slots__ = ("codomain", "entries")
+    The private _affine is True when the weights sum to 1 by construction:
+    False unless affine() built the vector.
+    """
+
+    __slots__ = ("codomain", "entries", "_affine")
 
     def __init__(self, codomain: FpAlgebra, entries: Sequence):
         self.codomain = codomain
         self.entries = tuple(codomain.element(x) for x in entries)
         if not self.entries:
             raise ShapeMismatch("need at least one coefficient")
+        self._affine = False
 
     @classmethod
     def affine(cls, codomain: FpAlgebra, tail: Sequence) -> "CoefficientVector":
         """The weights (1 - sum(tail), *tail), affine by construction."""
         tail = [codomain.element(x) for x in tail]
-        return cls(codomain, [codomain.one() - sum(tail, codomain.zero()), *tail])
+        vector = cls(codomain, [codomain.one() - sum(tail, codomain.zero()), *tail])
+        vector._affine = True
+        return vector
 
     def total(self) -> AlgebraElement:
         return sum(self.entries, self.codomain.zero())
@@ -469,7 +481,7 @@ def _affine_row_sums(
         pair = vectors_neighbour(rows[r], rows[s]).witness
         raise NotNeighbours(f"{noun} {r + 1} and {s + 1} are not neighbours: {pair}")
     for coefficients in vectors:
-        if not coefficients.is_affine():
+        if not coefficients._affine and not coefficients.is_affine():
             raise CoefficientsNotAffine(f"weights sum to {coefficients.total()}, not 1")
     return [_weighted_row_sum(codomain, coefficients, rows) for coefficients in vectors]
 

@@ -132,20 +132,69 @@ _Q_VALUES = tuple(
 )
 
 
-def _random_value(rng: random.Random, ring: RingSpec):
+def _below(getrandbits, n: int) -> int:
+    """A uniform integer in [0, n) from the random bits randrange(n) takes
+    (and randint(a, a + n - 1), less a): getrandbits(n.bit_length()), again
+    while it is n or more.  n < 1 raises InvalidArgument, a ValueError, as
+    randrange does, before any draw: getrandbits(0) is always 0."""
+    if n < 1:
+        raise InvalidArgument(f"empty range [0, {n}) for a draw")
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _random_value(getrandbits, ring: RingSpec):
     """A random coefficient in the ring's canonical raw form: a residue in
     [0, m) over Z/m, an integer in [-4, 4] over Z, and (i - 4)/(j + 1) over Q
-    with i drawn from 0..8 before j from 0..2.
-
-    The draws are randrange calls, which take the same random bits as the
-    randint calls of the same ranges (randint(a, b) is a + randrange(b - a +
-    1)), so a seed gives the values it always gave.
-    """
+    with i drawn from 0..8 before j from 0..2."""
     if ring.kind == "Q":
-        return _Q_VALUES[rng.randrange(9)][rng.randrange(3)]
+        return _Q_VALUES[_below(getrandbits, 9)][_below(getrandbits, 3)]
     if ring.kind == "Z":
-        return rng.randrange(9) - 4
-    return rng.randrange(ring.modulus)  # type: ignore[arg-type]
+        return _below(getrandbits, 9) - 4
+    return _below(getrandbits, ring.modulus)  # type: ignore[arg-type]
+
+
+def _random_terms(
+    getrandbits,
+    n: int,
+    ring: RingSpec,
+    max_degree: int,
+    max_terms: int,
+    min_degree: int,
+    deletes=None,
+) -> tuple[dict, dict]:
+    """The terms of a random polynomial in n variables, split by the test
+    deletes (None keeps all) into (kept, deleted) terms dicts.
+
+    Each term draws its degree, then the variable of each degree unit, then
+    its coefficient, also when deleted.  A repeated exponent tuple adds its
+    coefficient to the one before and a zero sum is dropped, as the
+    validating constructor does, so kept is the constructor's dict, in its
+    order, less the deleted monomials, and both are empty exactly when the
+    drawn polynomial is zero.
+    """
+    add = ring.add
+    kept: dict[tuple[int, ...], object] = {}
+    deleted: dict[tuple[int, ...], object] = {}
+    low = 0 if min_degree == 0 else 1
+    for _ in range(low + _below(getrandbits, max_terms - low + 1)):
+        exps = [0] * n
+        if n:
+            for _ in range(min_degree + _below(getrandbits, max_degree - min_degree + 1)):
+                exps[_below(getrandbits, n)] += 1
+        key = tuple(exps)
+        terms = deleted if deletes is not None and deletes(key) else kept
+        value = _random_value(getrandbits, ring)
+        if key in terms:
+            value = add(terms[key], value)
+        if value == 0:
+            terms.pop(key, None)
+        else:
+            terms[key] = value
+    return kept, deleted
 
 
 def _random_poly(
@@ -158,33 +207,10 @@ def _random_poly(
 ) -> Polynomial:
     """A random polynomial of at most max_terms terms (at least one when
     min_degree > 0), each of degree min_degree..max_degree with a random
-    coefficient.
-
-    Each term draws its degree, then the variable of each degree unit, then
-    its coefficient.  The terms dict is built here, not by the validating
-    constructor: the exponent tuples are made here, so they are valid, and
-    the coefficients are already canonical.  A repeated exponent tuple adds
-    its coefficient to the one before, and a zero sum is dropped, as the
-    constructor does, so the dict and its order are the constructor's.
-    """
-    n = len(varset)
-    randrange = rng.randrange
-    add = ring.add
-    terms: dict[tuple[int, ...], object] = {}
-    low = 0 if min_degree == 0 else 1
-    for _ in range(low + randrange(max_terms - low + 1)):
-        exps = [0] * n
-        if n:
-            for _ in range(min_degree + randrange(max_degree - min_degree + 1)):
-                exps[randrange(n)] += 1
-        key = tuple(exps)
-        value = _random_value(rng, ring)
-        if key in terms:
-            value = add(terms[key], value)
-        if value == 0:
-            terms.pop(key, None)
-        else:
-            terms[key] = value
+    coefficient, drawn by _random_terms."""
+    terms, _ = _random_terms(
+        rng.getrandbits, len(varset), ring, max_degree, max_terms, min_degree
+    )
     return Polynomial._raw(varset, ring, terms)
 
 
@@ -195,10 +221,17 @@ def _random_element(
     max_terms: int = 3,
     min_degree: int = 0,
 ) -> AlgebraElement:
-    """algebra.element(_random_poly(...)) on the algebra's generators: the
-    normal form of the drawn polynomial, without element()'s type tests."""
-    poly = _random_poly(rng, algebra.varset, algebra.ring, max_degree, max_terms, min_degree)
-    return AlgebraElement(algebra, algebra.normal_form(poly))
+    """The normal form of what _random_poly draws on the algebra's generators,
+    from the same bits.  Over the monomial engine each monomial is tested as
+    it is drawn and a deleted one left out; the Groebner engine reduces."""
+    varset, ring = algebra.varset, algebra.ring
+    monomial = algebra.strategy == "monomial"
+    kept, _ = _random_terms(
+        rng.getrandbits, len(varset), ring, max_degree, max_terms, min_degree,
+        algebra._deletes if monomial else None,
+    )
+    rep = Polynomial._raw(varset, ring, kept)
+    return AlgebraElement(algebra, rep if monomial else algebra.normal_form(rep))
 
 
 def square_zero_names(n: int) -> list[str]:
@@ -330,20 +363,26 @@ def _augmentation_delta(
     square-zero algebra, where all products of two such vanish).
     general=False: all coordinates proportional to the first generator,
     whose square is a relation in every corpus pattern.
+    Drawn straight into normal form, as _random_element draws: a general
+    coordinate drawn as zero is e1 instead, one deleted to zero stays zero.
     """
     varset = codomain.varset
     ring = codomain.ring
-    e1 = (1,) + (0,) * (len(varset) - 1)
+    getrandbits = rng.getrandbits
+    deletes = codomain._deletes
+    n = len(varset)
+    e1 = (1,) + (0,) * (n - 1)
+    e1_kept = not deletes(e1)
     deltas = []
     for _ in varset:
         if general:
-            poly = _random_poly(rng, varset, ring, 2, max_terms=2, min_degree=1)
-            if poly.is_zero():
-                poly = Polynomial.variable(varset, ring, 0)
+            terms, deleted = _random_terms(getrandbits, n, ring, 2, 2, 1, deletes)
+            if not terms and not deleted and e1_kept:
+                terms = {e1: ring.one()}
         else:
-            scale = _random_value(rng, ring)
-            poly = Polynomial._raw(varset, ring, {e1: scale} if scale != 0 else {})
-        deltas.append(AlgebraElement(codomain, codomain.normal_form(poly)))
+            scale = _random_value(getrandbits, ring)
+            terms = {e1: scale} if scale != 0 and e1_kept else {}
+        deltas.append(AlgebraElement(codomain, Polynomial._raw(varset, ring, terms)))
     return deltas
 
 
@@ -622,7 +661,7 @@ def check_postcomposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
         ring = codomain.ring
         n = len(codomain.varset)
         # diagonal rescaling is a valid endomorphism of every monomial quotient
-        scalars = [_random_value(rng, ring) for _ in range(n)]
+        scalars = [_random_value(rng.getrandbits, ring) for _ in range(n)]
         endo = AlgebraMap(
             codomain,
             codomain,
@@ -867,17 +906,23 @@ def _pointwise_combination(
 
 
 def _displaced_images(
-    rng: random.Random, corpus: Corpus, ring: RingSpec, p: int, n: int
-) -> tuple[FpAlgebra, list, list[list]]:
+    rng: random.Random, corpus: Corpus, ring: RingSpec, p: int, n: int, base: bool = True
+) -> tuple[FpAlgebra, list | None, list[list]]:
     """A corpus Weil algebra, n base images in it and p displacement rows.
 
     The base images and their sums with each displacement row are mutual
     neighbours, and the displacement rows lie in the difference variety.
-    Returns (codomain, base images, displacement rows).
+    Returns (codomain, base images, displacement rows); base=False spends
+    the base images' bits but builds None in their place.
     """
     pattern = "full" if rng.random() < 0.5 else "squares"
     codomain = corpus.weil(ring, pattern, n)
-    base_images = [_random_element(rng, codomain, 2) for _ in range(n)]
+    if base:
+        base_images = [_random_element(rng, codomain, 2) for _ in range(n)]
+    else:
+        base_images = None
+        for _ in range(n):
+            _random_terms(rng.getrandbits, n, ring, 2, 3, 0)
     displacements = [
         _augmentation_delta(rng, codomain, general=(pattern == "full")) for _ in range(p)
     ]
@@ -899,8 +944,9 @@ def _neighbour_tuple(
 def _random_affine_weights(
     rng: random.Random, codomain: FpAlgebra, count: int
 ) -> CoefficientVector:
+    getrandbits, ring = rng.getrandbits, codomain.ring
     return CoefficientVector.affine(
-        codomain, [_random_value(rng, codomain.ring) for _ in range(count - 1)]
+        codomain, [_random_value(getrandbits, ring) for _ in range(count - 1)]
     )
 
 
@@ -1140,7 +1186,7 @@ def _random_dtilde_matrix(
 ) -> SimplexMatrix:
     """A member of the difference variety: the anchored differences of the
     simplex _neighbour_tuple would draw, which are its displacement rows."""
-    codomain, _, displacements = _displaced_images(rng, corpus, ring, p, n)
+    codomain, _, displacements = _displaced_images(rng, corpus, ring, p, n, base=False)
     return SimplexMatrix(codomain, displacements)
 
 

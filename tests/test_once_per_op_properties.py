@@ -6,10 +6,15 @@ what affine_combination gives vector by vector, and raise the same error.
 extend_matrix records how many leading rows its in_dtilde precondition
 proved, and in_dtilde of the extended matrix forms no equation among those
 rows; verdict, witness and notes must be those of a fresh matrix with the
-same entries.
+same entries.  A diagonal cross equation of the difference variety forms
+its one product once, and a vector CoefficientVector.affine built is not
+summed again.
 """
 
 from fractions import Fraction
+from functools import reduce
+from math import comb
+from operator import add
 
 import pytest
 
@@ -34,8 +39,9 @@ from nbhd.neighbour import (  # noqa: E402
     extend_matrix,
     in_dtilde,
     maps_of_matrix,
+    universal_dtilde,
 )
-from nbhd.poly import Polynomial  # noqa: E402
+from nbhd.poly import Polynomial, VarSet  # noqa: E402
 from nbhd.verify import (  # noqa: E402
     WEIL_PATTERNS,
     random_weil_algebra,
@@ -284,3 +290,120 @@ def test_only_extend_matrix_marks_rows_proven():
     assert extended._proven == 2 and matrix._proven == 0
     for derived in (extended.transpose(), extended.prepend_zero_row()):
         assert derived._proven == 0
+
+
+# -- diagonal cross products ----------------------------------------------------
+
+
+def _two_product_equations(rows, start=0):
+    """_dtilde_equations as it was written: a cross equation with i = j
+    forms a_ri * a_si and a_si * a_ri, the same product, both."""
+    cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
+    for r, x in enumerate(rows):
+        for s in range(max(r + 1, start), len(rows)):
+            y = rows[s]
+            for i in range(len(x)):
+                for j in range(i, len(x)):
+                    terms = [u * v for u, v in ((x[i], y[j]), (y[i], x[j])) if u and v]
+                    if terms:
+                        yield (r + 1, s + 1, i + 1, j + 1), cross, reduce(add, terms)
+    for r in range(start, len(rows)):
+        x = rows[r]
+        for i, u in enumerate(x):
+            if u:
+                for j in range(i, len(x)):
+                    if x[j]:
+                        yield (r + 1, i + 1, j + 1), row, u * x[j]
+
+
+def _ordered(equations):
+    """The equations with each value's terms in dict order, types included."""
+    out = []
+    for at, label, value in equations:
+        poly = getattr(value, "rep", value)
+        out.append((at, label, [(e, type(c), c) for e, c in poly._terms.items()]))
+    return out
+
+
+# Z/4: 2 is a zero divisor there, so a doubled product can vanish
+TWO_PRODUCT_RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z/2", "Z/4"))
+
+
+@PROPERTY
+@given(st.data())
+def test_diagonal_cross_products_are_the_two_product_formula(data):
+    ring = data.draw(st.sampled_from(TWO_PRODUCT_RINGS))
+    pattern = data.draw(st.sampled_from(WEIL_PATTERNS))
+    n = data.draw(st.integers(1, 3))
+    codomain = random_weil_algebra(data.draw(st.integers(0, 999)), ring, n, pattern)
+    p = data.draw(st.integers(1, 3))
+    rows = [[data.draw(elements(codomain)) for _ in range(n)] for _ in range(p)]
+    start = data.draw(st.integers(0, p))
+    # the elements, then their representatives as plain polynomials
+    for entries in (rows, [[x.rep for x in row] for row in rows]):
+        ours = list(nbhd.neighbour._dtilde_equations(entries, start))
+        theirs = list(_two_product_equations(entries, start))
+        assert ours == theirs
+        assert _ordered(ours) == _ordered(theirs)
+    matrix = SimplexMatrix(codomain, rows)
+    assert in_dtilde(matrix).ok == all(not v for _, _, v in _two_product_equations(rows))
+
+
+@pytest.mark.parametrize("ring", TWO_PRODUCT_RINGS, ids=str)
+def test_universal_dtilde_relations_are_the_two_product_formula(ring):
+    for p in (1, 2, 3):
+        for n in (1, 2, 3):
+            varset = VarSet(tuple(f"a{i + 1}{j + 1}" for i in range(p) for j in range(n)))
+            variables = Polynomial.variables(varset, ring)
+            generic = [variables[i * n : (i + 1) * n] for i in range(p)]
+            ours = list(nbhd.neighbour._dtilde_equations(generic))
+            theirs = list(_two_product_equations(generic))
+            assert _ordered(ours) == _ordered(theirs)
+            if ring.is_field:  # over Z/4 the cross products need a Groebner basis
+                algebra, _ = universal_dtilde(p, n, ring)
+                assert list(algebra.relations) == [v for _, _, v in theirs if v]
+
+
+@pytest.mark.parametrize("p, n", [(1, 3), (2, 2), (3, 3), (4, 2)])
+def test_in_dtilde_forms_one_product_per_diagonal_cross_equation(monkeypatch, p, n):
+    # a dense member: every entry is nonzero and every product vanishes, so
+    # every equation is formed and the scan runs to the end
+    full = square_zero_full(QQ, n)
+    gens = full.generators()
+    matrix = SimplexMatrix(full, [[(r + 1) * gens[(r + j) % n] for j in range(n)] for r in range(p)])
+    products = []
+    product = FpAlgebra._product
+
+    def counted(self, a, b):
+        products.append((a, b))
+        return product(self, a, b)
+
+    monkeypatch.setattr(FpAlgebra, "_product", counted)
+    assert in_dtilde(matrix)
+    # n products per pair on the diagonal, two for each i < j, and the row products
+    assert len(products) == comb(p, 2) * n * n + p * comb(n + 1, 2)
+
+
+# -- weights affine by construction ---------------------------------------------
+
+
+def test_weights_affine_by_construction_are_not_summed_again(monkeypatch):
+    good, _ = unit_tuples()
+    codomain = good[0].codomain
+    built = CoefficientVector.affine(codomain, [Fraction(1, 3)])
+    by_hand = CoefficientVector(codomain, [Fraction(2, 3), Fraction(1, 3)])
+    assert built._affine and not by_hand._affine
+    expected = [affine_combination(good, w) for w in (built, by_hand, [1, 0])]
+    sums = []
+    is_affine = CoefficientVector.is_affine
+
+    def counted(self):
+        sums.append(self)
+        return is_affine(self)
+
+    monkeypatch.setattr(CoefficientVector, "is_affine", counted)
+    assert affine_combinations(good, [built, by_hand, [1, 0]]) == expected
+    assert len(sums) == 2 and built not in sums and by_hand in sums
+    # a hand-built vector is still refused when its weights do not sum to 1
+    with pytest.raises(CoefficientsNotAffine):
+        affine_combinations(good, [built, CoefficientVector(codomain, [1, 1])])

@@ -189,3 +189,38 @@ def test_every_parameter_is_read():
                 if name not in read and name not in ("self", "cls")
             ]
     assert not found, f"parameters never read: {found}"
+
+
+DRAW_HELPERS = (
+    "_random_value",
+    "_random_poly",
+    "_random_element",
+    "_augmentation_delta",
+    "_displaced_images",
+    "_random_affine_weights",
+)
+
+
+def test_draw_helpers_draw_through_the_one_kernel():
+    # the suite's draw helpers take their random numbers from getrandbits
+    # through verify._below, which spends the bits randrange would; a
+    # randrange, randint or choice call among them is a second way to draw
+    path = SOURCE / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    helpers = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in DRAW_HELPERS
+    }
+    assert sorted(helpers) == sorted(DRAW_HELPERS)
+    found = [
+        f"{name}:{node.lineno} {_called_name(node)}"
+        for name, function in helpers.items()
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and _called_name(node) in ("randrange", "randint", "choice")
+    ]
+    assert not found, f"draw helpers calling the random module's samplers: {found}"
+
+
+def _called_name(call):
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
