@@ -16,10 +16,11 @@ of representatives.  Over monomial relations a product forms only the exponent
 sums no relation divides, so the terms a normal form would delete are never
 built.  Which sums those are is looked up in a product table shared by every
 algebra whose relations have the same exponents, whatever its ring, order or
-variable names; the tables are bounded and cleared when full.  Checks happen
-at the boundary: element(), the constructors and operations mixing parents
-validate, while sums and products of two elements of the same parent object
-go straight to the arithmetic.  Maps are given by generator images, evaluate
+variable names (a free algebra's is the table of no relations), and normal
+forms read the same table; the tables are bounded and cleared when full.
+Checks happen at the boundary: element(), the constructors and operations
+mixing parents validate, while sums and products of two elements of the same
+parent object go straight to the arithmetic.  Maps are given by generator images, evaluate
 inside the codomain and are validated at construction: every relation of
 the domain must map to zero (the certificate for well-definedness);
 violations raise IllDefinedMap.
@@ -62,7 +63,6 @@ from .ideal import (
     _check_degree_cap,
     _Divisors,
     buchberger,
-    monomial_reduce,
 )
 from .poly import DEFAULT_ORDER, MonomialOrder, Polynomial, VarSet, _power, parse_poly
 
@@ -79,9 +79,9 @@ def _embed_poly(p: Polynomial, target: VarSet, offset: int, ring: RingSpec) -> P
     return Polynomial._raw(target, ring, terms)
 
 
-# Product tables, shared by every monomial-engine algebra whose relations have
-# the same exponents: whether a relation divides an exponent sum depends on
-# those exponents alone, not on the ring, the order or the variable names.
+# Product tables, shared by every monomial-engine algebra, free or not, whose
+# relations have the same exponents: whether a relation divides an exponent sum
+# depends on those exponents alone, not on the ring, the order or the names.
 # Both bounds clear rather than evict, so there is no policy to tune; a table
 # dropped from the map lives on only in the algebras that already hold it.
 _MAX_TABLES = 64
@@ -92,17 +92,19 @@ _NO_ROW: dict = {}  # read, never written: every lookup misses and fill adds the
 
 class _ProductTable:
     """rows[ea][eb] is the exponent sum ea + eb, or None when a relation
-    divides it; an entry is filled the first time a product asks for it."""
+    divides it; an entry is filled, by the monomial engine's one divisibility
+    test, the first time it is asked for.  The unit's row is normal_form's."""
 
-    __slots__ = ("rows", "entries")
+    __slots__ = ("divisors", "rows", "entries")
 
-    def __init__(self):
+    def __init__(self, divisors: _Divisors):
+        self.divisors = divisors
         self.rows: dict[tuple, dict] = {}
         self.entries = 0
 
-    def fill(self, ea: tuple, eb: tuple, dividing) -> tuple | None:
+    def fill(self, ea: tuple, eb: tuple) -> tuple | None:
         exps = tuple(map(operator.add, ea, eb))
-        if dividing(exps):
+        if self.divisors.dividing(exps):
             exps = None
         if self.entries >= _MAX_TABLE_ENTRIES:
             self.rows.clear()
@@ -118,7 +120,8 @@ def _product_table(nvars: int, relations: Sequence[Polynomial]) -> _ProductTable
     if table is None:
         if len(_TABLES) >= _MAX_TABLES:
             _TABLES.clear()
-        table = _TABLES[key] = _ProductTable()
+        # a single term leads in every order, so any order divides alike
+        table = _TABLES[key] = _ProductTable(_Divisors(relations, DEFAULT_ORDER, nvars))
     return table
 
 
@@ -137,7 +140,6 @@ class FpAlgebra:
         "relations",
         "order",
         "degree_cap",
-        "_divisors",
         "_table",
         "_gb",
         "_signature",
@@ -174,13 +176,10 @@ class FpAlgebra:
         self.relations = ideal.generators
         self.order = order
         self.degree_cap = degree_cap
-        self._divisors: _Divisors | None = None
         self._table: _ProductTable | None = None
         self._gb: GroebnerBasis | None = None
         if ideal.is_monomial():
-            self._divisors = _Divisors(self.relations, order, len(varset))
-            if self.relations:  # a free algebra multiplies directly
-                self._table = _product_table(len(varset), self.relations)
+            self._table = _product_table(len(varset), self.relations)
         else:
             self._gb = buchberger(ideal, order, degree_cap, hilbert=hilbert)
         self._signature = (ring, varset.names, frozenset(self.relations), order)
@@ -212,40 +211,47 @@ class FpAlgebra:
     # -- normal forms and elements ------------------------------------------
 
     def normal_form(self, p: Polynomial) -> Polynomial:
+        """p reduced by the Groebner basis, or over monomial relations, its
+        terms whose monomial the product table's unit row keeps: a monomial
+        any algebra of the same relation exponents has met costs one lookup."""
         if p.varset is not self.varset and p.varset != self.varset:
             raise VarSetMismatch(f"{p.varset} vs {self.varset}")
         if p.ring is not self.ring and p.ring != self.ring:
             raise RingMismatch(f"{p.ring} vs {self.ring}")
-        if self._gb is None:
-            return monomial_reduce(p, self._divisors)
-        return self._gb.normal_form(p)
+        if self._gb is not None:
+            return self._gb.normal_form(p)
+        unit = (0,) * len(self.varset)
+        row, fill = self._table.rows.get(unit, _NO_ROW), self._table.fill
+        kept = {
+            e: v for e, v in p._terms.items()
+            if (row[e] if e in row else fill(unit, e)) is not None
+        }
+        return Polynomial._raw(self.varset, self.ring, kept)
 
     def _deletes(self, exps: tuple) -> bool:
         """Whether the monomial normal form deletes the monomial exps, that is,
         whether a relation divides it.
 
         The answer is the product table's entry for the unit times exps, the
-        memo the products keep, so a repeated monomial costs one lookup.
+        row normal_form reads, so a repeated monomial costs one lookup.
         """
         table = self._table
         if table is None:
-            if self._gb is not None:
-                raise InvalidArgument("the Groebner engine does not reduce by deletion")
-            return False  # a free algebra deletes nothing
+            raise InvalidArgument("the Groebner engine does not reduce by deletion")
         unit = (0,) * len(exps)
         try:
             return table.rows[unit][exps] is None
         except KeyError:
-            return table.fill(unit, exps, self._divisors.dividing) is None
+            return table.fill(unit, exps) is None
 
     def _product(self, a: Polynomial, b: Polynomial) -> Polynomial:
         """The normal form of a * b, for polynomials over this algebra.
 
-        Over monomial relations only the exponent sums that no relation
-        divides are formed; the terms normal_form would delete never are.
-        Each pair of exponents is looked up in the product table this
-        algebra shares with every algebra of the same relation exponents,
-        and the divisibility test runs only for a pair the table lacks.
+        Over monomial relations (or none) only the exponent sums that no
+        relation divides are formed; the terms normal_form would delete
+        never are.  Each pair of exponents is looked up in the product table
+        this algebra shares with every algebra of the same relation
+        exponents, and the divisibility test runs only for a pair it lacks.
         A zero operand gives zero at once, and one term times one term
         takes one table lookup and one coefficient product, with no loop:
         most products of the suite's corpus are of that kind.
@@ -258,24 +264,18 @@ class FpAlgebra:
             ((ea, va),) = a._terms.items()
             ((eb, vb),) = b._terms.items()
             table = self._table
-            if table is None:  # a free algebra deletes nothing
-                exps = tuple(map(operator.add, ea, eb))
-            else:
-                try:
-                    exps = table.rows[ea][eb]
-                except KeyError:
-                    exps = table.fill(ea, eb, self._divisors.dividing)
+            try:
+                exps = table.rows[ea][eb]
+            except KeyError:
+                exps = table.fill(ea, eb)
             if exps is not None:
                 ring = self.ring
                 s = ring.mul(va, vb)
                 if not ring.is_zero(s):
                     return Polynomial._raw(self.varset, ring, {exps: s})
             return Polynomial._raw(self.varset, self.ring, {})
-        if not self.relations:
-            return a * b
         ring = self.ring
         add, mul, is_zero = ring.add, ring.mul, ring.is_zero
-        dividing = self._divisors.dividing
         table = self._table
         rows = table.rows
         out: dict[tuple[int, ...], object] = {}
@@ -285,7 +285,7 @@ class FpAlgebra:
                 try:
                     exps = row[eb]
                 except KeyError:
-                    exps = table.fill(ea, eb, dividing)
+                    exps = table.fill(ea, eb)
                 if exps is None:
                     continue
                 s = mul(va, vb)

@@ -1,12 +1,14 @@
 """Ideal membership and normal forms.
 
-Two reduction engines are provided.  Monomial ideals reduce by plain
-divisibility deletion and work over any coefficient ring.  General ideals go
-through Buchberger's algorithm, which requires field coefficients unless every
-generator is a unit monomial, whose S-polynomials are zero.  The computed
-basis is the reduced Groebner basis (monic, auto-reduced), which is unique
-for a given ideal and monomial order, so results are deterministic
-regardless of generator order.
+Monomial ideals need no division: a normal form deletes the terms a
+generator divides, over any coefficient ring, and the divisibility test is
+_Divisors.dividing, which the algebra module's product tables call (and
+cache) for every monomial quotient.  General ideals go through Buchberger's
+algorithm, which requires field coefficients unless every generator is a
+unit monomial, whose S-polynomials are zero.  The computed basis is the
+reduced Groebner basis (monic, auto-reduced), which is unique for a given
+ideal and monomial order, so results are deterministic regardless of
+generator order.
 
 Division (reduce_full) has one path.  The leading term of every divisor is
 read once, when its divisor list is built: a GroebnerBasis builds its list at
@@ -110,18 +112,6 @@ class Ideal:
 
 def _is_unit_monomial(g: Polynomial) -> bool:
     return len(g) == 1 and g.ring.is_unit(next(iter(g._terms.values())))
-
-
-def monomial_reduce(p: Polynomial, divisors: _Divisors) -> Polynomial:
-    """Delete every term divisible by the leading monomial of a divisor.
-
-    For a divisor list of unit monomials (an FpAlgebra builds one from its
-    relations) this is the normal form modulo the monomial ideal they
-    generate, valid over any coefficient ring.
-    """
-    dividing = divisors.dividing
-    kept = {exps: value for exps, value in p._terms.items() if not dividing(exps)}
-    return Polynomial._raw(p.varset, p.ring, kept)
 
 
 def _lex_rank(exps: tuple[int, ...]) -> tuple[int, ...]:

@@ -36,7 +36,7 @@ from nbhd.errors import (
 )
 import nbhd.algebra
 import nbhd.ideal
-from nbhd.ideal import Ideal, buchberger, monomial_reduce, s_polynomial
+from nbhd.ideal import Ideal, buchberger, s_polynomial
 from nbhd.neighbour import universal_dtilde
 from nbhd.poly import MonomialOrder, Polynomial, VarSet, parse_poly
 from nbhd.verify import WEIL_PATTERNS, random_weil_algebra, squares_only
@@ -227,8 +227,7 @@ def test_apply_is_multiplicative():
 
 def test_products_and_maps_never_delete_terms(monkeypatch):
     # products in a monomial quotient form only the surviving terms, and
-    # map evaluation reduces as it goes, so neither reaches the deletion
-    # pass of normal_form
+    # map evaluation reduces as it goes, so neither reaches normal_form
     A = FpAlgebra(QQ, ("x", "y"), ["x^3", "y^2"])
     x, y = A.generators()
     a, b = A.element("1 + x + y"), A.element("x^2 - 2*y + 3")
@@ -238,9 +237,9 @@ def test_products_and_maps_never_delete_terms(monkeypatch):
     power = F.element("X^3200")
 
     def refuse(*args):
-        raise AssertionError("monomial_reduce reached")
+        raise AssertionError("normal_form reached")
 
-    monkeypatch.setattr("nbhd.algebra.monomial_reduce", refuse)
+    monkeypatch.setattr(FpAlgebra, "normal_form", refuse)
     assert str(a * b) == "x^2*y + x^2 - 2*x*y + 3*x + y + 3"
     assert (x * x * x).is_zero() and (y * y).is_zero()
     f = AlgebraMap(F, D, [one + e])
@@ -334,7 +333,31 @@ def test_algebras_of_one_shape_share_their_product_table(monkeypatch):
     assert FpAlgebra(QQ, ("e1", "e2"), ["e1^2", "e2^3"])._table is not A._table
     assert FpAlgebra(QQ, ("e1", "e2", "e3"), ["e1^2", "e2^2"])._table is not A._table
     assert FpAlgebra(QQ, ("X", "Y"), ["X^2 - Y"])._table is None  # Groebner engine
-    assert free_algebra(QQ, ("e1", "e2"))._table is None  # multiplies directly
+    # a free algebra holds the table of no relations, shared like any other
+    free = free_algebra(QQ, ("e1", "e2"))._table
+    assert free is not None and free is not A._table
+    assert free_algebra(RingSpec.modular(4), ("u", "v"))._table is free
+
+
+def test_normal_forms_test_each_monomial_once_across_algebras_of_one_shape(monkeypatch):
+    # a normal form reads the product table's unit row, so a monomial that
+    # any algebra of the same relation exponents has met is not tested again
+    monkeypatch.setattr(nbhd.algebra, "_TABLES", {})
+    A = FpAlgebra(QQ, ("x", "y"), ["x^3", "y^2"])
+    p = parse_poly("x^3 + x^2*y - 2*x*y + y^2 + 5*y + 1", A.varset, QQ)
+    B = FpAlgebra(RingSpec.modular(4), ("u", "v"), ["u^3", "3*v^2"], MonomialOrder.LEX)
+    q = parse_poly("u^3 + u^2*v + 2*u*v + v^2 + 5*v + 1", B.varset, B.ring)
+    calls = _count_divisibility_tests(monkeypatch)
+    assert str(A.normal_form(p)) == "x^2*y - 2*x*y + 5*y + 1"
+    assert str(A.normal_form(p)) == "x^2*y - 2*x*y + 5*y + 1"
+    assert str(B.normal_form(q)) == "u^2*v + 2*u*v + v + 1"
+    assert sorted(calls) == sorted(p._terms)  # once per distinct monomial
+    # a free algebra keeps every term, and multiplies as the free ring does
+    F = free_algebra(ZZ, ("x", "y"))
+    r = parse_poly("x^3 + x^2*y - 2*x*y + y^2 + 1", F.varset, ZZ)
+    assert F.normal_form(r) == r
+    for a, b in ((r, r), (r + 1, r - 1), (r, F.zero().rep)):
+        assert list(F._product(a, b)._terms.items()) == list((a * b)._terms.items())
 
 
 def test_product_tables_stay_bounded_and_correct_after_a_clear(monkeypatch):
@@ -342,6 +365,7 @@ def test_product_tables_stay_bounded_and_correct_after_a_clear(monkeypatch):
     # asking for new exponent pairs, and a full table is cleared
     monkeypatch.setattr(nbhd.algebra, "_TABLES", {})
     A = FpAlgebra(QQ, ("X", "Y"), ["X*Y"])
+    basis = buchberger(Ideal(A.varset, QQ, A.relations))
     table, cap = A._table, nbhd.algebra._MAX_TABLE_ENTRIES
     cleared = False
     for degree in range(6):
@@ -351,7 +375,7 @@ def test_product_tables_stay_bounded_and_correct_after_a_clear(monkeypatch):
         before = table.entries
         product = A._product(p, p)
         cleared = cleared or table.entries < before
-        assert product == monomial_reduce(p * p, A._divisors)
+        assert product == basis.normal_form(p * p)
         assert table.entries <= cap
         assert table.entries == sum(len(row) for row in table.rows.values())
     assert cleared

@@ -25,7 +25,6 @@ from nbhd.ideal import (
     _standard_counts,
     buchberger,
     contains,
-    monomial_reduce,
     reduce_full,
     s_polynomial,
 )
@@ -331,11 +330,14 @@ def test_monomial_membership_over_nonfields():
     assert contains(ideal6, P("5*X^3", ring=z6))
 
 
-def test_monomial_reduce_deletes_divisible_terms():
+def test_divisors_name_every_lead_dividing_a_monomial():
+    # the monomial engine's deletion test: a term goes when a lead divides it
     p = P("X^2*Y + X*Y + Y^3 + 1", ring=ZZ)
     divisors = _Divisors([P("X^2", ring=ZZ), P("X*Y", ring=ZZ)], MonomialOrder.DEGREVLEX, 2)
-    got = monomial_reduce(p, divisors)
-    assert got == P("Y^3 + 1", ring=ZZ)
+    hits = {exps: divisors.dividing(exps) for exps in p._terms}
+    assert hits == {(2, 1): 0b11, (1, 1): 0b10, (0, 3): 0, (0, 0): 0}
+    kept = {exps: value for exps, value in p._terms.items() if not hits[exps]}
+    assert Polynomial._raw(p.varset, ZZ, kept) == P("Y^3 + 1", ring=ZZ)
 
 
 def test_is_monomial_requires_unit_coefficients():

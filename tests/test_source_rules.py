@@ -159,6 +159,37 @@ def test_groebner_bases_are_built_only_by_buchberger():
     assert not found, f"GroebnerBasis built outside ideal.buchberger at {found}"
 
 
+def test_monomial_divisibility_is_tested_only_by_the_product_table():
+    # one deletion test for monomial quotients: normal forms, products and
+    # draws all read algebra._ProductTable, so outside ideal.py (whose
+    # division and pair criteria use the bitsets) only the table reaches
+    # _Divisors.dividing, and no separate deletion pass grows back
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno} defines monomial_reduce"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "monomial_reduce"
+        ]
+        if path.name == "ideal.py":
+            continue
+        inside = {
+            id(node)
+            for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)
+            and path.name == "algebra.py"
+            and cls.name == "_ProductTable"
+            for node in ast.walk(cls)
+        }
+        found += [
+            f"{path.name}:{node.lineno} reads .dividing"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "dividing" and id(node) not in inside
+        ]
+    assert not found, f"monomial divisibility tested outside algebra._ProductTable at {found}"
+
+
 def _parameters(function):
     args = function.args
     named = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
