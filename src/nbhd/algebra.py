@@ -12,9 +12,11 @@ For a monomial ideal the reduced Groebner basis is its minimal monomial
 generators, so the two engines agree wherever both apply.
 
 Elements always store their normal form, so equality of elements is equality
-of representatives.  Over monomial relations a product forms only the exponent
-sums no relation divides, so the terms a normal form would delete are never
-built.  Which sums those are is looked up in a product table shared by every
+of representatives.  Products, and the sums of products the neighbour scans
+and row sums form, go through one kernel that accumulates normal-form terms
+in one dict.  Over monomial relations it forms only the exponent sums no
+relation divides, so the terms a normal form would delete are never built.
+Which sums those are is looked up in a product table shared by every
 algebra whose relations have the same exponents, whatever its ring, order or
 variable names (a free algebra's is the table of no relations), and normal
 forms read the same table; the tables are bounded and cleared when full.
@@ -245,71 +247,77 @@ class FpAlgebra:
             return table.fill(unit, exps) is None
 
     def _product(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        """The normal form of a * b, for polynomials over this algebra.
+        """The normal form of a * b, for polynomials over this algebra: the
+        one-pair case of _sum_of_products.  A zero operand gives zero at once."""
+        if not a._terms or not b._terms:
+            return Polynomial._raw(self.varset, self.ring, {})
+        return Polynomial._raw(
+            self.varset, self.ring, self._sum_of_products(((a._terms, b._terms),))
+        )
+
+    def _sum_of_products(self, pairs) -> dict:
+        """The normal-form terms of the sum of a * b over pairs (a, b) of the
+        term dicts of polynomials over this algebra, accumulated in one dict:
+        a sum that comes out zero is dropped, and over monomial relations no
+        polynomial is built.
 
         Over monomial relations (or none) only the exponent sums that no
         relation divides are formed; the terms normal_form would delete
         never are.  Each pair of exponents is looked up in the product table
         this algebra shares with every algebra of the same relation
         exponents, and the divisibility test runs only for a pair it lacks.
-        A zero operand gives zero at once, and one term times one term
-        takes one table lookup and one coefficient product, with no loop:
-        most products of the suite's corpus are of that kind.
+        The Groebner engine reduces the free sum once: by linearity that is
+        the sum of the reduced products.
         """
-        if not a._terms or not b._terms:
-            return Polynomial._raw(self.varset, self.ring, {})
-        if self._gb is not None:
-            return self._gb.normal_form(a * b)
-        if len(a._terms) == 1 and len(b._terms) == 1:
-            ((ea, va),) = a._terms.items()
-            ((eb, vb),) = b._terms.items()
-            table = self._table
-            try:
-                exps = table.rows[ea][eb]
-            except KeyError:
-                exps = table.fill(ea, eb)
-            if exps is not None:
-                ring = self.ring
-                s = ring.mul(va, vb)
-                if not ring.is_zero(s):
-                    return Polynomial._raw(self.varset, ring, {exps: s})
-            return Polynomial._raw(self.varset, self.ring, {})
         ring = self.ring
+        if self._gb is not None:
+            varset = self.varset
+            free = Polynomial._raw(varset, ring, {})
+            for ta, tb in pairs:
+                free = free + Polynomial._raw(varset, ring, ta) * Polynomial._raw(varset, ring, tb)
+            return self._gb.normal_form(free)._terms if free._terms else {}
         add, mul, is_zero = ring.add, ring.mul, ring.is_zero
         table = self._table
         rows = table.rows
         out: dict[tuple[int, ...], object] = {}
-        for ea, va in a._terms.items():
-            row = rows.get(ea, _NO_ROW)
-            for eb, vb in b._terms.items():
-                try:
-                    exps = row[eb]
-                except KeyError:
-                    exps = table.fill(ea, eb)
-                if exps is None:
-                    continue
-                s = mul(va, vb)
-                if exps in out:
-                    s = add(out[exps], s)
-                if is_zero(s):
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return Polynomial._raw(self.varset, ring, out)
+        for ta, tb in pairs:
+            for ea, va in ta.items():
+                row = rows.get(ea, _NO_ROW)
+                for eb, vb in tb.items():
+                    try:
+                        exps = row[eb]
+                    except KeyError:
+                        exps = table.fill(ea, eb)
+                    if exps is None:
+                        continue
+                    s = mul(va, vb)
+                    if exps in out:
+                        s = add(out[exps], s)
+                    if is_zero(s):
+                        out.pop(exps, None)
+                    else:
+                        out[exps] = s
+        return out
+
+    def _element(self, terms: dict) -> "AlgebraElement":
+        """The element whose normal form has the given terms, unchecked."""
+        return AlgebraElement(self, Polynomial._raw(self.varset, self.ring, terms))
 
     def element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
             if value.parent is not self and value.parent != self:
                 raise ParentMismatch(f"element of {value.parent!r} used in {self!r}")
             return value
+        # Polynomial before the numbers: isinstance(x, Fraction) on anything
+        # but a Fraction runs the ABC machinery of the numbers tower
+        if isinstance(value, Polynomial):
+            return AlgebraElement(self, self.normal_form(value))
         if isinstance(value, (int, Fraction)):
             # a number's normal form is the number times the unit's
             return AlgebraElement(self, self.one().rep.scale(value))
-        if isinstance(value, str):
-            value = parse_poly(value, self.varset, self.ring)
-        if not isinstance(value, Polynomial):
+        if not isinstance(value, str):
             raise TypeError(f"cannot interpret {value!r} as an element")
-        return AlgebraElement(self, self.normal_form(value))
+        return AlgebraElement(self, self.normal_form(parse_poly(value, self.varset, self.ring)))
 
     def zero(self) -> "AlgebraElement":
         return AlgebraElement(self, Polynomial.zero(self.varset, self.ring))
@@ -424,12 +432,12 @@ class AlgebraElement:
         return bool(self.rep._terms)
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, AlgebraElement):
+            return self.parent == other.parent and self.rep == other.rep
         if isinstance(other, (int, Fraction, Polynomial)):
             o = self._coerce(other)
             return self.rep == o.rep
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        return self.parent == other.parent and self.rep == other.rep
+        return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.parent, self.rep))
@@ -456,7 +464,7 @@ class AlgebraMap:
             raise ArityMismatch(
                 f"{len(images)} images for {len(domain.varset)} generators"
             )
-        if domain.ring != codomain.ring:
+        if domain.ring is not codomain.ring and domain.ring != codomain.ring:
             raise RingMismatch(f"{codomain.ring} vs {domain.ring}")
         self.domain = domain
         self.codomain = codomain
@@ -638,17 +646,68 @@ def _difference_products(rows: Sequence[Sequence]):
     The products of two differences are the equations of the neighbour
     relation and the relations of the universal simplices.  Each pair of
     rows has its differences formed once; the entries may be Polynomials or
-    AlgebraElements.  A product with a zero difference is zero, so it is
-    neither formed nor yielded.
+    AlgebraElements, and _summation reads the differences and forms the
+    products.  A product with a zero difference is zero, so it is neither
+    formed nor yielded; over AlgebraElements no product that vanishes is
+    yielded either.
     """
+    read, value = _summation(rows)
     for r, low in enumerate(rows):
         for s in range(r + 1, len(rows)):
-            diffs = [b - a for a, b in zip(low, rows[s])]
+            diffs = read([b - a for a, b in zip(low, rows[s])])
             for i, d in enumerate(diffs):
                 if d:
                     for j in range(i, len(diffs)):
                         if diffs[j]:
-                            yield (r, s, i, j), d * diffs[j]
+                            product = value(((d, diffs[j]),))
+                            if product is not None:
+                                yield (r, s, i, j), product
+
+
+def _summation(rows: Sequence[Sequence]):
+    """(read, value) for the enumerations of equations over rows, all of one
+    length: read(row) is a row of such entries as the enumerations read it,
+    and value(pairs, twice=False) the sum of an equation's factor products
+    u * v over the pairs (u, v) of read entries, doubled when twice is set.
+
+    Polynomials are read as they are, and the value is their free sum, zero
+    or not: the universal objects take their relations from it.  An
+    algebra's elements are read as the terms of their normal forms, the
+    pairs go to the algebra's _sum_of_products, and the doubling is done on
+    its terms.  The value is then an element built from those terms, or None
+    when they vanish: a scan builds an element only for an equation that
+    does not hold, and reads only the first of those.
+    """
+    if not rows or not rows[0] or not isinstance(rows[0][0], AlgebraElement):
+        return _as_is, _free_sum
+    algebra = rows[0][0].parent
+    kernel, add, is_zero = algebra._sum_of_products, algebra.ring.add, algebra.ring.is_zero
+
+    def value(pairs, twice=False):
+        terms = kernel(pairs)
+        if not terms:
+            return None
+        if twice:
+            terms = {e: s for e, c in terms.items() if not is_zero(s := add(c, c))}
+        return algebra._element(terms) if terms else None
+
+    return _normal_form_terms, value
+
+
+def _as_is(row: Sequence) -> Sequence:
+    return row
+
+
+def _normal_form_terms(row: Sequence["AlgebraElement"]) -> list[dict]:
+    return [x.rep._terms for x in row]
+
+
+def _free_sum(pairs, twice=False) -> Polynomial:
+    """The polynomial relation builders' value: the free sum of the products
+    u * v over the pairs, doubled when twice is set."""
+    (u, v), *rest = pairs
+    total = sum((x * y for x, y in rest), u * v)
+    return total + total if twice else total
 
 
 @dataclass(frozen=True)

@@ -145,15 +145,19 @@ class RingSpec:
     # residue in [0, m) (Zmod).
 
     def normalize(self, value):
-        """Coerce an int / Fraction into this ring's canonical raw form."""
-        if isinstance(value, Fraction):
-            return self.from_fraction(value)
-        if not isinstance(value, int):
-            what = "as a rational" if self.kind == "Q" else f"over {self}"
-            raise TypeError(f"cannot interpret {value!r} {what}")
-        if self.modulus is None:
-            return value if value.__class__ is int else int(value)  # bool -> int
-        return value % self.modulus
+        """Coerce an int / Fraction into this ring's canonical raw form.
+
+        A plain int is tested for first: isinstance(x, Fraction) on anything
+        but a Fraction runs the ABC machinery of the numbers tower.
+        """
+        if value.__class__ is not int:
+            if isinstance(value, Fraction):
+                return self.from_fraction(value)
+            if not isinstance(value, int):
+                what = "as a rational" if self.kind == "Q" else f"over {self}"
+                raise TypeError(f"cannot interpret {value!r} {what}")
+            value = int(value)  # bool -> int
+        return value if self.modulus is None else value % self.modulus
 
     def from_fraction(self, q: Fraction):
         """Map a rational into the ring; raises ValueError when impossible."""

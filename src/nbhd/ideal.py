@@ -87,9 +87,9 @@ class Ideal:
     def __post_init__(self) -> None:
         kept = []
         for g in self.generators:
-            if g.varset != self.varset:
+            if g.varset is not self.varset and g.varset != self.varset:
                 raise VarSetMismatch(f"{g.varset} vs {self.varset}")
-            if g.ring != self.ring:
+            if g.ring is not self.ring and g.ring != self.ring:
                 raise RingMismatch(f"{g.ring} vs {self.ring}")
             if not g.is_zero():
                 kept.append(g)
@@ -506,9 +506,9 @@ class GroebnerBasis:
         object.__setattr__(self, "_divisors", divisors)
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        if p.varset != self.varset:
+        if p.varset is not self.varset and p.varset != self.varset:
             raise VarSetMismatch(f"{p.varset} vs {self.varset}")
-        if p.ring != self.ring:
+        if p.ring is not self.ring and p.ring != self.ring:
             raise RingMismatch(f"{p.ring} vs {self.ring}")
         return reduce_full(p, self._divisors, self.order, self.degree_cap)
 

@@ -22,16 +22,21 @@ scan; affine_combination is its one-vector case.  The equations of the
 difference variety are enumerated in _dtilde_equations, which in_dtilde
 scans and universal_dtilde takes its relations from.  Weighted row sums
 (affine combinations, row extensions) are formed by _weighted_row_sum.
-All three skip the products with a zero factor, which are zero: they are
-never formed, and a zero value is never a defect, so every verdict and
-witness is the one the full scan would give.  For the same reason
-in_dtilde skips the equations among the rows that extend_matrix's own
-in_dtilde precondition proved: a matrix it returns records how many
-leading rows those are, and only equations that touch a later row are
-formed again.
+All three sum products through one kernel, FpAlgebra._sum_of_products,
+which accumulates the normal-form terms of a sum of products in one dict.
+The scans decide without building: over elements, an equation's factor
+pairs go to the kernel, and an element is built only for an equation that
+does not vanish, which is the witness; a passing scan builds none.  A row
+sum builds each column once, from the kernel's terms.  All three skip the
+products with a zero factor, which are zero: they are never formed, and a
+zero value is never a defect, so every verdict and witness is the one the
+full scan would give.  For the same reason in_dtilde skips the equations
+among the rows that extend_matrix's own in_dtilde precondition proved: a
+matrix it returns records how many leading rows those are, and only
+equations that touch a later row are formed again.
 The product form, the square test and in_dtilde stay off
-_difference_products: they are second implementations, kept so that the
-verification suite can compare answers.
+_difference_products, and the first two off the kernel: they are second
+implementations, kept so that the verification suite can compare answers.
 
 Decision functions return a CheckResult, which is truthy on success and
 carries an explicit nonzero witness on failure: each yields its own
@@ -42,8 +47,6 @@ nonzero value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Iterator, Sequence
 
 from .arith import RingSpec
@@ -65,6 +68,7 @@ from .algebra import (
     UniversalSimplex,
     _codiagonal,
     _difference_products,
+    _summation,
     _universal_quotient,
     adjoin_variables,
     compose,
@@ -111,8 +115,11 @@ def _first_defect(equations, notes: tuple[str, ...] = ()) -> CheckResult:
     """Fail with the first nonzero value among (indices, label, value) triples.
 
     The triples are read lazily, so no equation after the first nonzero one
-    is formed.  When every value is zero the result passes; either way it
-    carries the notes.
+    is formed.  Over elements the two enumerations of equations yield only
+    the values that do not vanish, so for them the first triple read is the
+    witness; the product form and the square test yield every value.  When every value
+    is zero, or none is yielded, the result passes; either way it carries
+    the notes.
     """
     for indices, label, value in equations:
         if not value.is_zero():
@@ -213,7 +220,7 @@ class SimplexMatrix:
     def __init__(self, codomain: FpAlgebra, rows: Sequence[Sequence]):
         if not rows:
             raise ShapeMismatch("a matrix needs at least one row")
-        entries = tuple(tuple(codomain.element(x) for x in row) for row in rows)
+        entries = tuple(tuple(map(codomain.element, row)) for row in rows)
         width = len(entries[0])
         if width == 0:
             raise ShapeMismatch("a matrix needs at least one column")
@@ -334,33 +341,47 @@ def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
     variety, with 1-based indices: the cross products
     a_ri * a_sj + a_si * a_rj for rows r < s and columns i <= j, then the row
     products a_ri * a_rj for columns i <= j, in that nesting order.  The
-    entries may be Polynomials or AlgebraElements.  Only the products of
-    two nonzero entries are formed, and an equation whose products all have
-    a zero factor is zero, so it is not yielded.  A cross product with
-    i = j is one product twice, a_ri * a_si + a_si * a_ri, so that product
-    is formed once and added to itself.  Only the equations that touch a
-    row at or after start are yielded: the caller knows the others to be
-    zero.
+    entries may be Polynomials or AlgebraElements, and algebra._summation
+    forms the values: over AlgebraElements each equation's factor pairs go
+    to the algebra's _sum_of_products, and only an equation that does not
+    vanish is yielded, as an element.  Only the products of two nonzero
+    entries are formed, and an equation whose products all have a zero
+    factor is zero, so it is not yielded.  A cross product with i = j is one
+    product twice, a_ri * a_si + a_si * a_ri, so that product is formed once
+    and doubled.  Only the equations that touch a row at or after start are
+    yielded: the caller knows the others to be zero.
     """
+    read, value = _summation(rows)
+    rows = list(map(read, rows))
     cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
     for r, x in enumerate(rows):
         for s in range(max(r + 1, start), len(rows)):
             y = rows[s]
-            for i in range(len(x)):
-                if x[i] and y[i]:
-                    w = x[i] * y[i]
-                    yield (r + 1, s + 1, i + 1, i + 1), cross, w + w
+            for i, (a, b) in enumerate(zip(x, y)):
+                if a and b:
+                    w = value(((a, b),), twice=True)
+                    if w is not None:
+                        yield (r + 1, s + 1, i + 1, i + 1), cross, w
                 for j in range(i + 1, len(x)):
-                    terms = [u * v for u, v in ((x[i], y[j]), (y[i], x[j])) if u and v]
-                    if terms:
-                        yield (r + 1, s + 1, i + 1, j + 1), cross, reduce(add, terms)
+                    c, d = y[j], x[j]
+                    if a and c:
+                        pairs = ((a, c), (b, d)) if b and d else ((a, c),)
+                    elif b and d:
+                        pairs = ((b, d),)
+                    else:
+                        continue
+                    w = value(pairs)
+                    if w is not None:
+                        yield (r + 1, s + 1, i + 1, j + 1), cross, w
     for r in range(start, len(rows)):
         x = rows[r]
         for i, u in enumerate(x):
             if u:
                 for j in range(i, len(x)):
                     if x[j]:
-                        yield (r + 1, i + 1, j + 1), row, u * x[j]
+                        w = value(((u, x[j]),))
+                        if w is not None:
+                            yield (r + 1, i + 1, j + 1), row, w
 
 
 class CoefficientVector:
@@ -374,7 +395,7 @@ class CoefficientVector:
 
     def __init__(self, codomain: FpAlgebra, entries: Sequence):
         self.codomain = codomain
-        self.entries = tuple(codomain.element(x) for x in entries)
+        self.entries = tuple(map(codomain.element, entries))
         if not self.entries:
             raise ShapeMismatch("need at least one coefficient")
         self._affine = False
@@ -411,12 +432,16 @@ def _weighted_row_sum(
     weights: Sequence[AlgebraElement],
     rows: Sequence[Sequence[AlgebraElement]],
 ) -> tuple[AlgebraElement, ...]:
-    """The row sum of t_r * row_r, column by column, in the codomain.  A
-    product with a zero factor is zero, so it is not formed, and a column
-    with no other product sums to the codomain's zero."""
-    zero = codomain.zero()
-    products = ([t * x for t, x in zip(weights, column) if t and x] for column in zip(*rows))
-    return tuple(reduce(add, terms) if terms else zero for terms in products)
+    """The row sum of t_r * row_r, column by column, in the codomain: each
+    column is one _sum_of_products, built as one element.  A product with a
+    zero factor is zero, so it is not formed, and a column with no other
+    product sums to zero."""
+    kernel, ts = codomain._sum_of_products, [t.rep._terms for t in weights]
+    columns = zip(*([x.rep._terms for x in row] for row in rows))
+    return tuple(
+        codomain._element(kernel([(t, x) for t, x in zip(ts, column) if t and x]))
+        for column in columns
+    )
 
 
 def affine_combination(
@@ -646,8 +671,11 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
     weights = [codomain.element(c) for c in coefficients]
     if len(weights) != matrix.rows:
         raise ArityMismatch(f"{len(weights)} weights for {matrix.rows} rows")
-    new_row = _weighted_row_sum(codomain, weights, matrix.entries)
-    extended = SimplexMatrix(codomain, matrix.entries + (new_row,))
+    # the matrix's entries were checked when it was built, and the row sum is
+    # built in the codomain, so the extended matrix checks nothing again
+    extended = SimplexMatrix.__new__(SimplexMatrix)
+    extended.codomain = codomain
+    extended.entries = matrix.entries + (_weighted_row_sum(codomain, weights, matrix.entries),)
     extended._proven = matrix.rows  # in_dtilde(matrix) passed above
     return extended
 

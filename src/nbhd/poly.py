@@ -352,11 +352,11 @@ class Polynomial:
         if images:
             target = images[0].varset
             for img in images:
-                if img.ring != self.ring:
+                if img.ring is not self.ring and img.ring != self.ring:
                     raise RingMismatch(f"{img.ring} vs {self.ring}")
-                if img.varset != target:
+                if img.varset is not target and img.varset != target:
                     raise VarSetMismatch("images must share one variable set")
-            if varset is not None and varset != target:
+            if varset is not None and varset is not target and varset != target:
                 raise VarSetMismatch("explicit varset disagrees with the images")
         else:
             target = varset if varset is not None else self.varset

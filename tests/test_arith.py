@@ -74,6 +74,40 @@ def test_normalize_canonical_forms():
     assert z5.normalize(12) == 2
 
 
+@pytest.mark.parametrize("name", ["Q", "Z", "Z/5"])
+def test_plain_ints_first_bools_as_ints_and_the_same_refusals(name):
+    # normalize and element test a plain int or a Polynomial before asking
+    # whether a value is a Fraction; bools and int subclasses still come out
+    # as plain ints, and the refusals keep their types and texts
+    ring = RingSpec.parse(name)
+
+    class Count(int):
+        pass
+
+    m = ring.modulus
+    for value, want in ((True, 1), (False, 0), (Count(7), 7), (-3, -3)):
+        got = ring.normalize(value)
+        assert type(got) is int and got == (want % m if m else want)
+    assert ring.normalize(Fraction(4, 2)) == 2 and type(ring.normalize(Fraction(4, 2))) is int
+    what = "as a rational" if name == "Q" else f"over {name}"
+    for bad in (1.5, "3", None):
+        with pytest.raises(TypeError) as error:
+            ring.normalize(bad)
+        assert str(error.value) == f"cannot interpret {bad!r} {what}"
+    algebra = FpAlgebra(ring, ("x",), ["x^2"])
+    x = algebra.element("x")
+    assert algebra.element(True) == algebra.one() and algebra.element(Count(2)) == 2
+    assert type(algebra.element(True).rep._terms[(0,)]) is int
+    for bad in (1.5, None, [1]):
+        with pytest.raises(TypeError) as error:
+            algebra.element(bad)
+        assert str(error.value) == f"cannot interpret {bad!r} as an element"
+    # equality with a number, a polynomial, an element, or anything else
+    assert x * 0 == 0 and algebra.one() == Fraction(3, 3) and x == x.rep
+    assert x == algebra.element("x") and x != algebra.element("2*x")
+    assert (x == "x") is False and (x != 1.5) is True
+
+
 def test_worked_arithmetic_examples():
     assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
 

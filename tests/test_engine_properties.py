@@ -300,6 +300,42 @@ def test_algebras_sharing_a_product_table_multiply_as_the_free_ring(algebras, da
             assert algebra._product(x, y) == _deleted(x * y, algebra.relations)
 
 
+@st.composite
+def kernel_algebras(draw, name):
+    """A monomial quotient over the named ring, or for "groebner" the
+    Groebner-engine algebra of universal_dtilde(2, 2) over Q."""
+    if name != "groebner":
+        return draw(monomial_quotients((RingSpec.parse(name),)))
+    algebra, _ = universal_dtilde(2, 2, QQ)
+    assert algebra.strategy == "groebner"
+    return algebra
+
+
+@pytest.mark.parametrize("name", ["Q", "Z", "Z/2", "Z/3", "Z/4", "groebner"])
+@PROPERTY
+@given(data=st.data())
+def test_sum_of_products_is_the_sum_of_the_element_products(name, data):
+    algebra = data.draw(kernel_algebras(name))
+    ring = algebra.ring
+    polys = _polynomials(algebra.varset, ring, 4, 2)
+    pairs = [
+        (algebra.element(data.draw(polys)), algebra.element(data.draw(polys)))
+        for _ in range(data.draw(st.integers(1, 4)))
+    ]
+    a, b = data.draw(st.sampled_from(pairs))
+    pairs.append((-a, b))  # cancels a * b exactly, inside the one dict
+    if ring.modulus == 4:
+        a, b = data.draw(st.sampled_from(pairs))
+        pairs.append((a * 2, b * 2))  # 2 * 2 = 0: every product vanishes
+    terms = algebra._sum_of_products([(a.rep._terms, b.rep._terms) for a, b in pairs])
+    expected = sum((a * b for a, b in pairs), algebra.zero())
+    assert terms == expected.rep._terms
+    # canonical: no zero coefficient, an integral rational is an int
+    assert all(not ring.is_zero(c) and type(c) is type(ring.normalize(c)) for c in terms.values())
+    p = Polynomial._raw(algebra.varset, ring, terms)
+    assert algebra.normal_form(p) == p
+
+
 AXIOM_RINGS = tuple(RingSpec.parse(name) for name in ("Z", "Z/5", "Z/4", "Z/6"))
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from nbhd import algebra
 from nbhd.algebra import (
+    AlgebraElement,
     AlgebraMap,
     FpAlgebra,
     free_algebra,
@@ -29,6 +30,7 @@ from nbhd.neighbour import (
     SimplexMatrix,
     affine_combination,
     affine_combination_rows,
+    affine_combinations,
     canonical_map,
     decompose_difference,
     extend_matrix,
@@ -590,15 +592,18 @@ def test_extend_matrix_guards():
 
 def test_scans_never_multiply_by_zero(monkeypatch):
     # a product with a zero factor is zero, so the difference products, the
-    # difference-variety equations and the weighted row sums never form one
-    product = FpAlgebra._product
+    # difference-variety equations and the weighted row sums never hand one
+    # to the sum-of-products kernel, through which every element product goes
+    kernel = FpAlgebra._sum_of_products
 
-    def nonzero_product(self, a, b):
-        if a.is_zero() or b.is_zero():
-            raise AssertionError(f"product with a zero factor: ({a}) * ({b})")
-        return product(self, a, b)
+    def nonzero_factors(self, pairs):
+        pairs = list(pairs)
+        for a, b in pairs:
+            if not a or not b:
+                raise AssertionError(f"product with a zero factor: {a} * {b}")
+        return kernel(self, pairs)
 
-    monkeypatch.setattr(FpAlgebra, "_product", nonzero_product)
+    monkeypatch.setattr(FpAlgebra, "_sum_of_products", nonzero_factors)
     thin, full = squares_only(), square_zero_full()
     staircase = [["0", "0"], ["e1", "0"], ["e1", "e2"]]
     assert is_simplex(SimplexMatrix(full, staircase))
@@ -617,6 +622,41 @@ def test_scans_never_multiply_by_zero(monkeypatch):
     assert [str(x) for x in combined] == ["0", "0"]
     extended = extend_matrix(SimplexMatrix(full, [["e1", "0"], ["0", "0"]]), [3, "e2"])
     assert [str(x) for x in extended.row(2)] == ["3*e1", "0"]
+
+
+def test_passing_scans_build_no_element_for_a_vanishing_equation(monkeypatch):
+    # every difference product and difference-variety equation below
+    # vanishes; a scan builds an element only for an equation that does not
+    full = square_zero_full(QQ, 3)
+    rows = [["e1", "2*e2", "e3"], ["e2", "e3", "e1 - e2"], ["3*e1 + e3", "e2 - e1", "e1"]]
+    simplex = SimplexMatrix(full, rows)
+    member = SimplexMatrix(full, rows[:2])
+    f, g, h = maps_of_matrix(simplex)
+    weights = CoefficientVector.affine(full, [2, -1])
+    built = []
+    init = AlgebraElement.__init__
+
+    def recorded(self, parent, rep):
+        built.append(rep)
+        init(self, parent, rep)
+
+    monkeypatch.setattr(AlgebraElement, "__init__", recorded)
+    assert in_dtilde(member) and not built  # no element at all
+    # the differences of two rows are elements, none of them zero here
+    scans = (
+        lambda: is_simplex(simplex),
+        lambda: is_neighbour(f, g),
+        lambda: vectors_neighbour(simplex.row(0), simplex.row(2)),
+    )
+    for scan in scans:
+        built.clear()
+        assert scan() and built and all(built)
+    built.clear()
+    # and the combination's precondition: only the combined images are built
+    combined = affine_combinations([f, g, h], [weights])[0]
+    # the weights are (0, 2, -1)
+    assert [str(x) for x in combined.images] == ["-3*e1 + 2*e2 - e3", "e1 - e2 + 2*e3", "e1 - 2*e2"]
+    assert built and all(built)
 
 
 def test_universal_dtilde_2x2_determinant():

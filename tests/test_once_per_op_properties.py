@@ -202,18 +202,19 @@ def test_k_weight_vectors_cost_one_difference_product_pass(monkeypatch, k):
 
 
 def counted_products(monkeypatch, proven_entries):
-    """A list that collects every element product both of whose operands are
-    (by identity) normal forms of proven_entries."""
-    reps = {id(x.rep) for x in proven_entries}
+    """A list that collects every factor pair the sum-of-products kernel
+    multiplies both of whose factors are (by identity) the normal-form terms
+    of proven_entries."""
+    terms = {id(x.rep._terms) for x in proven_entries}
     seen = []
-    product = FpAlgebra._product
+    kernel = FpAlgebra._sum_of_products
 
-    def watched(self, a, b):
-        if id(a) in reps and id(b) in reps:
-            seen.append((a, b))
-        return product(self, a, b)
+    def watched(self, pairs):
+        pairs = list(pairs)
+        seen.extend((a, b) for a, b in pairs if id(a) in terms and id(b) in terms)
+        return kernel(self, pairs)
 
-    monkeypatch.setattr(FpAlgebra, "_product", watched)
+    monkeypatch.setattr(FpAlgebra, "_sum_of_products", watched)
     return seen
 
 
@@ -325,6 +326,14 @@ def _ordered(equations):
     return out
 
 
+def _sorted(equations):
+    """The equations with each value's terms sorted by exponents, types
+    included: the kernel sums all of an equation's products in one dict, so
+    a partial sum that cancels can leave its terms in another dict order
+    than a sum of separately formed products, with the same terms."""
+    return [(at, label, sorted(terms)) for at, label, terms in _ordered(equations)]
+
+
 # Z/4: 2 is a zero divisor there, so a doubled product can vanish
 TWO_PRODUCT_RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z/2", "Z/4"))
 
@@ -339,12 +348,18 @@ def test_diagonal_cross_products_are_the_two_product_formula(data):
     p = data.draw(st.integers(1, 3))
     rows = [[data.draw(elements(codomain)) for _ in range(n)] for _ in range(p)]
     start = data.draw(st.integers(0, p))
-    # the elements, then their representatives as plain polynomials
-    for entries in (rows, [[x.rep for x in row] for row in rows]):
-        ours = list(nbhd.neighbour._dtilde_equations(entries, start))
-        theirs = list(_two_product_equations(entries, start))
-        assert ours == theirs
-        assert _ordered(ours) == _ordered(theirs)
+    # the representatives as plain polynomials: every equation, zero or not
+    polys = [[x.rep for x in row] for row in rows]
+    ours = list(nbhd.neighbour._dtilde_equations(polys, start))
+    theirs = list(_two_product_equations(polys, start))
+    assert ours == theirs
+    assert _ordered(ours) == _ordered(theirs)
+    # the elements: only the equations that do not vanish
+    ours = list(nbhd.neighbour._dtilde_equations(rows, start))
+    theirs = [eq for eq in _two_product_equations(rows, start) if eq[2]]
+    assert ours == theirs
+    assert _sorted(ours) == _sorted(theirs)
+    assert all(value.parent is codomain for _, _, value in ours)
     matrix = SimplexMatrix(codomain, rows)
     assert in_dtilde(matrix).ok == all(not v for _, _, v in _two_product_equations(rows))
 
@@ -372,13 +387,14 @@ def test_in_dtilde_forms_one_product_per_diagonal_cross_equation(monkeypatch, p,
     gens = full.generators()
     matrix = SimplexMatrix(full, [[(r + 1) * gens[(r + j) % n] for j in range(n)] for r in range(p)])
     products = []
-    product = FpAlgebra._product
+    kernel = FpAlgebra._sum_of_products
 
-    def counted(self, a, b):
-        products.append((a, b))
-        return product(self, a, b)
+    def counted(self, pairs):
+        pairs = list(pairs)
+        products.extend(pairs)
+        return kernel(self, pairs)
 
-    monkeypatch.setattr(FpAlgebra, "_product", counted)
+    monkeypatch.setattr(FpAlgebra, "_sum_of_products", counted)
     assert in_dtilde(matrix)
     # n products per pair on the diagonal, two for each i < j, and the row products
     assert len(products) == comb(p, 2) * n * n + p * comb(n + 1, 2)

@@ -255,3 +255,49 @@ def test_draw_helpers_draw_through_the_one_kernel():
 
 def _called_name(call):
     return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+# the enumerations of equations, the function forming their values, and the
+# weighted row sums; algebra._free_sum, the polynomial relation builders'
+# free sum, is the one place besides FpAlgebra._sum_of_products that
+# multiplies the factors of an equation
+SUMS_OF_PRODUCTS = {
+    "algebra.py": ("_difference_products", "_summation"),
+    "neighbour.py": ("_dtilde_equations", "_weighted_row_sum"),
+}
+
+
+def test_scans_and_row_sums_sum_products_only_through_the_kernel():
+    # one sum-of-products path: the two enumerations take their values from
+    # algebra._summation, whose element branch, like the weighted row sums,
+    # hands the factor pairs to FpAlgebra._sum_of_products; none of them
+    # multiplies, or reduce()s or sum()s element products, by hand
+    found, reads = [], {}
+    for name, names in SUMS_OF_PRODUCTS.items():
+        path = SOURCE / name
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        for function in map(functions.__getitem__, names):
+            nodes = list(ast.walk(function))
+            found += [
+                f"{name}:{node.lineno} {function.name} multiplies"
+                for node in nodes
+                if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult)
+            ]
+            found += [
+                f"{name}:{node.lineno} {function.name} calls {_called_name(node)}"
+                for node in nodes
+                if isinstance(node, ast.Call) and _called_name(node) in ("reduce", "sum")
+            ]
+            reads[function.name] = {getattr(node, "attr", getattr(node, "id", None)) for node in nodes}
+        if name == "neighbour.py":
+            found += [
+                f"{name}:{node.lineno} names reduce"
+                for node in ast.walk(tree)
+                if getattr(node, "id", None) == "reduce" or getattr(node, "name", None) == "reduce"
+            ]
+    assert not found, f"products summed outside FpAlgebra._sum_of_products at {found}"
+    for function in ("_summation", "_weighted_row_sum"):
+        assert "_sum_of_products" in reads[function], f"{function} does not use the kernel"
+    for function in ("_difference_products", "_dtilde_equations"):
+        assert "_summation" in reads[function], f"{function} does not take its values from _summation"
