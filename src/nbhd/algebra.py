@@ -266,6 +266,11 @@ class FpAlgebra:
         never are.  Each pair of exponents is looked up in the product table
         this algebra shares with every algebra of the same relation
         exponents, and the divisibility test runs only for a pair it lacks.
+        The terms come out in the order of the products' element sum: a
+        product is formed in a dict of its own, then added in as Polynomial
+        addition does, only when the sum so far is nonzero and both factors
+        have several terms; otherwise its exponent sums are distinct, or it
+        is the first, and it is formed in the result dict directly.
         The Groebner engine reduces the free sum once: by linearity that is
         the sum of the reduced products.
         """
@@ -281,6 +286,7 @@ class FpAlgebra:
         rows = table.rows
         out: dict[tuple[int, ...], object] = {}
         for ta, tb in pairs:
+            part = {} if out and len(ta) > 1 < len(tb) else out
             for ea, va in ta.items():
                 row = rows.get(ea, _NO_ROW)
                 for eb, vb in tb.items():
@@ -291,12 +297,20 @@ class FpAlgebra:
                     if exps is None:
                         continue
                     s = mul(va, vb)
+                    if exps in part:
+                        s = add(part[exps], s)
+                    if is_zero(s):
+                        part.pop(exps, None)
+                    else:
+                        part[exps] = s
+            if part is not out:
+                for exps, s in part.items():
                     if exps in out:
                         s = add(out[exps], s)
-                    if is_zero(s):
-                        out.pop(exps, None)
-                    else:
-                        out[exps] = s
+                        if is_zero(s):
+                            del out[exps]
+                            continue
+                    out[exps] = s
         return out
 
     def _element(self, terms: dict) -> "AlgebraElement":
@@ -671,17 +685,28 @@ def _summation(rows: Sequence[Sequence]):
     u * v over the pairs (u, v) of read entries, doubled when twice is set.
 
     Polynomials are read as they are, and the value is their free sum, zero
-    or not: the universal objects take their relations from it.  An
-    algebra's elements are read as the terms of their normal forms, the
-    pairs go to the algebra's _sum_of_products, and the doubling is done on
-    its terms.  The value is then an element built from those terms, or None
-    when they vanish: a scan builds an element only for an equation that
-    does not hold, and reads only the first of those.
+    or not: the universal objects take their relations from it.  When the
+    first entry is an algebra's element, every entry is read as the terms
+    of its normal form in that algebra: its own elements as they are, any
+    other entry through the algebra's element(), so an element of another
+    algebra raises ParentMismatch and a number or polynomial is coerced, as
+    a product would.  The pairs go to the algebra's _sum_of_products, and
+    the doubling is done on its terms.  The value is then an element built
+    from those terms, or None when they vanish: a scan builds an element
+    only for an equation that does not hold, and reads only the first of
+    those.
     """
     if not rows or not rows[0] or not isinstance(rows[0][0], AlgebraElement):
         return _as_is, _free_sum
     algebra = rows[0][0].parent
-    kernel, add, is_zero = algebra._sum_of_products, algebra.ring.add, algebra.ring.is_zero
+    element, kernel = algebra.element, algebra._sum_of_products
+    add, is_zero = algebra.ring.add, algebra.ring.is_zero
+
+    def read(row):
+        return [
+            (x if x.__class__ is AlgebraElement and x.parent is algebra else element(x)).rep._terms
+            for x in row
+        ]
 
     def value(pairs, twice=False):
         terms = kernel(pairs)
@@ -691,15 +716,11 @@ def _summation(rows: Sequence[Sequence]):
             terms = {e: s for e, c in terms.items() if not is_zero(s := add(c, c))}
         return algebra._element(terms) if terms else None
 
-    return _normal_form_terms, value
+    return read, value
 
 
 def _as_is(row: Sequence) -> Sequence:
     return row
-
-
-def _normal_form_terms(row: Sequence["AlgebraElement"]) -> list[dict]:
-    return [x.rep._terms for x in row]
 
 
 def _free_sum(pairs, twice=False) -> Polynomial:

@@ -117,9 +117,9 @@ def _first_defect(equations, notes: tuple[str, ...] = ()) -> CheckResult:
     The triples are read lazily, so no equation after the first nonzero one
     is formed.  Over elements the two enumerations of equations yield only
     the values that do not vanish, so for them the first triple read is the
-    witness; the product form and the square test yield every value.  When every value
-    is zero, or none is yielded, the result passes; either way it carries
-    the notes.
+    witness; the product form and the square test yield every value.  When
+    every value is zero, or none is yielded, the result passes; either way
+    it carries the notes.
     """
     for indices, label, value in equations:
         if not value.is_zero():
@@ -220,7 +220,7 @@ class SimplexMatrix:
     def __init__(self, codomain: FpAlgebra, rows: Sequence[Sequence]):
         if not rows:
             raise ShapeMismatch("a matrix needs at least one row")
-        entries = tuple(tuple(map(codomain.element, row)) for row in rows)
+        entries = tuple(tuple(codomain.element(x) for x in row) for row in rows)
         width = len(entries[0])
         if width == 0:
             raise ShapeMismatch("a matrix needs at least one column")
@@ -395,7 +395,7 @@ class CoefficientVector:
 
     def __init__(self, codomain: FpAlgebra, entries: Sequence):
         self.codomain = codomain
-        self.entries = tuple(map(codomain.element, entries))
+        self.entries = tuple(codomain.element(x) for x in entries)
         if not self.entries:
             raise ShapeMismatch("need at least one coefficient")
         self._affine = False
@@ -671,11 +671,8 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
     weights = [codomain.element(c) for c in coefficients]
     if len(weights) != matrix.rows:
         raise ArityMismatch(f"{len(weights)} weights for {matrix.rows} rows")
-    # the matrix's entries were checked when it was built, and the row sum is
-    # built in the codomain, so the extended matrix checks nothing again
-    extended = SimplexMatrix.__new__(SimplexMatrix)
-    extended.codomain = codomain
-    extended.entries = matrix.entries + (_weighted_row_sum(codomain, weights, matrix.entries),)
+    new_row = _weighted_row_sum(codomain, weights, matrix.entries)
+    extended = SimplexMatrix(codomain, matrix.entries + (new_row,))
     extended._proven = matrix.rows  # in_dtilde(matrix) passed above
     return extended
 

@@ -22,6 +22,7 @@ from nbhd.errors import (
     NotInDtilde,
     NotInKernel,
     NotNeighbours,
+    ParentMismatch,
     ReexpansionFailed,
     ShapeMismatch,
 )
@@ -174,6 +175,22 @@ def test_vectors_neighbour():
     assert not vectors_neighbour(c, d)
     with pytest.raises(ShapeMismatch):
         vectors_neighbour(a, a[:1])
+
+
+def test_vectors_neighbour_reads_every_entry_in_the_first_entrys_algebra():
+    # the differences are read in the algebra of the first entry, as an
+    # element product would read them: an element of another algebra is
+    # refused, a number or polynomial is coerced
+    full, thin = square_zero_full(), squares_only()
+    with pytest.raises(ParentMismatch):
+        vectors_neighbour((full.element("e1"), thin.element("e1")), (full.zero(), thin.element("e2")))
+    e1, e2 = (parse_poly(g, thin.varset, thin.ring) for g in ("e1", "e2"))
+    mixed = [((thin.element("e1"), 1), (thin.zero(), e2 + 1)), ((thin.element("e1"), e2), (e1, e1))]
+    for a, b in mixed:
+        result = vectors_neighbour(a, b)
+        expected = vectors_neighbour([thin.element(x) for x in a], [thin.element(x) for x in b])
+        assert not result and str(result) == str(expected)
+        assert result.witness.value.parent is thin
 
 
 # -- matrices -----------------------------------------------------------------

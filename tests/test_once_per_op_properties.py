@@ -326,14 +326,6 @@ def _ordered(equations):
     return out
 
 
-def _sorted(equations):
-    """The equations with each value's terms sorted by exponents, types
-    included: the kernel sums all of an equation's products in one dict, so
-    a partial sum that cancels can leave its terms in another dict order
-    than a sum of separately formed products, with the same terms."""
-    return [(at, label, sorted(terms)) for at, label, terms in _ordered(equations)]
-
-
 # Z/4: 2 is a zero divisor there, so a doubled product can vanish
 TWO_PRODUCT_RINGS = tuple(RingSpec.parse(name) for name in ("Q", "Z/2", "Z/4"))
 
@@ -358,7 +350,7 @@ def test_diagonal_cross_products_are_the_two_product_formula(data):
     ours = list(nbhd.neighbour._dtilde_equations(rows, start))
     theirs = [eq for eq in _two_product_equations(rows, start) if eq[2]]
     assert ours == theirs
-    assert _sorted(ours) == _sorted(theirs)
+    assert _ordered(ours) == _ordered(theirs)
     assert all(value.parent is codomain for _, _, value in ours)
     matrix = SimplexMatrix(codomain, rows)
     assert in_dtilde(matrix).ok == all(not v for _, _, v in _two_product_equations(rows))
