@@ -29,8 +29,10 @@ from .errors import (
     ReexpansionFailed,
     RingMismatch,
     ShapeMismatch,
+    UninterpretableValue,
     UnknownFormat,
     UnknownVariable,
+    VariableOutOfRange,
     VarSetMismatch,
 )
 from .poly import (

@@ -56,6 +56,7 @@ from .errors import (
     InvalidExponent,
     ParentMismatch,
     RingMismatch,
+    UninterpretableValue,
     VarSetMismatch,
 )
 from .ideal import (
@@ -170,7 +171,7 @@ class FpAlgebra:
             if isinstance(r, str):
                 r = parse_poly(r, varset, ring)
             if not isinstance(r, Polynomial):
-                raise TypeError(f"relation {r!r} is not a polynomial")
+                raise UninterpretableValue(f"relation {r!r} is not a polynomial")
             rels.append(r)
         ideal = Ideal(varset, ring, tuple(rels))
         self.ring = ring
@@ -330,7 +331,7 @@ class FpAlgebra:
             # a number's normal form is the number times the unit's
             return AlgebraElement(self, self.one().rep.scale(value))
         if not isinstance(value, str):
-            raise TypeError(f"cannot interpret {value!r} as an element")
+            raise UninterpretableValue(f"cannot interpret {value!r} as an element")
         return AlgebraElement(self, self.normal_form(parse_poly(value, self.varset, self.ring)))
 
     def zero(self) -> "AlgebraElement":
@@ -663,8 +664,11 @@ def _difference_products(rows: Sequence[Sequence]):
     AlgebraElements, and _summation reads the differences and forms the
     products.  A product with a zero difference is zero, so it is neither
     formed nor yielded; over AlgebraElements no product that vanishes is
-    yielded either.
+    yielded either, and when _vanish_by_support finds that every product
+    vanishes, none is formed.
     """
+    if _vanish_by_support(rows, differences=True):
+        return
     read, value = _summation(rows)
     for r, low in enumerate(rows):
         for s in range(r + 1, len(rows)):
@@ -717,6 +721,56 @@ def _summation(rows: Sequence[Sequence]):
         return algebra._element(terms) if terms else None
 
     return read, value
+
+
+def _vanish_by_support(rows: Sequence[Sequence], differences: bool = False) -> bool:
+    """Whether every equation of a scan over rows of elements vanishes by
+    the supports of its factors alone, so the scan has nothing to yield.
+
+    Every factor of an equation is supported in one set U of monomials: the
+    entries' supports, or with differences set those of every row_s - row_0
+    (row_s - row_r is their difference, so it is supported there too),
+    found by comparing term dicts, with nothing subtracted.  When the
+    product table deletes u * v for every u, v in U, each product of two
+    factors is zero whatever their coefficients, and so is each sum of
+    them.  Nothing is multiplied and no element is built; a table entry is
+    read, or filled, per pair until one survives.  The answer is False at
+    once, and the scan runs in full with its own coercion, errors and
+    witness, when some entry is not the first entry's algebra's own element
+    (a polynomial, a number, an element of another algebra), that algebra
+    takes the Groebner engine, or the rows are empty or of unequal lengths.
+    """
+    if not rows or not rows[0] or rows[0][0].__class__ is not AlgebraElement:
+        return False
+    anchor = rows[0]
+    algebra = anchor[0].parent
+    table = algebra._table
+    if table is None:
+        return False
+    support: set[tuple] = set()
+    for row in rows:
+        if len(row) != len(anchor):
+            return False
+        for x, y in zip(row, anchor):
+            if x.__class__ is not AlgebraElement or x.parent is not algebra:
+                return False
+            if not differences:
+                support.update(x.rep._terms)
+            elif x is not y:
+                a, b = y.rep._terms, x.rep._terms
+                support.update(e for e in a.keys() | b.keys() if a.get(e) != b.get(e))
+    monomials = list(support)
+    table_rows = table.rows
+    for k, u in enumerate(monomials):
+        row = table_rows.get(u, _NO_ROW)
+        for v in monomials[k:]:
+            try:
+                exps = row[v]
+            except KeyError:
+                exps = table.fill(u, v)
+            if exps is not None:
+                return False
+    return True
 
 
 def _as_is(row: Sequence) -> Sequence:

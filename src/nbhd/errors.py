@@ -36,6 +36,14 @@ class InvalidVariableName(NbhdError, ValueError):
     """A variable name is malformed or repeated within one variable set."""
 
 
+class VariableOutOfRange(NbhdError, IndexError):
+    """A variable index lies outside its variable set."""
+
+
+class UninterpretableValue(NbhdError, TypeError):
+    """A value of a type that cannot be read as a polynomial or an element."""
+
+
 class ParseError(NbhdError):
     """Malformed textual input.  Carries a 0-based character position."""
 

@@ -26,14 +26,18 @@ All three sum products through one kernel, FpAlgebra._sum_of_products,
 which accumulates the normal-form terms of a sum of products in one dict.
 The scans decide without building: over elements, an equation's factor
 pairs go to the kernel, and an element is built only for an equation that
-does not vanish, which is the witness; a passing scan builds none.  A row
-sum builds each column once, from the kernel's terms.  All three skip the
-products with a zero factor, which are zero: they are never formed, and a
-zero value is never a defect, so every verdict and witness is the one the
-full scan would give.  For the same reason in_dtilde skips the equations
-among the rows that extend_matrix's own in_dtilde precondition proved: a
-matrix it returns records how many leading rows those are, and only
-equations that touch a later row are formed again.
+does not vanish, which is the witness; a passing scan builds none.  Before
+either scan forms a product, algebra._vanish_by_support asks whether the
+product table deletes every product of two monomials of the factors'
+supports; when it does, every equation vanishes and the scan forms none,
+and otherwise it runs in full.  A row sum builds each column once, from
+the kernel's terms.  All three skip the products with a zero factor, which
+are zero: they are never formed, and a zero value is never a defect, so
+every verdict and witness is the one the full scan would give.  For the
+same reason in_dtilde skips the equations among the rows that
+extend_matrix's own in_dtilde precondition proved: a matrix it returns
+records how many leading rows those are, and only equations that touch a
+later row are formed again.
 The product form, the square test and in_dtilde stay off
 _difference_products, and the first two off the kernel: they are second
 implementations, kept so that the verification suite can compare answers.
@@ -70,6 +74,7 @@ from .algebra import (
     _difference_products,
     _summation,
     _universal_quotient,
+    _vanish_by_support,
     adjoin_variables,
     compose,
     free_algebra,
@@ -349,8 +354,12 @@ def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
     factor is zero, so it is not yielded.  A cross product with i = j is one
     product twice, a_ri * a_si + a_si * a_ri, so that product is formed once
     and doubled.  Only the equations that touch a row at or after start are
-    yielded: the caller knows the others to be zero.
+    yielded: the caller knows the others to be zero.  When
+    algebra._vanish_by_support finds that every equation vanishes, none is
+    formed.
     """
+    if _vanish_by_support(rows):
+        return
     read, value = _summation(rows)
     rows = list(map(read, rows))
     cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"

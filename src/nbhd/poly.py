@@ -26,6 +26,7 @@ from .errors import (
     ParseError,
     RingMismatch,
     UnknownVariable,
+    VariableOutOfRange,
     VarSetMismatch,
 )
 
@@ -192,7 +193,7 @@ class Polynomial:
     def variable(cls, varset: VarSet, ring: RingSpec, which: int | str) -> "Polynomial":
         i = varset.index(which) if isinstance(which, str) else which
         if not 0 <= i < len(varset):
-            raise IndexError(f"variable index {i} out of range")
+            raise VariableOutOfRange(f"variable index {i} out of range")
         exps = tuple(1 if j == i else 0 for j in range(len(varset)))
         return cls._raw(varset, ring, {exps: ring.one()})
 

@@ -30,8 +30,10 @@ from nbhd.errors import (
     InvalidArgument,
     InvalidExponent,
     NonFieldCoefficients,
+    NbhdError,
     ParentMismatch,
     RingMismatch,
+    UninterpretableValue,
     VarSetMismatch,
 )
 import nbhd.algebra
@@ -766,3 +768,14 @@ def test_adjoin_variables():
     assert not (t * t).is_zero()  # t is free
     with pytest.raises(VarSetMismatch):
         adjoin_variables(A, ("X",))
+
+
+def test_values_of_no_readable_type_raise_a_typed_type_error():
+    algebra = dual_numbers()
+    with pytest.raises(UninterpretableValue, match="cannot interpret .* as an element") as error:
+        algebra.element(object())
+    with pytest.raises(UninterpretableValue, match="is not a polynomial") as relation:
+        FpAlgebra(QQ, ("X",), [2.5])
+    # callers that catch TypeError keep working
+    for raised in (error.value, relation.value):
+        assert isinstance(raised, NbhdError) and isinstance(raised, TypeError)

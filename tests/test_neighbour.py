@@ -116,6 +116,15 @@ def test_neighbour_requires_parallel_maps():
         is_neighbour(f, other)
 
 
+def test_neighbour_requires_one_codomain():
+    # Q[x] -> Q[y] and Q[x] -> Q[z]: one domain, two codomains
+    domain = free_algebra(QQ, ["x"])
+    f = AlgebraMap(domain, free_algebra(QQ, ["y"]), ["y"])
+    g = AlgebraMap(domain, free_algebra(QQ, ["z"]), ["z"])
+    with pytest.raises(DomainMismatch, match="codomains differ"):
+        is_neighbour(f, g)
+
+
 def test_product_form_agrees_everywhere():
     """The subtraction-free criterion is equivalent over every ring."""
     rng = random.Random("nbhd-product-form")
@@ -641,24 +650,50 @@ def test_scans_never_multiply_by_zero(monkeypatch):
     assert [str(x) for x in extended.row(2)] == ["3*e1", "0"]
 
 
-def test_passing_scans_build_no_element_for_a_vanishing_equation(monkeypatch):
-    # every difference product and difference-variety equation below
-    # vanishes; a scan builds an element only for an equation that does not
-    full = square_zero_full(QQ, 3)
-    rows = [["e1", "2*e2", "e3"], ["e2", "e3", "e1 - e2"], ["3*e1 + e3", "e2 - e1", "e1"]]
-    simplex = SimplexMatrix(full, rows)
-    member = SimplexMatrix(full, rows[:2])
-    f, g, h = maps_of_matrix(simplex)
-    weights = CoefficientVector.affine(full, [2, -1])
-    built = []
-    init = AlgebraElement.__init__
+def square_zero_by_groebner(ring=QQ, n=2):
+    """square_zero_full's quotient with one more relation, e1^2 + e1^3: it
+    lies in the ideal but is not a monomial, so the same algebra takes the
+    Groebner engine, where no scan is decided by the supports of its
+    entries."""
+    full = square_zero_full(ring, n)
+    return FpAlgebra(ring, full.varset.names, [*full.relations, "e1^2 + e1^3"])
+
+
+VANISHING_ROWS = [["e1", "2*e2", "e3"], ["e2", "e3", "e1 - e2"], ["3*e1 + e3", "e2 - e1", "e1"]]
+
+
+def recorded_elements_and_kernel_calls(monkeypatch):
+    """Lists that collect the representative of every AlgebraElement built
+    and the factor pairs of every sum-of-products kernel call."""
+    built, calls = [], []
+    init, kernel = AlgebraElement.__init__, FpAlgebra._sum_of_products
 
     def recorded(self, parent, rep):
         built.append(rep)
         init(self, parent, rep)
 
+    def counted(self, pairs):
+        pairs = list(pairs)
+        calls.append(pairs)
+        return kernel(self, pairs)
+
     monkeypatch.setattr(AlgebraElement, "__init__", recorded)
-    assert in_dtilde(member) and not built  # no element at all
+    monkeypatch.setattr(FpAlgebra, "_sum_of_products", counted)
+    return built, calls
+
+
+def test_passing_scans_build_no_element_for_a_vanishing_equation(monkeypatch):
+    # every difference product and difference-variety equation below
+    # vanishes; a scan builds an element only for an equation that does not.
+    # Under the Groebner engine the scans run in full.
+    full = square_zero_by_groebner(QQ, 3)
+    assert full.strategy == "groebner"
+    simplex = SimplexMatrix(full, VANISHING_ROWS)
+    member = SimplexMatrix(full, VANISHING_ROWS[:2])
+    f, g, h = maps_of_matrix(simplex)
+    weights = CoefficientVector.affine(full, [2, -1])
+    built, calls = recorded_elements_and_kernel_calls(monkeypatch)
+    assert in_dtilde(member) and not built and calls  # no element at all
     # the differences of two rows are elements, none of them zero here
     scans = (
         lambda: is_simplex(simplex),
@@ -674,6 +709,33 @@ def test_passing_scans_build_no_element_for_a_vanishing_equation(monkeypatch):
     # the weights are (0, 2, -1)
     assert [str(x) for x in combined.images] == ["-3*e1 + 2*e2 - e3", "e1 - e2 + 2*e3", "e1 - 2*e2"]
     assert built and all(built)
+
+
+def test_scans_decided_by_support_form_no_product(monkeypatch):
+    # over monomial relations that delete every product of two monomials of
+    # the entries' (or the differences') supports, every equation vanishes
+    # whatever the coefficients: the scans call no kernel and build nothing
+    full = square_zero_full(QQ, 3)
+    simplex = SimplexMatrix(full, VANISHING_ROWS)
+    member = SimplexMatrix(full, VANISHING_ROWS[:2])
+    f, g, h = maps_of_matrix(simplex)
+    weights = CoefficientVector.affine(full, [2, -1])
+    built, calls = recorded_elements_and_kernel_calls(monkeypatch)
+    scans = (
+        lambda: in_dtilde(member),
+        lambda: is_simplex(simplex),
+        lambda: is_neighbour(f, g),
+        lambda: vectors_neighbour(simplex.row(0), simplex.row(2)),
+    )
+    for scan in scans:
+        assert scan()
+        assert built == [] and calls == []
+    # the combination builds its three columns, one kernel call each, and
+    # nothing for its precondition
+    combined = affine_combinations([f, g, h], [weights])[0]
+    assert [str(x) for x in combined.images] == ["-3*e1 + 2*e2 - e3", "e1 - e2 + 2*e3", "e1 - 2*e2"]
+    assert [str(x) for x in built] == [str(x.rep) for x in combined.images]
+    assert len(calls) == 3
 
 
 def test_universal_dtilde_2x2_determinant():

@@ -22,7 +22,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import nbhd.neighbour  # noqa: E402
-from nbhd.algebra import AlgebraMap, FpAlgebra, free_algebra  # noqa: E402
+from nbhd.algebra import AlgebraElement, AlgebraMap, FpAlgebra, free_algebra  # noqa: E402
 from nbhd.arith import QQ, RingSpec  # noqa: E402
 from nbhd.errors import (  # noqa: E402
     ArityMismatch,
@@ -265,9 +265,43 @@ def test_equations_from_a_start_row_are_those_that_touch_it(data):
     assert list(nbhd.neighbour._dtilde_equations(rows, start)) == touching
 
 
+def square_zero_by_groebner(ring, n):
+    """square_zero_full's quotient with one more relation, e1^2 + e1^3: it
+    lies in the ideal but is not a monomial, so the same algebra takes the
+    Groebner engine, where no scan is decided by the supports of its
+    entries."""
+    full = square_zero_full(ring, n)
+    return FpAlgebra(ring, full.varset, [*full.relations, "e1^2 + e1^3"])
+
+
+def kernel_calls_and_elements(monkeypatch):
+    """Two lists: the factor pairs of every sum-of-products kernel call, and
+    every AlgebraElement built."""
+    calls, built = [], []
+    kernel, init = FpAlgebra._sum_of_products, AlgebraElement.__init__
+
+    def counted(self, pairs):
+        pairs = list(pairs)
+        calls.append(pairs)
+        return kernel(self, pairs)
+
+    def recorded(self, parent, rep):
+        built.append(rep)
+        init(self, parent, rep)
+
+    monkeypatch.setattr(FpAlgebra, "_sum_of_products", counted)
+    monkeypatch.setattr(AlgebraElement, "__init__", recorded)
+    return calls, built
+
+
+PROVEN_ROWS = [["e1", "e2", "e1 + e3"], ["e2 - e3", "e3", "2*e1"]]
+
+
 def test_in_dtilde_forms_no_product_among_the_proven_rows(monkeypatch):
-    full = square_zero_full(QQ, 3)
-    matrix = SimplexMatrix(full, [["e1", "e2", "e1 + e3"], ["e2 - e3", "e3", "2*e1"]])
+    # under the Groebner engine every equation of a member reaches the kernel
+    full = square_zero_by_groebner(QQ, 3)
+    assert full.strategy == "groebner"
+    matrix = SimplexMatrix(full, PROVEN_ROWS)
     extended = extend_matrix(matrix, [3, "2 + e2"])
     twice = extend_matrix(extended, [2, -3, 5])
     proven = [x for row in matrix.entries for x in row]
@@ -282,6 +316,21 @@ def test_in_dtilde_forms_no_product_among_the_proven_rows(monkeypatch):
     assert seen
     seen.clear()
     assert in_dtilde(twice) == fresh and not seen
+
+
+def test_in_dtilde_of_a_member_decided_by_support_forms_no_product(monkeypatch):
+    # over the monomial presentation every product of two monomials of the
+    # entries' supports is deleted: no kernel call and no element, proven
+    # rows or not
+    full = square_zero_full(QQ, 3)
+    matrix = SimplexMatrix(full, PROVEN_ROWS)
+    extended = extend_matrix(matrix, [3, "2 + e2"])
+    twice = extend_matrix(extended, [2, -3, 5])
+    calls, built = kernel_calls_and_elements(monkeypatch)
+    for member in (extended, twice, SimplexMatrix(full, twice.entries)):
+        built.clear()
+        assert in_dtilde(member)
+        assert calls == [] and built == []
 
 
 def test_only_extend_matrix_marks_rows_proven():
@@ -371,25 +420,37 @@ def test_universal_dtilde_relations_are_the_two_product_formula(ring):
                 assert list(algebra.relations) == [v for _, _, v in theirs if v]
 
 
+def dense_member(codomain, p, n, entry):
+    return SimplexMatrix(codomain, [[entry(r, j) for j in range(n)] for r in range(p)])
+
+
 @pytest.mark.parametrize("p, n", [(1, 3), (2, 2), (3, 3), (4, 2)])
 def test_in_dtilde_forms_one_product_per_diagonal_cross_equation(monkeypatch, p, n):
-    # a dense member: every entry is nonzero and every product vanishes, so
-    # every equation is formed and the scan runs to the end
-    full = square_zero_full(QQ, n)
-    gens = full.generators()
-    matrix = SimplexMatrix(full, [[(r + 1) * gens[(r + j) % n] for j in range(n)] for r in range(p)])
-    products = []
-    kernel = FpAlgebra._sum_of_products
-
-    def counted(self, pairs):
-        pairs = list(pairs)
-        products.extend(pairs)
-        return kernel(self, pairs)
-
-    monkeypatch.setattr(FpAlgebra, "_sum_of_products", counted)
+    # a dense member: every entry is e1 + ... + en over Z/2 modulo the
+    # squares, and every product, 2 * (sum of the e_i * e_j with i < j),
+    # cancels; e1 * e2 survives the product table, so the supports decide
+    # nothing, every equation is formed and the scan runs to the end
+    thin = squares_only(RingSpec.parse("Z/2"), n)
+    total = sum(thin.generators(), thin.zero())
+    matrix = dense_member(thin, p, n, lambda r, j: total)
+    calls, _ = kernel_calls_and_elements(monkeypatch)
     assert in_dtilde(matrix)
     # n products per pair on the diagonal, two for each i < j, and the row products
-    assert len(products) == comb(p, 2) * n * n + p * comb(n + 1, 2)
+    assert sum(map(len, calls)) == comb(p, 2) * n * n + p * comb(n + 1, 2)
+    # one kernel call per equation
+    assert len(calls) == comb(p, 2) * comb(n + 1, 2) + p * comb(n + 1, 2)
+
+
+@pytest.mark.parametrize("p, n", [(1, 3), (2, 2), (3, 3), (4, 2)])
+def test_in_dtilde_of_a_dense_member_decided_by_support_forms_nothing(monkeypatch, p, n):
+    # every entry a multiple of one generator of the full square-zero
+    # algebra: the product table deletes every product of two generators
+    full = square_zero_full(QQ, n)
+    gens = full.generators()
+    matrix = dense_member(full, p, n, lambda r, j: (r + 1) * gens[(r + j) % n])
+    calls, built = kernel_calls_and_elements(monkeypatch)
+    assert in_dtilde(matrix)
+    assert calls == [] and built == []
 
 
 # -- weights affine by construction ---------------------------------------------

@@ -9,8 +9,10 @@ from nbhd.errors import (
     ArityMismatch,
     InvalidExponent,
     InvalidVariableName,
+    NbhdError,
     ParseError,
     UnknownVariable,
+    VariableOutOfRange,
     VarSetMismatch,
 )
 from nbhd.poly import (
@@ -345,3 +347,11 @@ def test_polynomial_hash_consistent_with_eq():
     q = P("Y + X")
     assert p == q and hash(p) == hash(q)
     assert len({p, q}) == 1
+
+
+@pytest.mark.parametrize("which", [-1, 3])
+def test_variable_out_of_range_is_a_typed_index_error(which):
+    with pytest.raises(VariableOutOfRange, match=f"variable index {which} out of range") as error:
+        Polynomial.variable(XYZ, QQ, which)
+    # callers that catch IndexError keep working
+    assert isinstance(error.value, NbhdError) and isinstance(error.value, IndexError)

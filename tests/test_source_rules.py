@@ -301,3 +301,51 @@ def test_scans_and_row_sums_sum_products_only_through_the_kernel():
         assert "_sum_of_products" in reads[function], f"{function} does not use the kernel"
     for function in ("_difference_products", "_dtilde_equations"):
         assert "_summation" in reads[function], f"{function} does not take its values from _summation"
+
+
+# what the support test may not do: form a product, build an element, or
+# learn that a monomial is deleted anywhere but in the product table
+SUPPORT_TEST_FORBIDDEN = {
+    "_sum_of_products", "_product", "_element", "element", "AlgebraElement",
+    "_deletes", "normal_form", "dividing", "mono_mul", "mono_divides",
+}
+
+
+def _functions(name):
+    path = SOURCE / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_the_support_test_multiplies_nothing_and_precedes_the_scans():
+    # algebra._vanish_by_support decides a scan from the supports of its
+    # factors: it reads deletion from the product table's rows, filling a
+    # missing entry, and never multiplies or builds
+    helper = _functions("algebra.py")["_vanish_by_support"]
+    nodes = list(ast.walk(helper))
+    found = [
+        f"algebra.py:{node.lineno} multiplies"
+        for node in nodes
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mult)
+    ]
+    found += [
+        f"algebra.py:{node.lineno} calls {_called_name(node)}"
+        for node in nodes
+        if isinstance(node, ast.Call) and _called_name(node) in SUPPORT_TEST_FORBIDDEN
+    ]
+    assert not found, f"the support test forms products or reads deletion elsewhere: {found}"
+    attributes = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+    assert {"_table", "rows", "fill"} <= attributes, "the support test does not read the product table"
+    # each enumeration asks it before its first loop
+    for name, function in (("algebra.py", "_difference_products"), ("neighbour.py", "_dtilde_equations")):
+        body = _functions(name)[function].body
+        asks = [
+            k for k, statement in enumerate(body)
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Call) and _called_name(node) == "_vanish_by_support"
+        ]
+        loops = [
+            k for k, statement in enumerate(body)
+            if any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(statement))
+        ]
+        assert asks and loops and asks[0] < loops[0], f"{function} does not ask the support test first"
