@@ -30,6 +30,7 @@ from .errors import (
     RingMismatch,
     ShapeMismatch,
     UninterpretableValue,
+    UnknownCheck,
     UnknownFormat,
     UnknownVariable,
     VariableOutOfRange,

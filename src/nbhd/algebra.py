@@ -685,8 +685,8 @@ def _difference_products(rows: Sequence[Sequence]):
 def _summation(rows: Sequence[Sequence]):
     """(read, value) for the enumerations of equations over rows, all of one
     length: read(row) is a row of such entries as the enumerations read it,
-    and value(pairs, twice=False) the sum of an equation's factor products
-    u * v over the pairs (u, v) of read entries, doubled when twice is set.
+    and value(pairs) the sum of an equation's factor products u * v over the
+    pairs (u, v) of read entries.
 
     Polynomials are read as they are, and the value is their free sum, zero
     or not: the universal objects take their relations from it.  When the
@@ -695,16 +695,14 @@ def _summation(rows: Sequence[Sequence]):
     other entry through the algebra's element(), so an element of another
     algebra raises ParentMismatch and a number or polynomial is coerced, as
     a product would.  The pairs go to the algebra's _sum_of_products, and
-    the doubling is done on its terms.  The value is then an element built
-    from those terms, or None when they vanish: a scan builds an element
-    only for an equation that does not hold, and reads only the first of
-    those.
+    the value is then an element built from its terms, or None when they
+    vanish: a scan builds an element only for an equation that does not
+    hold, and reads only the first of those.
     """
     if not rows or not rows[0] or not isinstance(rows[0][0], AlgebraElement):
         return _as_is, _free_sum
     algebra = rows[0][0].parent
     element, kernel = algebra.element, algebra._sum_of_products
-    add, is_zero = algebra.ring.add, algebra.ring.is_zero
 
     def read(row):
         return [
@@ -712,12 +710,8 @@ def _summation(rows: Sequence[Sequence]):
             for x in row
         ]
 
-    def value(pairs, twice=False):
+    def value(pairs):
         terms = kernel(pairs)
-        if not terms:
-            return None
-        if twice:
-            terms = {e: s for e, c in terms.items() if not is_zero(s := add(c, c))}
         return algebra._element(terms) if terms else None
 
     return read, value
@@ -777,12 +771,11 @@ def _as_is(row: Sequence) -> Sequence:
     return row
 
 
-def _free_sum(pairs, twice=False) -> Polynomial:
+def _free_sum(pairs) -> Polynomial:
     """The polynomial relation builders' value: the free sum of the products
-    u * v over the pairs, doubled when twice is set."""
+    u * v over the pairs."""
     (u, v), *rest = pairs
-    total = sum((x * y for x, y in rest), u * v)
-    return total + total if twice else total
+    return sum((x * y for x, y in rest), u * v)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 
 # Moduli must fit in a machine word.
 MAX_MODULUS = 2**63 - 1
@@ -60,7 +60,8 @@ def _is_prime(n: int) -> bool:
 class RingSpec:
     """One of Q, Z, or Z/m, together with exact arithmetic on raw values.
 
-    kind is "Q", "Z" or "Zmod"; modulus is set exactly for "Zmod".
+    kind is "Q", "Z" or "Zmod"; modulus is set exactly for "Zmod".  Any
+    other kind or modulus raises InvalidArgument.
     """
 
     kind: str
@@ -68,15 +69,15 @@ class RingSpec:
 
     def __post_init__(self) -> None:
         if self.kind not in ("Q", "Z", "Zmod"):
-            raise ValueError(f"unknown ring kind {self.kind!r}")
+            raise InvalidArgument(f"unknown ring kind {self.kind!r}")
         if self.kind == "Zmod":
             m = self.modulus
             if not isinstance(m, int) or m < 2:
-                raise ValueError("modulus must be an integer >= 2")
+                raise InvalidArgument("modulus must be an integer >= 2")
             if m > MAX_MODULUS:
-                raise ValueError(f"modulus {m} exceeds the machine-word bound {MAX_MODULUS}")
+                raise InvalidArgument(f"modulus {m} exceeds the machine-word bound {MAX_MODULUS}")
         elif self.modulus is not None:
-            raise ValueError(f"ring {self.kind} takes no modulus")
+            raise InvalidArgument(f"ring {self.kind} takes no modulus")
         # built once per ring; not dataclass fields, so == and hash ignore them
         object.__setattr__(self, "_zero", self.normalize(0))
         object.__setattr__(self, "_one", self.normalize(1))

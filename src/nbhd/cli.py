@@ -296,6 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--vars", help="inline comma-separated variable names")
     source.add_argument("--rels", help="inline semicolon-separated relations")
 
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--matrix", help="matrix file")
+    matrix.add_argument("--rows", help="inline rows 'a,b; c,d'")
+
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("nf", parents=[common, engine, source], help="normal form of a polynomial")
@@ -326,20 +330,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "simplex",
-        parents=[common, engine, source],
+        parents=[common, engine, source, matrix],
         help="test whether matrix rows are pairwise neighbours",
     )
-    p.add_argument("--matrix", help="matrix file")
-    p.add_argument("--rows", help="inline rows 'a,b; c,d'")
     p.set_defaults(handler=_cmd_simplex)
 
     p = sub.add_parser(
         "dtilde",
-        parents=[common, engine, source],
+        parents=[common, engine, source, matrix],
         help="zero-anchored difference-matrix membership, or the generic matrix",
     )
-    p.add_argument("--matrix", help="matrix file")
-    p.add_argument("--rows", help="inline rows 'a,b; c,d'")
     p.add_argument(
         "--universal",
         action="store_true",
@@ -351,21 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "affine",
-        parents=[common, engine, source],
+        parents=[common, engine, source, matrix],
         help="affine combination of the rows of a simplex matrix",
     )
-    p.add_argument("--matrix", help="matrix file")
-    p.add_argument("--rows", help="inline rows 'a,b; c,d'")
     p.add_argument("--coeffs", required=True, help="comma-separated weights, sum 1")
     p.set_defaults(handler=_cmd_affine)
 
     p = sub.add_parser(
         "extend",
-        parents=[common, engine, source],
+        parents=[common, engine, source, matrix],
         help="append a weighted row sum to a difference matrix",
     )
-    p.add_argument("--matrix", help="matrix file")
-    p.add_argument("--rows", help="inline rows 'a,b; c,d'")
     p.add_argument("--coeffs", required=True, help="comma-separated weights")
     p.set_defaults(handler=_cmd_extend)
 

@@ -44,6 +44,10 @@ class UninterpretableValue(NbhdError, TypeError):
     """A value of a type that cannot be read as a polynomial or an element."""
 
 
+class UnknownCheck(NbhdError, KeyError):
+    """A verification report was asked for a check it did not run."""
+
+
 class ParseError(NbhdError):
     """Malformed textual input.  Carries a 0-based character position."""
 

@@ -33,11 +33,7 @@ supports; when it does, every equation vanishes and the scan forms none,
 and otherwise it runs in full.  A row sum builds each column once, from
 the kernel's terms.  All three skip the products with a zero factor, which
 are zero: they are never formed, and a zero value is never a defect, so
-every verdict and witness is the one the full scan would give.  For the
-same reason in_dtilde skips the equations among the rows that
-extend_matrix's own in_dtilde precondition proved: a matrix it returns
-records how many leading rows those are, and only equations that touch a
-later row are formed again.
+every verdict and witness is the one the full scan would give.
 The product form, the square test and in_dtilde stay off
 _difference_products, and the first two off the kernel: they are second
 implementations, kept so that the verification suite can compare answers.
@@ -215,12 +211,10 @@ class SimplexMatrix:
 
     Rows play the role of coordinate vectors of maps into the algebra; the
     same container serves both (p+1)-row simplices and p-row zero-anchored
-    difference matrices.  The private _proven is the number of leading rows
-    known to lie in the difference variety: 0 unless extend_matrix built the
-    matrix after its in_dtilde precondition passed.
+    difference matrices.
     """
 
-    __slots__ = ("codomain", "entries", "_proven")
+    __slots__ = ("codomain", "entries")
 
     def __init__(self, codomain: FpAlgebra, rows: Sequence[Sequence]):
         if not rows:
@@ -233,7 +227,6 @@ class SimplexMatrix:
             raise ShapeMismatch("rows have unequal lengths")
         self.codomain = codomain
         self.entries = entries
-        self._proven = 0
 
     @property
     def rows(self) -> int:
@@ -329,8 +322,7 @@ def in_dtilde(matrix: SimplexMatrix) -> CheckResult:
     row: a_ri * a_rj = 0).  Equivalent to: prepending a zero row yields a
     simplex.  When 2 is invertible the row products already follow from the
     cross products; they are checked regardless and a note records the
-    implication.  The equations among the rows that extend_matrix proved are
-    known to be zero and are not formed again.
+    implication.
     """
     notes: tuple[str, ...] = ()
     if matrix.codomain.ring.two_invertible:
@@ -338,25 +330,23 @@ def in_dtilde(matrix: SimplexMatrix) -> CheckResult:
             "row-product equations are implied by the cross-product equations "
             "here (2 is invertible); both families checked anyway",
         )
-    return _first_defect(_dtilde_equations(matrix.entries, matrix._proven), notes)
+    return _first_defect(_dtilde_equations(matrix.entries), notes)
 
 
-def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
+def _dtilde_equations(rows: Sequence[Sequence]):
     """Yield (indices, label, value) for the equations of the difference
     variety, with 1-based indices: the cross products
     a_ri * a_sj + a_si * a_rj for rows r < s and columns i <= j, then the row
-    products a_ri * a_rj for columns i <= j, in that nesting order.  The
-    entries may be Polynomials or AlgebraElements, and algebra._summation
-    forms the values: over AlgebraElements each equation's factor pairs go
-    to the algebra's _sum_of_products, and only an equation that does not
-    vanish is yielded, as an element.  Only the products of two nonzero
+    products a_ri * a_rj for columns i <= j, in that nesting order; a cross
+    product with i = j is a_ri * a_si + a_si * a_ri, both products formed,
+    as the relation is written.  The entries may be Polynomials or
+    AlgebraElements, and algebra._summation forms the values: over
+    AlgebraElements each equation's factor pairs go to the algebra's
+    _sum_of_products, and only an equation that does not vanish is
+    yielded, as an element.  Only the products of two nonzero
     entries are formed, and an equation whose products all have a zero
-    factor is zero, so it is not yielded.  A cross product with i = j is one
-    product twice, a_ri * a_si + a_si * a_ri, so that product is formed once
-    and doubled.  Only the equations that touch a row at or after start are
-    yielded: the caller knows the others to be zero.  When
-    algebra._vanish_by_support finds that every equation vanishes, none is
-    formed.
+    factor is zero, so it is not yielded.  When algebra._vanish_by_support
+    finds that every equation vanishes, none is formed.
     """
     if _vanish_by_support(rows):
         return
@@ -364,14 +354,10 @@ def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
     rows = list(map(read, rows))
     cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
     for r, x in enumerate(rows):
-        for s in range(max(r + 1, start), len(rows)):
+        for s in range(r + 1, len(rows)):
             y = rows[s]
             for i, (a, b) in enumerate(zip(x, y)):
-                if a and b:
-                    w = value(((a, b),), twice=True)
-                    if w is not None:
-                        yield (r + 1, s + 1, i + 1, i + 1), cross, w
-                for j in range(i + 1, len(x)):
+                for j in range(i, len(x)):
                     c, d = y[j], x[j]
                     if a and c:
                         pairs = ((a, c), (b, d)) if b and d else ((a, c),)
@@ -382,8 +368,7 @@ def _dtilde_equations(rows: Sequence[Sequence], start: int = 0):
                     w = value(pairs)
                     if w is not None:
                         yield (r + 1, s + 1, i + 1, j + 1), cross, w
-    for r in range(start, len(rows)):
-        x = rows[r]
+    for r, x in enumerate(rows):
         for i, u in enumerate(x):
             if u:
                 for j in range(i, len(x)):
@@ -681,9 +666,7 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
     if len(weights) != matrix.rows:
         raise ArityMismatch(f"{len(weights)} weights for {matrix.rows} rows")
     new_row = _weighted_row_sum(codomain, weights, matrix.entries)
-    extended = SimplexMatrix(codomain, matrix.entries + (new_row,))
-    extended._proven = matrix.rows  # in_dtilde(matrix) passed above
-    return extended
+    return SimplexMatrix(codomain, matrix.entries + (new_row,))
 
 
 def universal_dtilde(

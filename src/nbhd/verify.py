@@ -24,7 +24,14 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .arith import QQ, RingSpec
-from .errors import IllDefinedMap, InvalidArgument, NbhdError, NotInKernel, UnknownFormat
+from .errors import (
+    IllDefinedMap,
+    InvalidArgument,
+    NbhdError,
+    NotInKernel,
+    UnknownCheck,
+    UnknownFormat,
+)
 from .algebra import (
     AlgebraElement,
     AlgebraMap,
@@ -1565,11 +1572,12 @@ class VerificationReport:
         return {r.check_id: r.verdict for r in self.records}
 
     def record(self, check_id: str) -> CheckRecord:
-        """The record of one check, by id; KeyError for an id not run."""
+        """The record of one check, by id; UnknownCheck (a KeyError) for an
+        id not run."""
         for r in self.records:
             if r.check_id == check_id:
                 return r
-        raise KeyError(check_id)
+        raise UnknownCheck(check_id)
 
 
 def run_suite(config: SuiteConfig, sabotage: bool = False) -> VerificationReport:

@@ -5,7 +5,7 @@ import pytest
 
 from nbhd.algebra import FpAlgebra
 from nbhd.arith import MAX_MODULUS, QQ, RingSpec, ZZ
-from nbhd.errors import ParseError
+from nbhd.errors import InvalidArgument, NbhdError, ParseError
 from nbhd.poly import Polynomial, VarSet, parse_poly
 
 
@@ -31,6 +31,29 @@ def test_ring_spec_rejects_bad_moduli():
         RingSpec.parse("GF(4)")
     with pytest.raises(ParseError):
         RingSpec.parse("Z/1")
+
+
+@pytest.mark.parametrize(
+    "kind, modulus, message",
+    [
+        ("F", None, "unknown ring kind 'F'"),
+        ("Zmod", 1, "modulus must be an integer >= 2"),
+        ("Zmod", "7", "modulus must be an integer >= 2"),
+        ("Zmod", MAX_MODULUS + 1, f"modulus {MAX_MODULUS + 1} exceeds the machine-word bound"),
+        ("Q", 5, "ring Q takes no modulus"),
+    ],
+)
+def test_ring_spec_raises_invalid_argument(kind, modulus, message):
+    with pytest.raises(InvalidArgument) as caught:
+        RingSpec(kind, modulus)
+    assert str(caught.value).startswith(message)
+    # still a ValueError for callers that catch one
+    assert isinstance(caught.value, NbhdError) and isinstance(caught.value, ValueError)
+    if kind == "Zmod" and isinstance(modulus, int):
+        # parse reports the same text as a ParseError
+        with pytest.raises(ParseError) as parsed:
+            RingSpec.parse(f"Z/{modulus}")
+        assert str(parsed.value) == str(caught.value)
 
 
 def test_is_field():

@@ -63,8 +63,8 @@ def test_no_true_division_outside_arith():
 
 
 def test_no_bare_value_errors_outside_arith():
-    # the library raises typed NbhdErrors; arith.py keeps RingSpec's own
-    # ValueErrors, which RingSpec.parse and parse_poly re-raise as ParseError
+    # the library raises typed NbhdErrors; arith.py keeps the ValueErrors of
+    # RingSpec.normalize, which its callers catch and re-raise typed
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         if path.name == "arith.py":

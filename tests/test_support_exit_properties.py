@@ -143,7 +143,7 @@ def procedures(codomain, simplex, dtilde, weights, extension):
     maps = [AlgebraMap(domain, codomain, row) for row in simplex]
 
     def extended_in_dtilde():
-        # extend_matrix's own precondition, then in_dtilde from start > 0
+        # extend_matrix's own precondition, then in_dtilde of the extension
         extended = extend_matrix(SimplexMatrix(codomain, dtilde), extension)
         return extended, in_dtilde(extended)
 
@@ -155,9 +155,7 @@ def procedures(codomain, simplex, dtilde, weights, extension):
         "extend_matrix, in_dtilde": extended_in_dtilde,
         "affine_combinations": lambda: affine_combinations(maps, [weights]),
         "difference products": lambda: list(nbhd.algebra._difference_products(simplex)),
-        "difference-variety equations": lambda: [
-            list(nbhd.neighbour._dtilde_equations(dtilde, start)) for start in range(len(dtilde) + 1)
-        ],
+        "difference-variety equations": lambda: list(nbhd.neighbour._dtilde_equations(dtilde)),
     }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 import nbhd.verify
 from nbhd.arith import QQ, RingSpec
-from nbhd.errors import UnknownFormat
+from nbhd.errors import NbhdError, UnknownCheck, UnknownFormat
 from nbhd.neighbour import CheckResult, in_dtilde, is_neighbour, SimplexMatrix
 from nbhd.verify import (
     ALLOWED_RINGS,
@@ -165,8 +165,11 @@ def test_records_are_sorted_and_unique():
     ids = [r.check_id for r in report.records]
     assert ids == sorted(ids)
     assert len(set(ids)) == len(ids) == len(CHECKS)
-    with pytest.raises(KeyError):
+    with pytest.raises(UnknownCheck) as caught:
         report.record("no-such-check")
+    # a KeyError for callers that catch one, and an NbhdError
+    assert isinstance(caught.value, KeyError) and isinstance(caught.value, NbhdError)
+    assert caught.value.args == ("no-such-check",)
 
 
 # -- reports -------------------------------------------------------------
