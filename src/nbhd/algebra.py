@@ -14,8 +14,10 @@ generators, so the two engines agree wherever both apply.
 Elements always store their normal form, so equality of elements is equality
 of representatives.  Products, and the sums of products the neighbour scans
 and row sums form, go through one kernel that accumulates normal-form terms
-in one dict.  Over monomial relations it forms only the exponent sums no
-relation divides, so the terms a normal form would delete are never built.
+in one dict; the universal objects below take their relations from the
+scans' enumerations over a free algebra's generators.  Over monomial
+relations it forms only the exponent sums no relation divides, so the terms
+a normal form would delete are never built.
 Which sums those are is looked up in a product table shared by every
 algebra whose relations have the same exponents, whatever its ring, order or
 variable names (a free algebra's is the table of no relations), and normal
@@ -576,13 +578,11 @@ def _tensor_ideal(parts: Sequence[FpAlgebra]) -> Ideal:
     for p in parts:
         if p.ring != ring:
             raise RingMismatch(f"{p.ring} vs {ring}")
+    # distinct: the last underscore of a name fixes its copy index r
     names: list[str] = []
     for r, part in enumerate(parts):
         names.extend(part.varset.suffixed(f"_{r}").names)
-    try:
-        varset = VarSet(tuple(names))
-    except ValueError as exc:
-        raise VarSetMismatch(f"renaming collision in tensor product: {exc}") from None
+    varset = VarSet(tuple(names))
     relations: list[Polynomial] = []
     offset = 0
     for part in parts:
@@ -649,9 +649,16 @@ def multi_diagonal_ideal(algebra: FpAlgebra, p: int) -> Ideal:
         raise InvalidArgument("p must be at least 1")
     t = _tensor_ideal([algebra] * (p + 1))
     n = len(algebra.varset)
-    variables = Polynomial.variables(t.varset, t.ring)
+    variables = _free_generators(FpAlgebra(t.ring, t.varset))
     copies = [variables[r * n : (r + 1) * n] for r in range(p + 1)]
-    return Ideal(t.varset, t.ring, (*(q for _, q in _difference_products(copies)), *t.generators))
+    return Ideal(t.varset, t.ring, (*(q.rep for _, q in _difference_products(copies)), *t.generators))
+
+
+def _free_generators(free: FpAlgebra) -> list[AlgebraElement]:
+    """The generators of a free algebra, built as they are: a free normal
+    form is the identity.  The relation builders enumerate their equations
+    over them, so every product of an equation is formed by the kernel."""
+    return [AlgebraElement(free, v) for v in Polynomial.variables(free.varset, free.ring)]
 
 
 def _difference_products(rows: Sequence[Sequence]):
@@ -659,13 +666,12 @@ def _difference_products(rows: Sequence[Sequence]):
     and columns i <= j, in that nesting order, 0-based.
 
     The products of two differences are the equations of the neighbour
-    relation and the relations of the universal simplices.  Each pair of
-    rows has its differences formed once; the entries may be Polynomials or
-    AlgebraElements, and _summation reads the differences and forms the
-    products.  A product with a zero difference is zero, so it is neither
-    formed nor yielded; over AlgebraElements no product that vanishes is
-    yielded either, and when _vanish_by_support finds that every product
-    vanishes, none is formed.
+    relation and, over a free algebra's generators, the relations of the
+    universal simplices.  Each pair of rows has its differences formed once,
+    _summation reads them as elements and the kernel forms the products.
+    A product with a zero difference is zero, so it is neither formed nor
+    yielded, and no product that vanishes is yielded either; when
+    _vanish_by_support finds that every product vanishes, none is formed.
     """
     if _vanish_by_support(rows, differences=True):
         return
@@ -688,30 +694,29 @@ def _summation(rows: Sequence[Sequence]):
     and value(pairs) the sum of an equation's factor products u * v over the
     pairs (u, v) of read entries.
 
-    Polynomials are read as they are, and the value is their free sum, zero
-    or not: the universal objects take their relations from it.  When the
-    first entry is an algebra's element, every entry is read as the terms
-    of its normal form in that algebra: its own elements as they are, any
-    other entry through the algebra's element(), so an element of another
-    algebra raises ParentMismatch and a number or polynomial is coerced, as
-    a product would.  The pairs go to the algebra's _sum_of_products, and
-    the value is then an element built from its terms, or None when they
-    vanish: a scan builds an element only for an equation that does not
-    hold, and reads only the first of those.
+    Every entry is read as the terms of its normal form in the algebra of
+    the first element in the rows, in row-major order: that algebra's own
+    elements as they are, any other entry through its element(), so an
+    element of another algebra raises ParentMismatch and a number or
+    polynomial is coerced, as a product would.  Rows with entries but no
+    element raise UninterpretableValue; rows with no entries have nothing
+    to read.  The pairs go to the algebra's _sum_of_products, and the value
+    is an element built from its terms, or None when they vanish: a scan
+    builds an element only for an equation that does not hold, and reads
+    only the first of those.
     """
-    if not rows or not rows[0] or not isinstance(rows[0][0], AlgebraElement):
-        return _as_is, _free_sum
-    algebra = rows[0][0].parent
-    element, kernel = algebra.element, algebra._sum_of_products
+    algebra = next((x.parent for row in rows for x in row if isinstance(x, AlgebraElement)), None)
+    if algebra is None and any(rows):
+        raise UninterpretableValue("no entry of the rows is an algebra's element")
 
     def read(row):
         return [
-            (x if x.__class__ is AlgebraElement and x.parent is algebra else element(x)).rep._terms
+            (x if x.__class__ is AlgebraElement and x.parent is algebra else algebra.element(x)).rep._terms
             for x in row
         ]
 
     def value(pairs):
-        terms = kernel(pairs)
+        terms = algebra._sum_of_products(pairs)
         return algebra._element(terms) if terms else None
 
     return read, value
@@ -765,17 +770,6 @@ def _vanish_by_support(rows: Sequence[Sequence], differences: bool = False) -> b
             if exps is not None:
                 return False
     return True
-
-
-def _as_is(row: Sequence) -> Sequence:
-    return row
-
-
-def _free_sum(pairs) -> Polynomial:
-    """The polynomial relation builders' value: the free sum of the products
-    u * v over the pairs."""
-    (u, v), *rest = pairs
-    return sum((x * y for x, y in rest), u * v)
 
 
 @dataclass(frozen=True)
@@ -835,16 +829,16 @@ def _difference_representation(
         varset = VarSet(tuple(_difference_names(base, p)))
     except ValueError as exc:
         raise VarSetMismatch(f"displacement naming collision: {exc}") from None
-    variables = Polynomial.variables(varset, ring)
-    blocks = [variables[r * n : (r + 1) * n] for r in range(1, p + 1)]
+    free = FpAlgebra(ring, varset)
+    variables = _free_generators(free)
 
     # the zero row is the base point; its pairs with a block give the
     # products of that block's displacements, and map r sends g to g + d_g_r
-    anchored = [[Polynomial.zero(varset, ring)] * n, *blocks]
-    relations = [product for _, product in _difference_products(anchored)]
+    anchored = [[free.zero()] * n, *(variables[r * n : (r + 1) * n] for r in range(1, p + 1))]
+    relations = [product.rep for _, product in _difference_products(anchored)]
     quotient = _universal_quotient(ring, varset, relations, order, cap, p, n, n)
     maps = tuple(
-        AlgebraMap(base, quotient, [x + d for x, d in zip(variables, row)])
+        AlgebraMap(base, quotient, [x.rep + d.rep for x, d in zip(variables, row)])
         for row in anchored
     )
     return UniversalSimplex(base, quotient, maps, "difference")

@@ -14,19 +14,20 @@ of the standard kernel generators, the generic affine combination with
 formal coefficients, and row extensions of difference matrices.
 
 The difference products are enumerated in one place,
-algebra._difference_products, which also builds the relations of the
-universal simplices; vectors_neighbour (and so is_neighbour), is_simplex
-and the precondition of the affine combinations all scan it.
-affine_combinations forms several combinations of the same maps after one
-scan; affine_combination is its one-vector case.  The equations of the
-difference variety are enumerated in _dtilde_equations, which in_dtilde
-scans and universal_dtilde takes its relations from.  Weighted row sums
-(affine combinations, row extensions) are formed by _weighted_row_sum.
-All three sum products through one kernel, FpAlgebra._sum_of_products,
-which accumulates the normal-form terms of a sum of products in one dict.
-The scans decide without building: over elements, an equation's factor
-pairs go to the kernel, and an element is built only for an equation that
-does not vanish, which is the witness; a passing scan builds none.  Before
+algebra._difference_products, which over a free algebra's generators also
+gives the relations of the universal simplices; vectors_neighbour (and so
+is_neighbour), is_simplex and the precondition of the affine combinations
+all scan it.  affine_combinations forms several combinations of the same
+maps after one scan; affine_combination is its one-vector case.  The
+equations of the difference variety are enumerated in _dtilde_equations,
+which in_dtilde scans and universal_dtilde runs over a free algebra's
+generators for its relations.  Weighted row sums (affine combinations, row
+extensions) are formed by _weighted_row_sum.  All three sum products
+through one kernel, FpAlgebra._sum_of_products, which accumulates the
+normal-form terms of a sum of products in one dict.  The scans decide
+without building: an equation's factor pairs go to the kernel, and an
+element is built only for an equation that does not vanish, which is the
+witness; a passing scan builds none.  Before
 either scan forms a product, algebra._vanish_by_support asks whether the
 product table deletes every product of two monomials of the factors'
 supports; when it does, every equation vanishes and the scan forms none,
@@ -68,6 +69,7 @@ from .algebra import (
     UniversalSimplex,
     _codiagonal,
     _difference_products,
+    _free_generators,
     _summation,
     _universal_quotient,
     _vanish_by_support,
@@ -339,14 +341,14 @@ def _dtilde_equations(rows: Sequence[Sequence]):
     a_ri * a_sj + a_si * a_rj for rows r < s and columns i <= j, then the row
     products a_ri * a_rj for columns i <= j, in that nesting order; a cross
     product with i = j is a_ri * a_si + a_si * a_ri, both products formed,
-    as the relation is written.  The entries may be Polynomials or
-    AlgebraElements, and algebra._summation forms the values: over
-    AlgebraElements each equation's factor pairs go to the algebra's
-    _sum_of_products, and only an equation that does not vanish is
-    yielded, as an element.  Only the products of two nonzero
-    entries are formed, and an equation whose products all have a zero
-    factor is zero, so it is not yielded.  When algebra._vanish_by_support
-    finds that every equation vanishes, none is formed.
+    as the relation is written.  algebra._summation reads the entries as
+    elements of one algebra and forms the values: each equation's factor
+    pairs go to the algebra's _sum_of_products, and only an equation that
+    does not vanish is yielded, as an element.  Only the products of two
+    nonzero entries are formed, and an equation whose products all have a
+    zero factor is zero, so it is not yielded.  When
+    algebra._vanish_by_support finds that every equation vanishes, none is
+    formed.
     """
     if _vanish_by_support(rows):
         return
@@ -679,8 +681,9 @@ def universal_dtilde(
     """The generic p x n difference matrix and its coordinate algebra.
 
     The algebra has one generator per matrix entry.  Its relations are the
-    cross-product and row-product equations of the matrix of variables, as
-    _dtilde_equations yields them, the enumeration in_dtilde scans; the
+    cross-product and row-product equations of the matrix of the free
+    algebra's generators, as _dtilde_equations yields them, the enumeration
+    in_dtilde scans: the equations that do not vanish, in order.  The
     returned matrix of generators therefore satisfies in_dtilde
     tautologically, and any difference matrix over any algebra arises from
     it by specialization.
@@ -703,9 +706,9 @@ def universal_dtilde(
         for j in range(n)
     )
     varset = VarSet(names)
-    variables = Polynomial.variables(varset, ring)
+    variables = _free_generators(FpAlgebra(ring, varset))
     generic = [variables[i * n : (i + 1) * n] for i in range(p)]
-    relations = [value for _, _, value in _dtilde_equations(generic)]
+    relations = [value.rep for _, _, value in _dtilde_equations(generic)]
     algebra = _universal_quotient(ring, varset, relations, order, degree_cap, p, n, 0)
     rows = [[algebra.generator(i * n + j) for j in range(n)] for i in range(p)]
     return algebra, SimplexMatrix(algebra, rows)

@@ -459,6 +459,13 @@ def test_tensor_with_scalars_is_identity():
     assert len(T.varset) == len(A.varset)
 
 
+def test_tensor_of_algebras_over_different_rings_is_refused():
+    F3 = free_algebra(RingSpec.modular(3), ("e",))
+    with pytest.raises(RingMismatch) as refused:
+        tensor(dual_numbers(), F3)
+    assert str(refused.value) == "Z/3 vs Q"
+
+
 def test_tensor_power_three_copies():
     D = dual_numbers()
     T, inclusions = tensor_power(D, 3)
@@ -489,6 +496,10 @@ def test_pairing_map_acts_per_copy():
     other = AlgebraMap(square_zero(), C, ["e1", "e2"])
     with pytest.raises(DomainMismatch):
         pairing_map(f, other)
+    elsewhere = AlgebraMap(A, A, ["X"])
+    with pytest.raises(DomainMismatch) as refused:
+        pairing_map(f, elsewhere)
+    assert str(refused.value) == "the two maps must share a codomain"
 
 
 # -- diagonal ideals ----------------------------------------------------------
@@ -630,6 +641,15 @@ def test_classifying_map_rejects_non_neighbours():
         classifying_map(nbhd, [f])
     with pytest.raises(DomainMismatch):
         classifying_map(nbhd, [f, AlgebraMap(A, A, ["X"])])
+    with pytest.raises(DomainMismatch) as refused:
+        classifying_map(nbhd, [f, AlgebraMap(F, dual_numbers(), ["X"])])
+    assert str(refused.value) == "maps must share a codomain"
+
+
+def test_an_unknown_representation_is_refused():
+    with pytest.raises(InvalidArgument) as refused:
+        universal_simplex(free_algebra(QQ, ("X",)), 1, "dual")
+    assert str(refused.value) == "unknown representation 'dual'"
 
 
 def _refuse(*args, **kwargs):

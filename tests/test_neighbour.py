@@ -25,6 +25,7 @@ from nbhd.errors import (
     ParentMismatch,
     ReexpansionFailed,
     ShapeMismatch,
+    UninterpretableValue,
 )
 from nbhd.neighbour import (
     CoefficientVector,
@@ -187,9 +188,9 @@ def test_vectors_neighbour():
 
 
 def test_vectors_neighbour_reads_every_entry_in_the_first_entrys_algebra():
-    # the differences are read in the algebra of the first entry, as an
-    # element product would read them: an element of another algebra is
-    # refused, a number or polynomial is coerced
+    # the differences are read in the algebra of the first entry that is an
+    # element, as an element product would read them: an element of another
+    # algebra is refused, a number or polynomial is coerced
     full, thin = square_zero_full(), squares_only()
     with pytest.raises(ParentMismatch):
         vectors_neighbour((full.element("e1"), thin.element("e1")), (full.zero(), thin.element("e2")))
@@ -200,6 +201,17 @@ def test_vectors_neighbour_reads_every_entry_in_the_first_entrys_algebra():
         expected = vectors_neighbour([thin.element(x) for x in a], [thin.element(x) for x in b])
         assert not result and str(result) == str(expected)
         assert result.witness.value.parent is thin
+    # the first element in row-major order fixes the algebra, even when
+    # entries before it are numbers; rows holding no element are refused
+    dual = FpAlgebra(QQ, ("e",), ["e^2"])
+    e = dual.generator(0)
+    assert vectors_neighbour([0], [e])
+    result = vectors_neighbour([1, e], [2, e])
+    assert not result and str(result) == "false (difference product at (1, 1): 1)"
+    assert result.witness.value.parent is dual
+    with pytest.raises(UninterpretableValue) as refused:
+        vectors_neighbour([1], [2])
+    assert str(refused.value) == "no entry of the rows is an algebra's element"
 
 
 # -- matrices -----------------------------------------------------------------
@@ -213,6 +225,9 @@ def test_matrix_shape_guards():
         SimplexMatrix(full, [[]])
     with pytest.raises(ShapeMismatch):
         SimplexMatrix(full, [["e1", "0"], ["e2"]])
+    with pytest.raises(ShapeMismatch) as refused:
+        matrix_of_maps([])
+    assert str(refused.value) == "need at least one map"
 
 
 def test_matrix_round_trip_through_maps():

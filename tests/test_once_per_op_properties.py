@@ -39,7 +39,7 @@ from nbhd.neighbour import (  # noqa: E402
     maps_of_matrix,
     universal_dtilde,
 )
-from nbhd.poly import Polynomial, VarSet  # noqa: E402
+from nbhd.poly import Polynomial  # noqa: E402
 from nbhd.verify import (  # noqa: E402
     WEIL_PATTERNS,
     random_weil_algebra,
@@ -329,13 +329,7 @@ def test_diagonal_cross_products_are_the_two_product_formula(data):
     codomain = random_weil_algebra(data.draw(st.integers(0, 999)), ring, n, pattern)
     p = data.draw(st.integers(1, 3))
     rows = [[data.draw(elements(codomain)) for _ in range(n)] for _ in range(p)]
-    # the representatives as plain polynomials: every equation, zero or not
-    polys = [[x.rep for x in row] for row in rows]
-    ours = list(nbhd.neighbour._dtilde_equations(polys))
-    theirs = list(_two_product_equations(polys))
-    assert ours == theirs
-    assert _ordered(ours) == _ordered(theirs)
-    # the elements: only the equations that do not vanish
+    # only the equations that do not vanish
     ours = list(nbhd.neighbour._dtilde_equations(rows))
     theirs = [eq for eq in _two_product_equations(rows) if eq[2]]
     assert ours == theirs
@@ -349,15 +343,20 @@ def test_diagonal_cross_products_are_the_two_product_formula(data):
 def test_universal_dtilde_relations_are_the_two_product_formula(ring):
     for p in (1, 2, 3):
         for n in (1, 2, 3):
-            varset = VarSet(tuple(f"a{i + 1}{j + 1}" for i in range(p) for j in range(n)))
-            variables = Polynomial.variables(varset, ring)
-            generic = [variables[i * n : (i + 1) * n] for i in range(p)]
+            free = free_algebra(ring, [f"a{i + 1}{j + 1}" for i in range(p) for j in range(n)])
+            generators = free.generators()
+            generic = [generators[i * n : (i + 1) * n] for i in range(p)]
             ours = list(nbhd.neighbour._dtilde_equations(generic))
-            theirs = list(_two_product_equations(generic))
+            assert all(value.parent is free for _, _, value in ours)
+            # the same products formed with Polynomial * and +, less the zero ones
+            variables = [[x.rep for x in row] for row in generic]
+            theirs = [eq for eq in _two_product_equations(variables) if eq[2]]
             assert _ordered(ours) == _ordered(theirs)
             if ring.is_field:  # over Z/4 the cross products need a Groebner basis
                 algebra, _ = universal_dtilde(p, n, ring)
-                assert list(algebra.relations) == [v for _, _, v in theirs if v]
+                relations = [(at, label, r) for (at, label, _), r in zip(theirs, algebra.relations)]
+                assert len(algebra.relations) == len(theirs)
+                assert _ordered(relations) == _ordered(theirs)
 
 
 def dense_member(codomain, p, n, entry):

@@ -7,7 +7,9 @@ documented order, eagerly: the verdict holds exactly when every value
 vanishes, a failure names the first nonzero one with its indices, label and
 value, and the notes are those of the procedure.  The relations of
 universal_dtilde are the difference-variety equations of the matrix of
-variables, in the same order.
+variables, in the same order, and those of multi_diagonal_ideal and the
+difference representation of universal_simplex are the products of
+differences of its variables.
 """
 
 import pytest
@@ -15,7 +17,13 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from nbhd.algebra import AlgebraMap, free_algebra  # noqa: E402
+from nbhd.algebra import (  # noqa: E402
+    AlgebraMap,
+    free_algebra,
+    multi_diagonal_ideal,
+    tensor_power,
+    universal_simplex,
+)
 from nbhd.arith import QQ, RingSpec  # noqa: E402
 from nbhd.neighbour import (  # noqa: E402
     CheckResult,
@@ -184,3 +192,49 @@ def test_universal_dtilde_relations_are_the_equations_in_order(ring, p, n):
     # presentation drops with the other zero relations
     reference = [value for _, _, value in dtilde_equations(rows) if not value.is_zero()]
     assert list(algebra.relations) == reference
+
+
+def in_dict_order(polys):
+    """Each polynomial's terms in dict order, the coefficients' types included."""
+    return [[(e, type(c), c) for e, c in q._terms.items()] for q in polys]
+
+
+def nonzero_difference_products(rows):
+    """The products of two differences for rows r < s, columns i <= j, formed
+    with Polynomial - and *, less the zero ones."""
+    return [
+        value
+        for r, low in enumerate(rows)
+        for high in rows[r + 1 :]
+        for _, _, value in difference_products(low, high)
+        if not value.is_zero()
+    ]
+
+
+@PROPERTY
+@given(
+    st.sampled_from(RINGS),
+    st.sampled_from(("free",) + WEIL_PATTERNS),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 999),
+)
+def test_the_simplex_relations_are_the_products_of_differences(ring, pattern, p, n, seed):
+    if pattern == "free":
+        base = free_algebra(ring, [f"x{i + 1}" for i in range(n)])
+    else:
+        base = random_weil_algebra(seed, ring, n, pattern)
+    # the p + 1 copies of the variables, then the copies' relations
+    ideal = multi_diagonal_ideal(base, p)
+    variables = Polynomial.variables(ideal.varset, ring)
+    copies = [variables[r * n : (r + 1) * n] for r in range(p + 1)]
+    reference = nonzero_difference_products(copies) + list(tensor_power(base, p + 1)[0].relations)
+    assert in_dict_order(ideal.generators) == in_dict_order(reference)
+    # the zero row and the p blocks of displacements; at p >= 2 the
+    # quotient needs a Groebner basis, so a field
+    if pattern == "free" and (p == 1 or ring.is_field):
+        algebra = universal_simplex(base, p, "difference").algebra
+        variables = Polynomial.variables(algebra.varset, ring)
+        zero = Polynomial.zero(algebra.varset, ring)
+        anchored = [[zero] * n, *(variables[r * n : (r + 1) * n] for r in range(1, p + 1))]
+        assert in_dict_order(algebra.relations) == in_dict_order(nonzero_difference_products(anchored))

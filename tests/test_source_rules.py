@@ -258,20 +258,36 @@ def _called_name(call):
 
 
 # the enumerations of equations, the function forming their values, and the
-# weighted row sums; algebra._free_sum, the polynomial relation builders'
-# free sum, is the one place besides FpAlgebra._sum_of_products that
-# multiplies the factors of an equation
+# weighted row sums: FpAlgebra._sum_of_products is the one place that
+# multiplies the factors of an equation, and the relation builders enumerate
+# theirs over a free algebra's generators
 SUMS_OF_PRODUCTS = {
     "algebra.py": ("_difference_products", "_summation"),
     "neighbour.py": ("_dtilde_equations", "_weighted_row_sum"),
 }
+RELATION_BUILDERS = {
+    "algebra.py": ("multi_diagonal_ideal", "_difference_representation"),
+    "neighbour.py": ("universal_dtilde",),
+}
+
+
+def _own_nodes(function):
+    """The nodes of a function's body, not those of the functions it defines."""
+    stack, out = list(function.body), []
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+    return out
 
 
 def test_scans_and_row_sums_sum_products_only_through_the_kernel():
     # one sum-of-products path: the two enumerations take their values from
-    # algebra._summation, whose element branch, like the weighted row sums,
-    # hands the factor pairs to FpAlgebra._sum_of_products; none of them
-    # multiplies, or reduce()s or sum()s element products, by hand
+    # algebra._summation, which, like the weighted row sums, hands the
+    # factor pairs to FpAlgebra._sum_of_products, in one branch; none of
+    # them multiplies, or reduce()s or sum()s element products, by hand,
+    # and no second value type has a sum of its own
     found, reads = [], {}
     for name, names in SUMS_OF_PRODUCTS.items():
         path = SOURCE / name
@@ -301,6 +317,23 @@ def test_scans_and_row_sums_sum_products_only_through_the_kernel():
         assert "_sum_of_products" in reads[function], f"{function} does not use the kernel"
     for function in ("_difference_products", "_dtilde_equations"):
         assert "_summation" in reads[function], f"{function} does not take its values from _summation"
+    algebra = _functions("algebra.py")
+    assert not {"_free_sum", "_as_is"} & set(algebra), "a second sum of products is defined"
+    returns = [node for node in _own_nodes(algebra["_summation"]) if isinstance(node, ast.Return)]
+    assert len(returns) == 1, "_summation returns from more than one branch"
+
+
+def test_the_relation_builders_enumerate_over_free_generators():
+    # the universal objects take their relations from the two enumerations
+    # run over a free algebra's generators, so the kernel forms every
+    # product of a relation, as it forms every product a scan tests
+    enumerations = {"_difference_products", "_dtilde_equations"}
+    for name, names in RELATION_BUILDERS.items():
+        functions = _functions(name)
+        for function in map(functions.__getitem__, names):
+            called = {_called_name(node) for node in ast.walk(function) if isinstance(node, ast.Call)}
+            assert called & enumerations, f"{function.name} does not enumerate its relations"
+            assert "_free_generators" in called, f"{function.name} does not enumerate over elements"
 
 
 # what the support test may not do: form a product, build an element, or
