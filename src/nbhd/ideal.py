@@ -11,8 +11,9 @@ ideal and monomial order, so results are deterministic regardless of
 generator order.
 
 Division (reduce_full) has one path.  The leading term of every divisor is
-read once, when its divisor list is built: a GroebnerBasis builds its list at
-construction, and buchberger extends its own as the basis grows.  The
+read once, when its divisor list is built: buchberger extends its own as
+the basis grows and hands it to the GroebnerBasis it returns, and a
+GroebnerBasis constructed directly builds its list from its basis.  The
 polynomial being divided is one mutable term dict with a heap of its
 monomials.  Its biggest term is reduced by the earliest divisor whose
 leading monomial divides it, found with per-variable bitsets.  Only that
@@ -21,9 +22,10 @@ cancels by construction.  A lead coefficient is inverted only once, and only
 for a divisor that is not monic.
 
 Bases have one entry point, buchberger, and its input one path:
-_row_echelon brings the generators to reduced row-echelon form, dividing
-each by the remainders kept so far; generators of one total degree that
-share no monomial already are that form once monic, and are not divided.
+_row_echelon brings the generators to reduced row-echelon form.  When all
+their terms have one total degree, that is Gauss-Jordan elimination on
+their coefficients, with no division (_gauss_jordan); otherwise each is
+divided by the remainders kept so far.
 The pair loop starts from that form and skips pairs by Buchberger's
 product and chain criteria and pairs of two single-term elements, whose
 S-polynomial is zero.  A caller may pass the quotient's Hilbert series:
@@ -36,8 +38,8 @@ lead runs the pair loop.
 A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
 buchberger forms, or a term that a division step creates, exceeds the cap.
-A certified basis forms no S-polynomial, and dividing homogeneous
-generators by each other creates no term above their own degree.  A cap is
+A certified basis forms no S-polynomial, and eliminating generators of one
+total degree creates no term of another degree.  A cap is
 an int, 0 or more; any other raises InvalidArgument.
 """
 
@@ -150,22 +152,44 @@ class _Divisors:
             if not g.is_zero():  # zero has no leading term and divides nothing
                 self.append(g)
 
-    def append(self, g: Polynomial) -> None:
+    def append(self, g: Polynomial, exps: tuple[int, ...] | None = None) -> None:
+        """Append g, whose leading exponents are exps when already known."""
         ring = g.ring
-        exps, value = g.leading(self.order)
+        if exps is None:
+            exps = g.leading(self.order)[0]
+        value = g._terms[exps]
         inverse = None if value == ring.one() else ring.invert(value)
         tail = [(e, ring.neg(v)) for e, v in g._terms.items() if e != exps]
         tail_degree = max((mono_degree(e) for e, _ in tail), default=0)
+        mask = sum(1 << v for v, x in enumerate(exps) if x)
+        self._push(g, (exps, inverse, mask, tail, tail_degree))
+
+    def append_monic(self, p: Polynomial) -> None:
+        """Append p made monic, reading its leading term once."""
+        exps, value = p.leading(self.order)
+        ring = p.ring
+        self.append(p if value == ring.one() else p.scale(ring.invert(value)), exps)
+
+    def reordered(self, indices: Iterable[int]) -> "_Divisors":
+        """The divisors at indices, in that order, with their rows as read."""
+        out = _Divisors((), self.order, len(self.excluded))
+        for i in indices:
+            out._push(self.polys[i], self.rows[i])
+        return out
+
+    def _push(self, g: Polynomial, row: tuple) -> None:
+        """Add g with its row as read, setting its bit in the exclusion lists."""
         bit = 1 << len(self.rows)
-        mask = 0
-        for v, x in enumerate(exps):
-            if x:
-                mask |= 1 << v
-                row = self.excluded[v]
-                row.extend([0] * (x - len(row)))
-                for y in range(x):
-                    row[y] |= bit
-        self.rows.append((exps, inverse, mask, tail, tail_degree))
+        exps, mask = row[0], row[2]
+        while mask:  # the variables of the leading monomial
+            low = mask & -mask
+            mask ^= low
+            v = low.bit_length() - 1
+            excluded, x = self.excluded[v], exps[v]
+            excluded.extend([0] * (x - len(excluded)))
+            for y in range(x):
+                excluded[y] |= bit
+        self.rows.append(row)
         self.polys.append(g)
 
     def dividing(self, exps: tuple[int, ...]) -> int:
@@ -275,44 +299,102 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEFAULT_OR
     return Polynomial._raw(f.varset, ring, terms)
 
 
-def _monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
-    _, value = p.leading(order)
-    return p if value == p.ring.one() else p.scale(p.ring.invert(value))
-
-
-def _tail_reduce(divisors: _Divisors, cap: int) -> list[Polynomial]:
-    """Each divisor with its tail (every term but the lead) divided by all.
+def _tail_reduce(divisors: _Divisors, cap: int, indices: Iterable[int]) -> _Divisors:
+    """The divisors at indices, in that order, each with its tail (every
+    term but the lead) divided by all of them.
 
     Every term met while dividing a tail is below that element's lead, so
     the element never divides it and the lead stays.  A tail is divided
     only by elements whose lead is smaller than its own, so the results
     span the same ideal as the divisors whenever no two leads are equal.
+    Each result is its lead followed by the remainder's terms, in
+    decreasing order.
     """
     order = divisors.order
-    out = []
-    for g, (lead, *_) in zip(divisors.polys, divisors.rows):
-        value = g._terms[lead]
+    out = _Divisors((), order, len(divisors.excluded))
+    for i in indices:
+        g, lead = divisors.polys[i], divisors.rows[i][0]
         tail = Polynomial._raw(g.varset, g.ring, {e: v for e, v in g._terms.items() if e != lead})
         r = reduce_full(tail, divisors, order, max(cap, g.total_degree()))
-        out.append(Polynomial._raw(g.varset, g.ring, {lead: value, **r._terms}))
+        out.append(Polynomial._raw(g.varset, g.ring, {lead: g._terms[lead], **r._terms}), lead)
     return out
 
 
-def _interreduce(basis: _Divisors, cap: int) -> list[Polynomial]:
+def _interreduce(basis: _Divisors, cap: int) -> _Divisors:
     """Minimalize then tail-reduce a monic Groebner basis into the reduced one.
 
     In a minimal basis no other leading monomial divides an element's lead.
     As the minimal basis is a Groebner basis, one pass of _tail_reduce
-    gives normal forms.  The result is in increasing order of its leads.
+    gives normal forms.  The result is in decreasing order of its leads.
     """
-    order = basis.order
-    key = order.key
+    key = basis.order.key
     by_lead = sorted(range(len(basis.polys)), key=lambda i: key(basis.rows[i][0]))
-    minimal = _Divisors((), order, len(basis.excluded))
+    minimal = _Divisors((), basis.order, len(basis.excluded))
     for i in by_lead:
         if not minimal.dividing(basis.rows[i][0]):
-            minimal.append(basis.polys[i])
-    return _tail_reduce(minimal, cap)
+            minimal._push(basis.polys[i], basis.rows[i])
+    return _tail_reduce(minimal, cap, reversed(range(len(minimal.polys))))
+
+
+def _gauss_jordan(gens: Sequence[Polynomial], order: MonomialOrder, nvars: int) -> _Divisors:
+    """The reduced row-echelon form of generators of one total degree.
+
+    The columns are the monomials, biggest first.  One row is kept per
+    pivot, monic, and holding no other row's pivot.  A generator subtracts,
+    for each of its own terms that is a pivot, that term's coefficient
+    times the pivot row: one pass over its terms, which changes no other
+    pivot's coefficient.  A nonzero result is made monic at its lead, and
+    that lead is eliminated from the rows already kept.  The rows come in
+    the order their generators came.  When no two generators share a
+    monomial, each row is its generator made monic, in that generator's
+    term order; otherwise each is its lead followed by its other terms in
+    decreasing order, as division leaves them.
+    """
+    if not gens:
+        return _Divisors((), order, nvars)
+    varset, ring = gens[0].varset, gens[0].ring
+    mul, sub, zero = ring.mul, ring.sub, ring.zero()
+    rank = _RANKS[order]
+    rows: dict[tuple[int, ...], dict] = {}  # pivot -> its row's terms
+    seen: set[tuple[int, ...]] = set()  # the earlier generators' terms: every row's are among them
+    shared = False
+    for g in gens:
+        shared = shared or not seen.isdisjoint(g._terms)
+        work = dict(g._terms)
+        for e, v in g._terms.items():
+            row = rows.get(e)
+            if row is None:
+                continue
+            for n, c in row.items():
+                s = sub(work.get(n, zero), mul(v, c))
+                if s:
+                    work[n] = s
+                else:
+                    del work[n]
+        if work:
+            lead = min(work, key=rank)
+            value = work[lead]
+            if value != ring.one():
+                inverse = ring.invert(value)
+                work = {e: mul(v, inverse) for e, v in work.items()}
+            for row in rows.values() if lead in seen else ():
+                c = row.get(lead)
+                if c is None:
+                    continue
+                for n, v in work.items():
+                    s = sub(row.get(n, zero), mul(c, v))
+                    if s:
+                        row[n] = s
+                    else:
+                        del row[n]
+            rows[lead] = work
+        seen.update(g._terms)
+    out = _Divisors((), order, nvars)
+    for lead, row in rows.items():
+        if shared:
+            row = {e: row[e] for e in sorted(row, key=rank)}
+        out.append(Polynomial._raw(varset, ring, row), lead)
+    return out
 
 
 def _row_echelon(
@@ -320,24 +402,23 @@ def _row_echelon(
 ) -> _Divisors:
     """The generators in reduced row-echelon form, as a divisor list.
 
-    When the generators share one total degree and no monomial occurs in
-    two of them, that form is the generators made monic: a lead divides a
-    term of its own degree only by being it, so nothing is divided.
-    Otherwise each generator, in turn, is divided by the monic remainders
-    kept so far; a nonzero remainder joins them, made monic, and a zero one
-    is dropped.  Then every tail is divided by all of them (_tail_reduce).
+    When every term of the generators has one total degree, a lead divides
+    a term only by being it, so the form is linear algebra on their
+    coefficients and _gauss_jordan finds it without division.  Otherwise
+    each generator, in turn, is divided by the monic remainders kept so
+    far; a nonzero remainder joins them, made monic, and a zero one is
+    dropped.  Then every tail is divided by all of them (_tail_reduce).
     The results span the same ideal as the generators, no two share a
     leading monomial, and no lead divides a term of any tail.
     """
-    monomials = {e for g in gens for e in g._terms}
-    if len(monomials) == sum(map(len, gens)) and len(set(map(mono_degree, monomials))) < 2:
-        return _Divisors([_monic(g, order) for g in gens if g], order, nvars)
+    if len({mono_degree(e) for g in gens for e in g._terms}) < 2:
+        return _gauss_jordan(gens, order, nvars)
     kept = _Divisors((), order, nvars)
     for g in gens:
         r = reduce_full(g, kept, order, degree_cap)
         if not r.is_zero():
-            kept.append(_monic(r, order))
-    return _Divisors(_tail_reduce(kept, degree_cap), order, nvars)
+            kept.append_monic(r)
+    return _tail_reduce(kept, degree_cap, range(len(kept.polys)))
 
 
 def _standard_counts(leads: Sequence[tuple[int, ...]], bound: Sequence[int]) -> Iterator[int]:
@@ -403,7 +484,10 @@ def buchberger(
     The pair loop starts from the generators in reduced row-echelon form
     (_row_echelon), taken in increasing total degree (a stable sort): the
     generators sharing a leading monomial are eliminated against each other
-    before any pair is formed, and a zero remainder never forms one.
+    before any pair is formed, and a zero remainder never forms one.  When
+    every term has one total degree, as for the universal simplices over a
+    free base, that form is found by Gauss-Jordan elimination, not by
+    division.
 
     hilbert = (numerator, free) vouches that k[x]/ideal has the Hilbert
     series sum(numerator[k] t^k) / (1 - t)^free.  If the generators are
@@ -426,8 +510,9 @@ def buchberger(
     guard applies to every S-polynomial formed and to every division.  If
     nothing joined and no lead divides another, the row-echelon form is
     already reduced; otherwise _interreduce reduces the basis.  It is
-    returned in decreasing order of the leads, and by uniqueness of the
-    reduced basis it does not depend on these choices.
+    returned in decreasing order of the leads, with the divisor list whose
+    leading data was read as it was built, and by uniqueness of the reduced
+    basis it does not depend on these choices.
 
     Over a ring that is not a field, only an ideal of unit monomials is
     accepted (NonFieldCoefficients otherwise, naming the generators that are
@@ -480,14 +565,18 @@ def buchberger(
             )
         r = reduce_full(s, basis, order, degree_cap)
         if not r.is_zero():
-            basis.append(_monic(r, order))
+            basis.append_monic(r)
             queue(len(rows) - 1)
-    if len(rows) > echelon or any(basis.dividing(row[0]) != 1 << i for i, row in enumerate(rows)):
-        reduced = _interreduce(basis, degree_cap)[::-1]
+    # distinct leads of one total degree divide no other lead
+    if len(rows) > echelon or (
+        len({mono_degree(row[0]) for row in rows}) > 1
+        and any(basis.dividing(row[0]) != 1 << i for i, row in enumerate(rows))
+    ):
+        reduced = _interreduce(basis, degree_cap)
     else:
-        ranks = sorted(range(len(rows)), key=lambda i: order.key(rows[i][0]), reverse=True)
-        reduced = [polys[i] for i in ranks]
-    return GroebnerBasis(ideal.varset, ideal.ring, order, tuple(reduced), degree_cap)
+        rank = _RANKS[order]
+        reduced = basis.reordered(sorted(range(len(rows)), key=lambda i: rank(rows[i][0])))
+    return GroebnerBasis._of(ideal.varset, ideal.ring, reduced, degree_cap)
 
 
 @dataclass(frozen=True)
@@ -504,6 +593,28 @@ class GroebnerBasis:
     def __post_init__(self) -> None:
         divisors = _Divisors(self.basis, self.order, len(self.varset))
         object.__setattr__(self, "_divisors", divisors)
+
+    @classmethod
+    def _of(
+        cls, varset: VarSet, ring: RingSpec, divisors: _Divisors, degree_cap: int
+    ) -> "GroebnerBasis":
+        """The basis divisors.polys, holding that divisor list as its own.
+
+        buchberger builds its result this way, so the leading data it read
+        is not read again; GroebnerBasis(...) reads it from the basis.
+        """
+        gb = object.__new__(cls)
+        fields = {
+            "varset": varset,
+            "ring": ring,
+            "order": divisors.order,
+            "basis": tuple(divisors.polys),
+            "degree_cap": degree_cap,
+            "_divisors": divisors,
+        }
+        for name, value in fields.items():
+            object.__setattr__(gb, name, value)
+        return gb
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.varset is not self.varset and p.varset != self.varset:

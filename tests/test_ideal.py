@@ -340,6 +340,22 @@ def test_divisors_name_every_lead_dividing_a_monomial():
     assert Polynomial._raw(p.varset, ZZ, kept) == P("Y^3 + 1", ring=ZZ)
 
 
+def test_contains_refuses_a_polynomial_of_another_varset_or_ring():
+    ideal = I(["X^2 - Y"])
+    with pytest.raises(VarSetMismatch, match=r"^\(X, Y, Z\) vs \(X, Y\)$"):
+        contains(ideal, P("X", XYZ))
+    with pytest.raises(RingMismatch, match="^Z/5 vs Q$"):
+        contains(ideal, P("X", ring=Z5))
+
+
+def test_divisors_prepared_for_another_order_are_refused():
+    divisors = _Divisors([P("X^2 - Y")], MonomialOrder.LEX, 2)
+    assert reduce_full(P("X^3"), divisors, MonomialOrder.LEX) == P("X*Y")
+    refused = "^divisors prepared for MonomialOrder.LEX, not MonomialOrder.DEGREVLEX$"
+    with pytest.raises(InvalidArgument, match=refused):
+        reduce_full(P("X^3"), divisors, MonomialOrder.DEGREVLEX)
+
+
 def test_is_monomial_requires_unit_coefficients():
     assert I(["X^2", "3*Y"]).is_monomial()  # 3 is a unit in Q
     assert not I(["2*X"], ring=ZZ).is_monomial()
@@ -424,9 +440,9 @@ def _refuse(*args, **kwargs):
 
 
 def test_tail_division_makes_the_row_echelon_form_reduced(monkeypatch):
-    # elimination alone keeps X^2 + Y^2, whose tail holds the lead Y^2 of
-    # the second generator; the tail pass of _row_echelon divides it out,
-    # and as the leads are coprime no pair forms and nothing is interreduced
+    # X^2 + Y^2 holds the lead Y^2 of the second generator; _row_echelon
+    # eliminates it from the first row, and as the leads are coprime no
+    # pair forms and nothing is interreduced
     gens = (P("X^2 + Y^2"), P("Y^2"))
     assert _row_echelon(gens, MonomialOrder.DEGREVLEX, 2, DEFAULT_DEGREE_CAP).polys == [P("X^2"), P("Y^2")]
     monkeypatch.setattr("nbhd.ideal._interreduce", _refuse)
@@ -461,7 +477,7 @@ def test_a_row_echelon_lead_dividing_another_is_interreduced(order):
     assert buchberger(I(["X", "X - 1"]), order).basis == (P("1"),)
 
 
-# -- the row-echelon shortcut ---------------------------------------------------
+# -- the row-echelon form -----------------------------------------------------
 
 
 def _form_none(*args, **kwargs):
@@ -499,15 +515,18 @@ def test_difference_variety_relations_are_not_divided(monkeypatch, ring, order):
 
 
 @pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
-def test_the_shortcut_needs_disjoint_supports_of_one_degree(monkeypatch, order):
+def test_only_generators_of_several_degrees_are_divided(monkeypatch, order):
+    # generators whose terms share one total degree are row-reduced by
+    # elimination on their coefficients, a shared monomial or not; only
+    # generators of several degrees are divided by each other
     divided = _record_divisions(monkeypatch)
-    for gens, expected in (
-        ((P("X^2 + Y^2"), P("Y^2")), [P("X^2"), P("Y^2")]),  # Y^2 occurs in both
-        ((P("X"), P("X^2 + Y^2")), [P("X"), P("Y^2")]),  # disjoint, degrees 1 and 2
+    for gens, expected, division in (
+        ((P("X^2 + Y^2"), P("Y^2")), [P("X^2"), P("Y^2")], False),  # Y^2 occurs in both
+        ((P("X"), P("X^2 + Y^2")), [P("X"), P("Y^2")], True),  # disjoint, degrees 1 and 2
     ):
         divided.clear()
         assert _row_echelon(gens, order, 2, DEFAULT_DEGREE_CAP).polys == expected
-        assert divided  # the generators went through division
+        assert bool(divided) is division
         assert set(buchberger(Ideal(XY, QQ, gens), order).basis) == set(expected)
 
 
