@@ -22,25 +22,25 @@ cancels by construction.  A lead coefficient is inverted only once, and only
 for a divisor that is not monic.
 
 Bases have one entry point, buchberger, and its input one path:
-_row_echelon brings the generators to reduced row-echelon form.  When all
-their terms have one total degree, that is Gauss-Jordan elimination on
-their coefficients, with no division (_gauss_jordan); otherwise each is
-divided by the remainders kept so far.
-The pair loop starts from that form and skips pairs by Buchberger's
-product and chain criteria and pairs of two single-term elements, whose
-S-polynomial is zero.  A caller may pass the quotient's Hilbert series:
-when the generators are homogeneous and their row-echelon leads have it,
-no pair is queued (Traverso's criterion; README, "Hilbert series certify
-the universal bases").  Only quadratic leads are checked, by counting the
-standard monomials on bitmasks of variables (_standard_counts); any other
-lead runs the pair loop.
+_gauss_jordan brings the generators to reduced row-echelon form by
+Gauss-Jordan elimination on their coefficients, with no division, and
+emits the rows in decreasing order of their leads.  The pair loop starts
+from that form and skips pairs by Buchberger's product and chain criteria
+and pairs of two single-term elements, whose S-polynomial is zero.  The
+form is flat when all its terms have one total degree.  A flat form to
+which the pair loop adds nothing is the reduced basis as it stands; any
+other basis is interreduced.  A caller may pass the quotient's Hilbert
+series: when the form is flat and its leads have it, no pair is queued
+(Traverso's criterion; README, "Hilbert series certify the universal
+bases").  Only quadratic leads are checked, by counting the standard
+monomials on bitmasks of variables (_standard_counts); any other lead runs
+the pair loop.
 
 A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
 buchberger forms, or a term that a division step creates, exceeds the cap.
-A certified basis forms no S-polynomial, and eliminating generators of one
-total degree creates no term of another degree.  A cap is
-an int, 0 or more; any other raises InvalidArgument.
+A certified basis forms no S-polynomial, and elimination creates no
+monomial.  A cap is an int, 0 or more; any other raises InvalidArgument.
 """
 
 from __future__ import annotations
@@ -170,13 +170,6 @@ class _Divisors:
         ring = p.ring
         self.append(p if value == ring.one() else p.scale(ring.invert(value)), exps)
 
-    def reordered(self, indices: Iterable[int]) -> "_Divisors":
-        """The divisors at indices, in that order, with their rows as read."""
-        out = _Divisors((), self.order, len(self.excluded))
-        for i in indices:
-            out._push(self.polys[i], self.rows[i])
-        return out
-
     def _push(self, g: Polynomial, row: tuple) -> None:
         """Add g with its row as read, setting its bit in the exclusion lists."""
         bit = 1 << len(self.rows)
@@ -299,56 +292,44 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEFAULT_OR
     return Polynomial._raw(f.varset, ring, terms)
 
 
-def _tail_reduce(divisors: _Divisors, cap: int, indices: Iterable[int]) -> _Divisors:
-    """The divisors at indices, in that order, each with its tail (every
-    term but the lead) divided by all of them.
-
-    Every term met while dividing a tail is below that element's lead, so
-    the element never divides it and the lead stays.  A tail is divided
-    only by elements whose lead is smaller than its own, so the results
-    span the same ideal as the divisors whenever no two leads are equal.
-    Each result is its lead followed by the remainder's terms, in
-    decreasing order.
-    """
-    order = divisors.order
-    out = _Divisors((), order, len(divisors.excluded))
-    for i in indices:
-        g, lead = divisors.polys[i], divisors.rows[i][0]
-        tail = Polynomial._raw(g.varset, g.ring, {e: v for e, v in g._terms.items() if e != lead})
-        r = reduce_full(tail, divisors, order, max(cap, g.total_degree()))
-        out.append(Polynomial._raw(g.varset, g.ring, {lead: g._terms[lead], **r._terms}), lead)
-    return out
-
-
 def _interreduce(basis: _Divisors, cap: int) -> _Divisors:
     """Minimalize then tail-reduce a monic Groebner basis into the reduced one.
 
     In a minimal basis no other leading monomial divides an element's lead.
-    As the minimal basis is a Groebner basis, one pass of _tail_reduce
-    gives normal forms.  The result is in decreasing order of its leads.
+    As the minimal basis is a Groebner basis, dividing each element's tail
+    (every term but its lead) by it once gives normal forms; every term met
+    is below that element's lead, so the lead stays.  The result is in
+    decreasing order of its leads, each its lead followed by the tail's
+    remainder in decreasing order.
     """
-    key = basis.order.key
-    by_lead = sorted(range(len(basis.polys)), key=lambda i: key(basis.rows[i][0]))
-    minimal = _Divisors((), basis.order, len(basis.excluded))
-    for i in by_lead:
+    order = basis.order
+    minimal = _Divisors((), order, len(basis.excluded))
+    for i in sorted(range(len(basis.polys)), key=lambda i: order.key(basis.rows[i][0])):
         if not minimal.dividing(basis.rows[i][0]):
             minimal._push(basis.polys[i], basis.rows[i])
-    return _tail_reduce(minimal, cap, reversed(range(len(minimal.polys))))
+    out = _Divisors((), order, len(basis.excluded))
+    for g, row in zip(reversed(minimal.polys), reversed(minimal.rows)):
+        lead = row[0]
+        tail = Polynomial._raw(g.varset, g.ring, {e: v for e, v in g._terms.items() if e != lead})
+        r = reduce_full(tail, minimal, order, max(cap, g.total_degree()))
+        out.append(Polynomial._raw(g.varset, g.ring, {lead: g._terms[lead], **r._terms}), lead)
+    return out
 
 
 def _gauss_jordan(gens: Sequence[Polynomial], order: MonomialOrder, nvars: int) -> _Divisors:
-    """The reduced row-echelon form of generators of one total degree.
+    """The reduced row-echelon form of the generators, as a divisor list.
 
-    The columns are the monomials, biggest first.  One row is kept per
-    pivot, monic, and holding no other row's pivot.  A generator subtracts,
-    for each of its own terms that is a pivot, that term's coefficient
-    times the pivot row: one pass over its terms, which changes no other
-    pivot's coefficient.  A nonzero result is made monic at its lead, and
-    that lead is eliminated from the rows already kept.  The rows come in
-    the order their generators came.  When no two generators share a
-    monomial, each row is its generator made monic, in that generator's
-    term order; otherwise each is its lead followed by its other terms in
-    decreasing order, as division leaves them.
+    The columns are the monomials, biggest first under the order.  One row
+    is kept per pivot, monic, and holding no other row's pivot.  A
+    generator subtracts, for each of its own terms that is a pivot, that
+    term's coefficient times the pivot row: one pass over its terms, which
+    changes no other pivot's coefficient.  A nonzero result is made monic at
+    its lead, and that lead is eliminated from the rows already kept.  No
+    monomial is created, so no degree can rise, and the rows span the
+    generators' ideal.  The rows come in decreasing order of their leads.
+    When no two generators share a monomial, each row is its generator made
+    monic, in that generator's term order; otherwise each is its lead
+    followed by its other terms in decreasing order.
     """
     if not gens:
         return _Divisors((), order, nvars)
@@ -390,63 +371,40 @@ def _gauss_jordan(gens: Sequence[Polynomial], order: MonomialOrder, nvars: int) 
             rows[lead] = work
         seen.update(g._terms)
     out = _Divisors((), order, nvars)
-    for lead, row in rows.items():
+    for lead in sorted(rows, key=rank):
+        row = rows[lead]
         if shared:
             row = {e: row[e] for e in sorted(row, key=rank)}
         out.append(Polynomial._raw(varset, ring, row), lead)
     return out
 
 
-def _row_echelon(
-    gens: Sequence[Polynomial], order: MonomialOrder, nvars: int, degree_cap: int
-) -> _Divisors:
-    """The generators in reduced row-echelon form, as a divisor list.
-
-    When every term of the generators has one total degree, a lead divides
-    a term only by being it, so the form is linear algebra on their
-    coefficients and _gauss_jordan finds it without division.  Otherwise
-    each generator, in turn, is divided by the monic remainders kept so
-    far; a nonzero remainder joins them, made monic, and a zero one is
-    dropped.  Then every tail is divided by all of them (_tail_reduce).
-    The results span the same ideal as the generators, no two share a
-    leading monomial, and no lead divides a term of any tail.
-    """
-    if len({mono_degree(e) for g in gens for e in g._terms}) < 2:
-        return _gauss_jordan(gens, order, nvars)
-    kept = _Divisors((), order, nvars)
-    for g in gens:
-        r = reduce_full(g, kept, order, degree_cap)
-        if not r.is_zero():
-            kept.append_monic(r)
-    return _tail_reduce(kept, degree_cap, range(len(kept.polys)))
-
-
-def _standard_counts(leads: Sequence[tuple[int, ...]], bound: Sequence[int]) -> Iterator[int]:
-    """The number of standard monomials in the variables `bound` in each
-    degree 0, 1, 2, ..., without end, for quadratic leads in them.
+def _standard_counts(masks: Sequence[int], bound: int) -> Iterator[int]:
+    """The number of standard monomials in the variables of the mask
+    `bound` in each degree 0, 1, 2, ..., without end, for quadratic leads
+    in them, given by their support masks.
 
     Each standard monomial is met once, as one of the degree below times a
     variable no smaller than its last.  The partners of a variable v are
-    the u for which x_u*x_v is a lead (u = v when x_v^2 is one), and for a
-    standard m, m*x_v is standard exactly when v is no partner of a
-    variable of m.  So a standard monomial is carried as two ints, the
-    bitmask of its variables' partners and its last variable, and the next
-    degree is read off the zero bits of the masks: no exponent tuple is
-    formed and no divisibility is tested.
+    the u for which x_u*x_v is a lead (u = v when x_v^2 is one: a quadratic
+    lead's mask names its one or two variables), and for a standard m,
+    m*x_v is standard exactly when v is no partner of a variable of m.  So
+    a standard monomial is carried as two ints, the bitmask of its
+    variables' partners and its last variable, and the next degree is read
+    off the zero bits of the masks: no exponent tuple is formed and no
+    divisibility is tested.
     """
-    position = {v: k for k, v in enumerate(bound)}  # bit k of a mask is bound[k]
-    partners = [0] * len(bound)
-    for lead in leads:
-        u, v = (position[i] for i, x in enumerate(lead) for _ in range(x))
+    partners = [0] * bound.bit_length()  # bit v of a mask is variable v
+    for mask in masks:
+        u, v = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
         partners[u] |= 1 << v
         partners[v] |= 1 << u
-    everything = (1 << len(bound)) - 1
     layer = [(0, 0)]  # the monomial 1
     while True:
         yield len(layer)
         below, layer = layer, []
         for blocked, last in below:
-            open_ = (everything >> last << last) & ~blocked
+            open_ = (bound >> last << last) & ~blocked
             while open_:
                 low = open_ & -open_
                 v = low.bit_length() - 1
@@ -464,11 +422,15 @@ def _leads_have_series(divisors: _Divisors, hilbert: tuple[Sequence[int], int]) 
     and the pair loop runs.
     """
     numerator, free = hilbert
-    leads = [row[0] for row in divisors.rows]
-    bound = [v for v, row in enumerate(divisors.excluded) if row]  # the variables in leads
-    if len(divisors.excluded) - len(bound) != free or any(mono_degree(e) != 2 for e in leads):
+    masks = [row[2] for row in divisors.rows]
+    bound = 0  # the variables in leads
+    for mask in masks:
+        bound |= mask
+    if len(divisors.excluded) - bound.bit_count() != free or any(
+        mono_degree(row[0]) != 2 for row in divisors.rows
+    ):
         return False
-    counts = _standard_counts(leads, bound)
+    counts = _standard_counts(masks, bound)
     return all(next(counts) == expected for expected in numerator) and not next(counts)
 
 
@@ -481,22 +443,22 @@ def buchberger(
 ) -> "GroebnerBasis":
     """Compute the reduced Groebner basis of the ideal.
 
-    The pair loop starts from the generators in reduced row-echelon form
-    (_row_echelon), taken in increasing total degree (a stable sort): the
-    generators sharing a leading monomial are eliminated against each other
-    before any pair is formed, and a zero remainder never forms one.  When
-    every term has one total degree, as for the universal simplices over a
-    free base, that form is found by Gauss-Jordan elimination, not by
-    division.
+    The pair loop starts from the generators in reduced row-echelon form,
+    found by Gauss-Jordan elimination on their coefficients
+    (_gauss_jordan), with no division: the generators sharing a leading
+    monomial are eliminated against each other before any pair is formed,
+    and a zero row never forms one.  The form is flat when all its terms
+    have one total degree, as for the universal simplices over a free
+    base; every monomial of the generators survives in some row, so that is
+    the same as generators of one total degree.
 
     hilbert = (numerator, free) vouches that k[x]/ideal has the Hilbert
-    series sum(numerator[k] t^k) / (1 - t)^free.  If the generators are
-    homogeneous and the row-echelon leads are quadratic and have that
-    series, they generate the initial ideal, so no pair is queued
-    (Traverso, "Hilbert functions and the Buchberger algorithm",
-    J. Symbolic Comput. 22, 1996).  A series the leads do not match, or
-    leads of another degree, run the pair loop and never change the
-    result.
+    series sum(numerator[k] t^k) / (1 - t)^free.  If the form is flat and
+    its leads are quadratic and have that series, they generate the initial
+    ideal, so no pair is queued (Traverso, "Hilbert functions and the
+    Buchberger algorithm", J. Symbolic Comput. 22, 1996).  A series the
+    leads do not match, leads of another degree, or a form that is not flat
+    run the pair loop and never change the result.
 
     Pairs are selected in increasing (lcm degree, creation index) order.
     Two kinds of pair are never queued: one whose leading monomials are
@@ -508,15 +470,17 @@ def buchberger(
     pair has its S-polynomial formed and fully reduced by the basis so far;
     a nonzero remainder is made monic and joins the basis.  The degree
     guard applies to every S-polynomial formed and to every division.  If
-    nothing joined and no lead divides another, the row-echelon form is
-    already reduced; otherwise _interreduce reduces the basis.  It is
-    returned in decreasing order of the leads, with the divisor list whose
-    leading data was read as it was built, and by uniqueness of the reduced
-    basis it does not depend on these choices.
+    the form is flat and nothing joined, it is already the reduced basis,
+    in its final order: a lead divides a term of its own degree only by
+    being it.  Otherwise _interreduce reduces the basis.  It is returned in
+    decreasing order of the leads, with the divisor list whose leading data
+    was read as it was built, and by uniqueness of the reduced basis it
+    does not depend on these choices.
 
     Over a ring that is not a field, only an ideal of unit monomials is
     accepted (NonFieldCoefficients otherwise, naming the generators that are
-    not unit monomials): making its generators monic inverts units alone, and the S-polynomial of two monic monomials is zero.
+    not unit monomials): making its generators monic inverts units alone,
+    and the S-polynomial of two monic monomials is zero.
     """
     _check_degree_cap(degree_cap)
     if not ideal.ring.is_field and not ideal.is_monomial():
@@ -525,8 +489,7 @@ def buchberger(
             f"relations {offending} are not unit monomials, so they need "
             f"a Groebner basis and field coefficients, got {ideal.ring}"
         )
-    gens = sorted(ideal.generators, key=Polynomial.total_degree)
-    basis = _row_echelon(gens, order, len(ideal.varset), degree_cap)
+    basis = _gauss_jordan(ideal.generators, order, len(ideal.varset))
     rows, polys = basis.rows, basis.polys
     pairs: list[tuple[int, int, int]] = []
     queued: set[tuple[int, int]] = set()
@@ -549,8 +512,8 @@ def buchberger(
         return False
 
     echelon = len(rows)
-    homogeneous = all(len({mono_degree(e) for e in g._terms}) == 1 for g in gens)
-    if hilbert is None or not homogeneous or not _leads_have_series(basis, hilbert):
+    flat = len({mono_degree(e) for g in polys for e in g._terms}) < 2
+    if hilbert is None or not flat or not _leads_have_series(basis, hilbert):
         for k in range(echelon):
             queue(k)
     while pairs:
@@ -567,15 +530,7 @@ def buchberger(
         if not r.is_zero():
             basis.append_monic(r)
             queue(len(rows) - 1)
-    # distinct leads of one total degree divide no other lead
-    if len(rows) > echelon or (
-        len({mono_degree(row[0]) for row in rows}) > 1
-        and any(basis.dividing(row[0]) != 1 << i for i, row in enumerate(rows))
-    ):
-        reduced = _interreduce(basis, degree_cap)
-    else:
-        rank = _RANKS[order]
-        reduced = basis.reordered(sorted(range(len(rows)), key=lambda i: rank(rows[i][0])))
+    reduced = basis if flat and len(rows) == echelon else _interreduce(basis, degree_cap)
     return GroebnerBasis._of(ideal.varset, ideal.ring, reduced, degree_cap)
 
 

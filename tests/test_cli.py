@@ -474,6 +474,20 @@ def test_overlong_number_is_a_parse_error(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simplex", *WEIL], "provide --matrix FILE or --rows 'a,b; c,d'"),
+        (["neighbour", *WEIL, "--a", "", "--b", "e1"], "missing --a"),
+    ],
+    ids=["no-matrix", "empty-vector"],
+)
+def test_missing_operands_are_exit_two(capsys, argv, message):
+    code, doc, _ = run_json(capsys, argv)
+    assert code == 2
+    assert doc == {"error": message, "kind": "NbhdError"}
+
+
+@pytest.mark.parametrize(
     "names, message",
     [("1x,y", "invalid variable name '1x'"), ("x,x", "duplicate variable names: x")],
     ids=["invalid", "duplicate"],

@@ -161,6 +161,11 @@ def test_load_map_errors(tmp_path):
     with pytest.raises(UnknownFormat):
         load_map(str(dup))
 
+    empty = tmp_path / "empty.map"
+    empty.write_text("domain: dom.alg codomain: cod.alg\nimages: ;\n", encoding="utf-8")
+    with pytest.raises(UnknownFormat, match="^map file: malformed image list$"):
+        load_map(str(empty))
+
 
 def test_matrix_round_trip():
     A = parse_algebra(WEIL_TEXT)

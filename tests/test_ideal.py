@@ -20,8 +20,8 @@ from nbhd.ideal import (
     GroebnerBasis,
     Ideal,
     _Divisors,
+    _gauss_jordan,
     _leads_have_series,
-    _row_echelon,
     _standard_counts,
     buchberger,
     contains,
@@ -440,11 +440,11 @@ def _refuse(*args, **kwargs):
 
 
 def test_tail_division_makes_the_row_echelon_form_reduced(monkeypatch):
-    # X^2 + Y^2 holds the lead Y^2 of the second generator; _row_echelon
+    # X^2 + Y^2 holds the lead Y^2 of the second generator; _gauss_jordan
     # eliminates it from the first row, and as the leads are coprime no
     # pair forms and nothing is interreduced
     gens = (P("X^2 + Y^2"), P("Y^2"))
-    assert _row_echelon(gens, MonomialOrder.DEGREVLEX, 2, DEFAULT_DEGREE_CAP).polys == [P("X^2"), P("Y^2")]
+    assert _gauss_jordan(gens, MonomialOrder.DEGREVLEX, 2).polys == [P("X^2"), P("Y^2")]
     monkeypatch.setattr("nbhd.ideal._interreduce", _refuse)
     for order in MonomialOrder:
         assert buchberger(Ideal(XY, QQ, gens), order).basis == (P("X^2"), P("Y^2"))
@@ -463,16 +463,18 @@ def test_interreduce_runs_only_when_the_pair_loop_changed_the_basis(monkeypatch)
 
 def test_a_series_is_trusted_only_for_homogeneous_generators():
     # in lex the row-echelon leads are X^2 and X, whose quotient k[Y] has
-    # the series 1 / (1 - t); the generators are not homogeneous, so that
-    # series certifies nothing and the pair loop finds Y^4 - Y
+    # the series 1 / (1 - t); the generators are not homogeneous, so their
+    # row-echelon form is not flat, that series certifies nothing and the
+    # pair loop finds Y^4 - Y
     gb = buchberger(I(["X^2 - Y", "Y^2 - X"]), MonomialOrder.LEX, hilbert=((1,), 1))
     assert gb.basis == (P("X - Y^2"), P("Y^4 - Y"))
 
 
 @pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
 def test_a_row_echelon_lead_dividing_another_is_interreduced(order):
-    # nothing joins in either case, but the leads Y and 1 of the second row
-    # divide the first row's lead, which must go
+    # the rows are X*Y^3 - Y, Y^2 and X, 1; in the second case nothing
+    # joins, but the lead 1 of the second row divides the first row's lead,
+    # which must go; in the first, the pair loop adds Y, which divides both
     assert buchberger(I(["Y^2", "X*Y^3 - Y"]), order).basis == (P("Y"),)
     assert buchberger(I(["X", "X - 1"]), order).basis == (P("1"),)
 
@@ -515,18 +517,18 @@ def test_difference_variety_relations_are_not_divided(monkeypatch, ring, order):
 
 
 @pytest.mark.parametrize("order", list(MonomialOrder), ids=lambda o: o.value)
-def test_only_generators_of_several_degrees_are_divided(monkeypatch, order):
-    # generators whose terms share one total degree are row-reduced by
-    # elimination on their coefficients, a shared monomial or not; only
-    # generators of several degrees are divided by each other
+def test_no_generator_is_divided_while_row_reducing(monkeypatch, order):
+    # generators are row-reduced by elimination on their coefficients, a
+    # shared monomial or not, of one total degree or of several; the rows
+    # come in decreasing order of their leads
     divided = _record_divisions(monkeypatch)
-    for gens, expected, division in (
-        ((P("X^2 + Y^2"), P("Y^2")), [P("X^2"), P("Y^2")], False),  # Y^2 occurs in both
-        ((P("X"), P("X^2 + Y^2")), [P("X"), P("Y^2")], True),  # disjoint, degrees 1 and 2
+    for gens, rows, expected in (
+        ((P("X^2 + Y^2"), P("Y^2")), [P("X^2"), P("Y^2")], [P("X^2"), P("Y^2")]),  # Y^2 occurs in both
+        ((P("X"), P("X^2 + Y^2")), [P("X^2 + Y^2"), P("X")], [P("X"), P("Y^2")]),  # disjoint, degrees 1 and 2
     ):
         divided.clear()
-        assert _row_echelon(gens, order, 2, DEFAULT_DEGREE_CAP).polys == expected
-        assert bool(divided) is division
+        assert _gauss_jordan(gens, order, 2).polys == rows
+        assert not divided
         assert set(buchberger(Ideal(XY, QQ, gens), order).basis) == set(expected)
 
 
@@ -564,7 +566,8 @@ def test_support_masks_count_the_standard_monomials(problem):
     nvars, leads = problem
     bound = sorted({v for lead in leads for v, x in enumerate(lead) if x})
     brute = _brute_counts(leads, bound, 8)  # squarefree ones end by degree 6
-    assert list(islice(_standard_counts(leads, bound), 8)) == brute
+    masks = [sum(1 << v for v, x in enumerate(lead) if x) for lead in leads]
+    assert list(islice(_standard_counts(masks, sum(1 << v for v in bound)), 8)) == brute
     varset = VarSet(tuple(f"x{i}" for i in range(nvars)))
     divisors = _Divisors([Polynomial(varset, QQ, {e: 1}) for e in leads], MonomialOrder.LEX, nvars)
     free = nvars - len(bound)
@@ -618,7 +621,7 @@ def test_a_true_series_of_cubic_leads_runs_the_pair_loop(problem):
             for d in range(7)  # X^3, Y^3, Z^3 are in the ideal: no standard monomial above degree 6
         ]
         numerator = counts[: counts.index(0)] if 0 in counts else counts
-        echelon = _row_echelon(ideal.generators, order, 3, DEFAULT_DEGREE_CAP)
+        echelon = _gauss_jordan(ideal.generators, order, 3)
         assert not _leads_have_series(echelon, (numerator, 0))
         assert buchberger(ideal, order, hilbert=(numerator, 0)).basis == reference
     assert formed == unseries

@@ -11,6 +11,7 @@ from nbhd.errors import (
     InvalidVariableName,
     NbhdError,
     ParseError,
+    RingMismatch,
     UnknownVariable,
     VariableOutOfRange,
     VarSetMismatch,
@@ -130,6 +131,11 @@ def test_constructors_reject_invalid_exponents(exps):
     assert str(Polynomial(vs, QQ, {(2,): 1})) == "x^2"
 
 
+def test_constructor_rejects_the_wrong_number_of_exponents():
+    with pytest.raises(ArityMismatch, match="^2 exponents for 3 variables$"):
+        Polynomial(XYZ, QQ, {(1, 0): 1})
+
+
 def test_pow_and_frobenius():
     assert P("X + 1") ** 3 == P("X^3 + 3*X^2 + 3*X + 1")
     x_plus_y = parse_poly("X + Y", XYZ, Z2)
@@ -236,6 +242,11 @@ def test_substitute_errors():
                 Polynomial.zero(vs, QQ),
             ]
         )
+    images = [Polynomial.zero(vs, QQ)] * 3
+    with pytest.raises(RingMismatch, match="^Z/5 vs Q$"):
+        p.substitute([Polynomial.zero(vs, Z5)] + images[1:])
+    with pytest.raises(VarSetMismatch, match="^explicit varset disagrees with the images$"):
+        p.substitute(images, varset=other)
 
 
 def test_substitute_constants_into_empty_varset():

@@ -387,3 +387,32 @@ def test_the_support_test_multiplies_nothing_and_precedes_the_scans():
             if any(isinstance(node, (ast.For, ast.While)) for node in ast.walk(statement))
         ]
         assert asks and loops and asks[0] < loops[0], f"{function} does not ask the support test first"
+
+
+def test_ideal_divides_only_in_the_pair_loop_interreduction_and_normal_forms():
+    # one row reduction of buchberger's input, Gauss-Jordan elimination:
+    # reduce_full is called only in buchberger's pair loop, in _interreduce
+    # and in GroebnerBasis.normal_form, so no division pre-pass grows back
+    path = SOURCE / "ideal.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    methods = {
+        node.name: node
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name == "GroebnerBasis"
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+    }
+    allowed = [
+        *(loop for loop in functions["buchberger"].body if isinstance(loop, ast.While)),
+        functions["_interreduce"],
+        methods["normal_form"],
+    ]
+    inside = {id(node) for scope in allowed for node in ast.walk(scope)}
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called_name(node) == "reduce_full"
+    ]
+    found = [f"ideal.py:{node.lineno}" for node in calls if id(node) not in inside]
+    assert calls and not found, f"reduce_full called outside the pair loop, _interreduce and normal_form at {found}"
