@@ -60,12 +60,13 @@ from .errors import (
     RingMismatch,
     UninterpretableValue,
     VarSetMismatch,
+    require_integer,
 )
 from .ideal import (
     DEFAULT_DEGREE_CAP,
     GroebnerBasis,
     Ideal,
-    _check_degree_cap,
+    _check_order_and_cap,
     _Divisors,
     buchberger,
 )
@@ -165,9 +166,13 @@ class FpAlgebra:
     def _present(self, ring, varset, relations, order, degree_cap, hilbert) -> None:
         # validate, pick the engine and, for the Groebner engine, build the
         # basis, passing buchberger the quotient's Hilbert series if known
-        _check_degree_cap(degree_cap)
+        _check_order_and_cap(order, degree_cap)
         if not isinstance(varset, VarSet):
             varset = VarSet(tuple(varset))
+        try:
+            relations = iter(relations)
+        except TypeError:
+            raise UninterpretableValue(f"relations {relations!r} are not iterable") from None
         rels = []
         for r in relations:
             if isinstance(r, str):
@@ -547,6 +552,7 @@ def tensor_power(
     Generator g of copy r becomes "g_r".  Returns the tensor algebra and the
     inclusion of each copy.
     """
+    require_integer("count", count)
     if count < 1:
         raise InvalidArgument("need at least one tensor factor")
     return _tensor_many([algebra] * count)
@@ -880,6 +886,7 @@ def universal_simplex(
     which buchberger certifies their row-echelon relations and forms no
     S-polynomial (README, "Hilbert series certify the universal bases").
     """
+    require_integer("p", p)
     if p < 1:
         raise InvalidArgument("p must be at least 1")
     if representation == "auto":

@@ -41,7 +41,9 @@ class VariableOutOfRange(NbhdError, IndexError):
 
 
 class UninterpretableValue(NbhdError, TypeError):
-    """A value of a type that cannot be read as a polynomial or an element."""
+    """A value of a type that cannot be read as what the call needs: a
+    polynomial, an element, an integer size, count or seed, or an iterable of
+    relations."""
 
 
 class UnknownCheck(NbhdError, KeyError):
@@ -116,3 +118,9 @@ class ReexpansionFailed(NbhdError):
 
 class UnknownFormat(NbhdError):
     """An input file does not follow the documented line format."""
+
+
+def require_integer(name: str, value) -> None:
+    """Raise UninterpretableValue unless value is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UninterpretableValue(f"{name} must be an integer, got {value!r}")

@@ -12,14 +12,13 @@ generator order.
 
 Division (reduce_full) has one path.  The leading term of every divisor is
 read once, when its divisor list is built: buchberger extends its own as
-the basis grows and hands it to the GroebnerBasis it returns, and a
-GroebnerBasis constructed directly builds its list from its basis.  The
-polynomial being divided is one mutable term dict with a heap of its
-monomials.  Its biggest term is reduced by the earliest divisor whose
-leading monomial divides it, found with per-variable bitsets.  Only that
-divisor's other terms are subtracted, in place, because its leading term
-cancels by construction.  A lead coefficient is inverted only once, and only
-for a divisor that is not monic.
+the basis grows and hands it to the GroebnerBasis it returns, the only
+way a GroebnerBasis is built.  The polynomial being divided is one mutable
+term dict with a heap of its monomials.  Its biggest term is reduced by the
+earliest divisor whose leading monomial divides it, found with per-variable
+bitsets.  Only that divisor's other terms are subtracted, in place, because
+its leading term cancels by construction.  A lead coefficient is inverted
+only once, and only for a divisor that is not monic.
 
 Bases have one entry point, buchberger, and its input one path:
 _gauss_jordan brings the generators to reduced row-echelon form by
@@ -40,14 +39,15 @@ A total-degree guard aborts runaway computations: DegreeGuardExceeded is
 raised, with the offending degree in the message, when an S-polynomial that
 buchberger forms, or a term that a division step creates, exceeds the cap.
 A certified basis forms no S-polynomial, and elimination creates no
-monomial.  A cap is an int, 0 or more; any other raises InvalidArgument.
+monomial.  A cap is an int, 0 or more, and an order a MonomialOrder; any
+other raises InvalidArgument.
 """
 
 from __future__ import annotations
 
 import heapq
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .arith import RingSpec
@@ -72,8 +72,11 @@ from .poly import (
 DEFAULT_DEGREE_CAP = 24
 
 
-def _check_degree_cap(degree_cap) -> None:
-    """Raise InvalidArgument unless the degree cap is an int, 0 or more."""
+def _check_order_and_cap(order, degree_cap) -> None:
+    """Raise InvalidArgument unless the order is a MonomialOrder and the
+    degree cap an int, 0 or more."""
+    if not isinstance(order, MonomialOrder):
+        raise InvalidArgument(f"monomial order must be a MonomialOrder, got {order!r}")
     if isinstance(degree_cap, bool) or not isinstance(degree_cap, int) or degree_cap < 0:
         raise InvalidArgument(f"degree cap must be a non-negative integer, got {degree_cap!r}")
 
@@ -208,11 +211,11 @@ def reduce_full(
     reduction path is deterministic.  The remainder in progress is one term
     dict, changed in place.  DegreeGuardExceeded is raised when a step
     creates a term of total degree above max(degree_cap, degree of p).
-    basis may also be a divisor list this module built for the same order
-    (a GroebnerBasis's, or buchberger's), whose leading terms are not read
+    basis may also be a divisor list buchberger built for the same order
+    (a GroebnerBasis holds its own), whose leading terms are not read
     again.
     """
-    _check_degree_cap(degree_cap)
+    _check_order_and_cap(order, degree_cap)
     if isinstance(basis, _Divisors):
         if basis.order is not order:
             raise InvalidArgument(f"divisors prepared for {basis.order}, not {order}")
@@ -482,7 +485,7 @@ def buchberger(
     not unit monomials): making its generators monic inverts units alone,
     and the S-polynomial of two monic monomials is zero.
     """
-    _check_degree_cap(degree_cap)
+    _check_order_and_cap(order, degree_cap)
     if not ideal.ring.is_field and not ideal.is_monomial():
         offending = " ; ".join(str(g) for g in ideal.generators if not _is_unit_monomial(g))
         raise NonFieldCoefficients(
@@ -531,45 +534,26 @@ def buchberger(
             basis.append_monic(r)
             queue(len(rows) - 1)
     reduced = basis if flat and len(rows) == echelon else _interreduce(basis, degree_cap)
-    return GroebnerBasis._of(ideal.varset, ideal.ring, reduced, degree_cap)
+    return GroebnerBasis(ideal.varset, ideal.ring, reduced, degree_cap)
 
 
-@dataclass(frozen=True)
 class GroebnerBasis:
-    """A reduced Groebner basis; normal forms against it are canonical."""
+    """A reduced Groebner basis; normal forms against it are canonical.
 
-    varset: VarSet
-    ring: RingSpec
-    order: MonomialOrder
-    basis: tuple[Polynomial, ...]
-    degree_cap: int = DEFAULT_DEGREE_CAP
-    _divisors: _Divisors = field(init=False, repr=False, compare=False)
+    Only buchberger builds one, from the divisor list it computed: order
+    and basis are read from that list, whose leading data is not read
+    again.
+    """
 
-    def __post_init__(self) -> None:
-        divisors = _Divisors(self.basis, self.order, len(self.varset))
-        object.__setattr__(self, "_divisors", divisors)
+    __slots__ = ("varset", "ring", "order", "basis", "degree_cap", "_divisors")
 
-    @classmethod
-    def _of(
-        cls, varset: VarSet, ring: RingSpec, divisors: _Divisors, degree_cap: int
-    ) -> "GroebnerBasis":
-        """The basis divisors.polys, holding that divisor list as its own.
-
-        buchberger builds its result this way, so the leading data it read
-        is not read again; GroebnerBasis(...) reads it from the basis.
-        """
-        gb = object.__new__(cls)
-        fields = {
-            "varset": varset,
-            "ring": ring,
-            "order": divisors.order,
-            "basis": tuple(divisors.polys),
-            "degree_cap": degree_cap,
-            "_divisors": divisors,
-        }
-        for name, value in fields.items():
-            object.__setattr__(gb, name, value)
-        return gb
+    def __init__(self, varset: VarSet, ring: RingSpec, divisors: _Divisors, degree_cap: int):
+        self.varset = varset
+        self.ring = ring
+        self.order = divisors.order
+        self.basis = tuple(divisors.polys)
+        self.degree_cap = degree_cap
+        self._divisors = divisors
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         if p.varset is not self.varset and p.varset != self.varset:

@@ -61,6 +61,7 @@ from .errors import (
     NotNeighbours,
     ReexpansionFailed,
     ShapeMismatch,
+    require_integer,
 )
 from .algebra import (
     AlgebraElement,
@@ -697,6 +698,8 @@ def universal_dtilde(
     series certify the universal bases"): no S-polynomial is formed and no
     intermediate exceeds degree 2.
     """
+    require_integer("p", p)
+    require_integer("n", n)
     if p < 1 or n < 1:
         raise InvalidArgument("matrix dimensions must be at least 1 x 1")
     compact = p <= 9 and n <= 9

@@ -31,6 +31,7 @@ from .errors import (
     NotInKernel,
     UnknownCheck,
     UnknownFormat,
+    require_integer,
 )
 from .algebra import (
     AlgebraElement,
@@ -64,6 +65,7 @@ from .neighbour import (
     pair_varset,
     rewrite_kernel_element,
     universal_dtilde,
+    vectors_neighbour,
 )
 from .poly import Polynomial, VarSet
 
@@ -82,6 +84,10 @@ class SuiteConfig:
     case_count: int = 200
 
     def __post_init__(self) -> None:
+        # the corpus is seeded from the text of the seed, so True and 1
+        # would draw different corpora: only an int is a seed
+        for name in ("seed", "p_max", "n_max", "degree_bound", "case_count"):
+            require_integer(name, getattr(self, name))
         if self.p_max < 1:
             raise InvalidArgument("p_max must be at least 1")
         if self.n_max < 1:
@@ -482,13 +488,11 @@ def shrink_failing_pair(case: PairCase) -> tuple[int, str]:
     """
     n = len(case.f.images)
     for width in range(1, n + 1):
-        domain = _free_domain(case.codomain.ring, width)
-        f = AlgebraMap(domain, case.codomain, case.f.images[:width])
-        g = AlgebraMap(domain, case.codomain, case.g.images[:width])
-        verdict = is_neighbour(f, g)
+        f_images, g_images = case.f.images[:width], case.g.images[:width]
+        verdict = vectors_neighbour(f_images, g_images)
         if not verdict:
-            f_text = ", ".join(str(x) for x in f.images)
-            g_text = ", ".join(str(x) for x in g.images)
+            f_text = ", ".join(str(x) for x in f_images)
+            g_text = ", ".join(str(x) for x in g_images)
             return width, f"width {width}: f = ({f_text}), g = ({g_text}); {verdict.witness}"
     return n, "failure vanished while shrinking (unstable case)"
 

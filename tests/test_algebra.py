@@ -127,6 +127,35 @@ def test_degree_cap_is_checked_under_both_engines(cap):
         universal_dtilde(2, 2, QQ, degree_cap=cap)
 
 
+@pytest.mark.parametrize("order", ["lex", "nonsense", None], ids=repr)
+def test_order_is_checked_under_both_engines(order):
+    # a string order used to be accepted by the monomial engine and to reach
+    # a bare KeyError in the Groebner one
+    for relations in (["x^2"], ["x^2 - y"]):
+        with pytest.raises(InvalidArgument, match="monomial order"):
+            FpAlgebra(QQ, ("x", "y"), relations, order=order)
+    with pytest.raises(InvalidArgument, match="monomial order"):
+        universal_dtilde(2, 2, QQ, order=order)
+    with pytest.raises(InvalidArgument, match="monomial order"):
+        universal_simplex(free_algebra(QQ, ["x"]), 1, order=order)
+
+
+def test_counts_and_relations_of_the_wrong_type_raise_typed_errors():
+    base = free_algebra(QQ, ["x"])
+    for p in ("a", 1.5, True, None):
+        with pytest.raises(UninterpretableValue, match="p must be an integer"):
+            universal_simplex(base, p)
+        with pytest.raises(UninterpretableValue, match="count must be an integer"):
+            tensor_power(base, p)
+        with pytest.raises(UninterpretableValue, match="p must be an integer"):
+            universal_dtilde(p, 2, QQ)
+        with pytest.raises(UninterpretableValue, match="n must be an integer"):
+            universal_dtilde(2, p, QQ)
+    for relations in (None, 3):
+        with pytest.raises(UninterpretableValue, match="not iterable"):
+            FpAlgebra(QQ, ["x"], relations)
+
+
 def test_element_arithmetic():
     A = square_zero()
     e1, e2 = A.generators()

@@ -408,6 +408,16 @@ def test_degree_cap_zero_is_accepted():
     assert reduce_full(P("X^3"), [P("X^2 - 1")], degree_cap=0) == P("X")
 
 
+@pytest.mark.parametrize("order", ["lex", "nonsense", None, 0], ids=repr)
+def test_orders_outside_monomial_order_are_refused(order):
+    with pytest.raises(InvalidArgument, match="monomial order"):
+        buchberger(I(["X^2 - Y"]), order)
+    with pytest.raises(InvalidArgument, match="monomial order"):
+        reduce_full(P("X^3"), [P("X^2 - 1")], order)
+    with pytest.raises(InvalidArgument, match="monomial order"):
+        contains(I(["X^2 - Y"]), P("X^3"), order)
+
+
 def test_default_degree_cap_is_generous():
     assert DEFAULT_DEGREE_CAP >= 20
 
@@ -425,11 +435,24 @@ def test_mismatched_inputs_rejected():
 def test_zero_generators_dropped():
     ideal = I(["X", "0", "Y - Y"])
     assert len(ideal) == 1
-    assert buchberger(Ideal(XY, QQ, ())).basis == ()
-    assert GroebnerBasis(XY, QQ, MonomialOrder.DEGREVLEX, ()).normal_form(P("X")) == P("X")
+    empty = buchberger(Ideal(XY, QQ, ()))
+    assert empty.basis == () and empty.normal_form(P("X")) == P("X")
     zero = Polynomial.zero(XY, QQ)
     assert reduce_full(P("X^2 + Y"), [zero, P("X - 1")]) == P("Y + 1")
-    assert GroebnerBasis(XY, QQ, MonomialOrder.DEGREVLEX, (zero,)).normal_form(P("X")) == P("X")
+    only_zero = buchberger(Ideal(XY, QQ, (zero,)))
+    assert only_zero.basis == () and only_zero.normal_form(P("X")) == P("X")
+
+
+def test_a_basis_is_only_ever_buchbergers_result():
+    # a tuple that is no reduced basis cannot be wrapped as one: against
+    # (X - Y, X + Y) itself, X would reduce to Y and not be a member
+    with pytest.raises(AttributeError):
+        GroebnerBasis(XY, QQ, MonomialOrder.DEGREVLEX, (P("X - Y"), P("X + Y")))
+    gb = buchberger(I(["X - Y", "X + Y"]))
+    assert isinstance(gb, GroebnerBasis)
+    assert gb.basis == (P("X"), P("Y")) and len(gb) == 2 and list(gb) == [P("X"), P("Y")]
+    assert gb.order is MonomialOrder.DEGREVLEX and gb.degree_cap == DEFAULT_DEGREE_CAP
+    assert gb.contains(P("X")) and gb.normal_form(P("X + 1")) == P("1")
 
 
 # -- the row-echelon exit -------------------------------------------------------

@@ -139,7 +139,7 @@ def _is_false(node):
 def test_groebner_bases_are_built_only_by_buchberger():
     # one Groebner entry point: every GroebnerBasis the library builds comes
     # out of ideal.buchberger, so no second basis builder grows back; a call
-    # of one of its class methods (GroebnerBasis._of) counts as building one
+    # of any of its class methods counts as building one
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))

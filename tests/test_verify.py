@@ -6,7 +6,7 @@ import pytest
 
 import nbhd.verify
 from nbhd.arith import QQ, RingSpec
-from nbhd.errors import NbhdError, UnknownCheck, UnknownFormat
+from nbhd.errors import NbhdError, UninterpretableValue, UnknownCheck, UnknownFormat
 from nbhd.neighbour import CheckResult, in_dtilde, is_neighbour, SimplexMatrix
 from nbhd.verify import (
     ALLOWED_RINGS,
@@ -48,6 +48,18 @@ def test_config_validation():
         SuiteConfig(rings=("Q", "Q"))
     with pytest.raises(ValueError):
         SuiteConfig(rings=("GF(4)",))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("seed", "x"), ("seed", 1.5), ("seed", True), ("p_max", "2"), ("n_max", 2.0), ("case_count", None)],
+    ids=repr,
+)
+def test_config_fields_must_be_integers(field, value):
+    # seed=True and seed=1 would draw different corpora, since the corpus is
+    # seeded from the text of the seed
+    with pytest.raises(UninterpretableValue, match=f"{field} must be an integer"):
+        SuiteConfig(**{field: value})
 
 
 def test_config_defaults_and_dict():
