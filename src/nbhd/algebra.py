@@ -61,6 +61,7 @@ from .errors import (
     UninterpretableValue,
     VarSetMismatch,
     require_integer,
+    require_names,
 )
 from .ideal import (
     DEFAULT_DEGREE_CAP,
@@ -137,7 +138,13 @@ class FpAlgebra:
     The engine follows from the relations: monomial deletion when they
     generate a monomial ideal (Ideal.is_monomial), over any ring; a reduced
     Groebner basis otherwise, which raises NonFieldCoefficients over a ring
-    that is not a field.
+    that is not a field.  The ring must be a RingSpec and the variable names
+    an iterable of strings (UninterpretableValue otherwise).
+
+    Two algebras are equal when their rings, variable names, sets of
+    relations and orders are.  That signature, and its hash, are computed on
+    the first hash or the first comparison with another object, not when the
+    algebra is presented: building one hashes none of its relations.
     """
 
     __slots__ = (
@@ -167,8 +174,10 @@ class FpAlgebra:
         # validate, pick the engine and, for the Groebner engine, build the
         # basis, passing buchberger the quotient's Hilbert series if known
         _check_order_and_cap(order, degree_cap)
+        if not isinstance(ring, RingSpec):
+            raise UninterpretableValue(f"ring must be a RingSpec, got {ring!r}")
         if not isinstance(varset, VarSet):
-            varset = VarSet(tuple(varset))
+            varset = VarSet(varset)
         try:
             relations = iter(relations)
         except TypeError:
@@ -192,8 +201,8 @@ class FpAlgebra:
             self._table = _product_table(len(varset), self.relations)
         else:
             self._gb = buchberger(ideal, order, degree_cap, hilbert=hilbert)
-        self._signature = (ring, varset.names, frozenset(self.relations), order)
-        self._hash = hash(self._signature)
+        self._signature: tuple | None = None  # set by _identity when first compared
+        self._hash: int | None = None
         self._one: Polynomial | None = None
 
     @property
@@ -203,15 +212,24 @@ class FpAlgebra:
 
     # -- identity ----------------------------------------------------------
 
+    def _identity(self) -> int:
+        """The hash of the signature (ring, names, relation set, order),
+        both computed on the first call: an algebra that is never hashed or
+        compared with another object never hashes its relations."""
+        if self._hash is None:
+            self._signature = (self.ring, self.varset.names, frozenset(self.relations), self.order)
+            self._hash = hash(self._signature)
+        return self._hash
+
     def __eq__(self, other) -> bool:
         if self is other:
             return True
         if not isinstance(other, FpAlgebra):
             return NotImplemented
-        return self._hash == other._hash and self._signature == other._signature
+        return self._identity() == other._identity() and self._signature == other._signature
 
     def __hash__(self) -> int:
-        return self._hash
+        return self._identity()
 
     def __repr__(self) -> str:
         rels = "; ".join(str(r) for r in self.relations)
@@ -365,7 +383,7 @@ class FpAlgebra:
 
 def free_algebra(ring: RingSpec, names: Sequence[str]) -> FpAlgebra:
     """The polynomial algebra on the given variables (no relations)."""
-    return FpAlgebra(ring, VarSet(tuple(names)))
+    return FpAlgebra(ring, VarSet(names))
 
 
 class AlgebraElement:
@@ -949,7 +967,7 @@ def adjoin_variables(
     existing variables are rejected.
     """
     try:
-        varset = VarSet(algebra.varset.names + tuple(names))
+        varset = VarSet(algebra.varset.names + require_names("variable names", names))
     except ValueError as exc:
         raise VarSetMismatch(f"cannot adjoin variables: {exc}") from None
     relations = [

@@ -124,3 +124,16 @@ def require_integer(name: str, value) -> None:
     """Raise UninterpretableValue unless value is an int; a bool is not one."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise UninterpretableValue(f"{name} must be an integer, got {value!r}")
+
+
+def require_names(name: str, value) -> tuple:
+    """The items of value as a tuple, for an iterable of names; a string
+    would be read character by character, so it raises UninterpretableValue,
+    as does anything that is not iterable.  The items themselves are the
+    caller's to check."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise UninterpretableValue(f"{name} must be an iterable of names, got {value!r}")

@@ -3,7 +3,8 @@
 Monomial ideals need no division: a normal form deletes the terms a
 generator divides, over any coefficient ring, and the divisibility test is
 _Divisors.dividing, which the algebra module's product tables call (and
-cache) for every monomial quotient.  General ideals go through Buchberger's
+cache) for every monomial quotient; over no relations, as for a free
+algebra, it answers 0 at once.  General ideals go through Buchberger's
 algorithm, which requires field coefficients unless every generator is a
 unit monomial, whose S-polynomials are zero.  The computed basis is the
 reduced Groebner basis (monic, auto-reduced), which is unique for a given
@@ -23,7 +24,9 @@ only once, and only for a divisor that is not monic.
 Bases have one entry point, buchberger, and its input one path:
 _gauss_jordan brings the generators to reduced row-echelon form by
 Gauss-Jordan elimination on their coefficients, with no division, and
-emits the rows in decreasing order of their leads.  The pair loop starts
+emits the rows in decreasing order of their leads, straight into the
+divisor list the pair loop extends: each row's leading data comes from
+the lead elimination chose, so no row is read again.  The pair loop starts
 from that form and skips pairs by Buchberger's product and chain criteria
 and pairs of two single-term elements, whose S-polynomial is zero.  The
 form is flat when all its terms have one total degree.  A flat form to
@@ -48,6 +51,7 @@ from __future__ import annotations
 import heapq
 import operator
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .arith import RingSpec
@@ -141,7 +145,10 @@ class _Divisors:
     total degree among those terms.  excluded[v][x] is the bitset of the
     divisors whose leading exponent in variable v exceeds x, so the divisors
     whose leading monomial divides m are the bits left after removing the
-    union of excluded[v][m[v]] over v.
+    union of excluded[v][m[v]] over v.  Every row is added by _push, the one
+    writer of the exclusion bitsets, from a lead its caller already knows:
+    append reads a polynomial's other terms for it, and _gauss_jordan hands
+    over the rows it has just formed.
     """
 
     __slots__ = ("order", "polys", "rows", "excluded")
@@ -163,9 +170,7 @@ class _Divisors:
         value = g._terms[exps]
         inverse = None if value == ring.one() else ring.invert(value)
         tail = [(e, ring.neg(v)) for e, v in g._terms.items() if e != exps]
-        tail_degree = max((mono_degree(e) for e, _ in tail), default=0)
-        mask = sum(1 << v for v, x in enumerate(exps) if x)
-        self._push(g, (exps, inverse, mask, tail, tail_degree))
+        self._push(g, exps, inverse, tail)
 
     def append_monic(self, p: Polynomial) -> None:
         """Append p made monic, reading its leading term once."""
@@ -173,23 +178,29 @@ class _Divisors:
         ring = p.ring
         self.append(p if value == ring.one() else p.scale(ring.invert(value)), exps)
 
-    def _push(self, g: Polynomial, row: tuple) -> None:
-        """Add g with its row as read, setting its bit in the exclusion lists."""
+    def _push(self, g: Polynomial, lead: tuple[int, ...], inverse, tail: list) -> None:
+        """Add g, led by lead, with the inverse of its leading coefficient
+        and its other terms negated: the row is completed with its tail's
+        degree and its lead's support mask, and g's bit is set in the
+        exclusion bitsets of the lead's variables, read from its nonzero
+        exponents only."""
         bit = 1 << len(self.rows)
-        exps, mask = row[0], row[2]
-        while mask:  # the variables of the leading monomial
-            low = mask & -mask
-            mask ^= low
-            v = low.bit_length() - 1
-            excluded, x = self.excluded[v], exps[v]
+        mask = 0
+        for v in compress(range(len(lead)), lead):
+            mask |= 1 << v
+            excluded, x = self.excluded[v], lead[v]
             excluded.extend([0] * (x - len(excluded)))
             for y in range(x):
                 excluded[y] |= bit
-        self.rows.append(row)
+        tail_degree = max(map(mono_degree, dict(tail)), default=0)  # dict(tail) yields its monomials
+        self.rows.append((lead, inverse, mask, tail, tail_degree))
         self.polys.append(g)
 
     def dividing(self, exps: tuple[int, ...]) -> int:
-        """Bitset of the divisors whose leading monomial divides exps."""
+        """Bitset of the divisors whose leading monomial divides exps; 0 at
+        once when there are none, as for a free algebra's product table."""
+        if not self.rows:
+            return 0
         out = 0
         for row, x in zip(self.excluded, exps):
             if x < len(row):
@@ -308,8 +319,9 @@ def _interreduce(basis: _Divisors, cap: int) -> _Divisors:
     order = basis.order
     minimal = _Divisors((), order, len(basis.excluded))
     for i in sorted(range(len(basis.polys)), key=lambda i: order.key(basis.rows[i][0])):
-        if not minimal.dividing(basis.rows[i][0]):
-            minimal._push(basis.polys[i], basis.rows[i])
+        lead, inverse, _, tail, _ = basis.rows[i]
+        if not minimal.dividing(lead):
+            minimal._push(basis.polys[i], lead, inverse, tail)
     out = _Divisors((), order, len(basis.excluded))
     for g, row in zip(reversed(minimal.polys), reversed(minimal.rows)):
         lead = row[0]
@@ -322,43 +334,51 @@ def _interreduce(basis: _Divisors, cap: int) -> _Divisors:
 def _gauss_jordan(gens: Sequence[Polynomial], order: MonomialOrder, nvars: int) -> _Divisors:
     """The reduced row-echelon form of the generators, as a divisor list.
 
-    The columns are the monomials, biggest first under the order.  One row
-    is kept per pivot, monic, and holding no other row's pivot.  A
-    generator subtracts, for each of its own terms that is a pivot, that
-    term's coefficient times the pivot row: one pass over its terms, which
-    changes no other pivot's coefficient.  A nonzero result is made monic at
-    its lead, and that lead is eliminated from the rows already kept.  No
-    monomial is created, so no degree can rise, and the rows span the
-    generators' ideal.  The rows come in decreasing order of their leads.
-    When no two generators share a monomial, each row is its generator made
-    monic, in that generator's term order; otherwise each is its lead
-    followed by its other terms in decreasing order.
+    The columns are the monomials, biggest first under the order, each
+    ranked once.  One row is kept per pivot, monic, and holding no other
+    row's pivot.  A generator subtracts, for each of its own terms that is a
+    pivot, that term's coefficient times the pivot row: one pass over its
+    terms, which changes no other pivot's coefficient, and none when it
+    shares no monomial with an earlier generator, for every row's terms are
+    among those.  A nonzero result is made monic at its lead, and that lead
+    is eliminated from the rows already kept.  No monomial is created, so no
+    degree can rise, and the rows span the generators' ideal.  The rows come
+    in decreasing order of their leads, each pushed onto the divisor list
+    with the lead elimination chose and its other terms negated, in the one
+    pass that emits it.  When no two generators share a monomial, each row
+    is its generator made monic, in that generator's term order; otherwise
+    each is its lead followed by its other terms in decreasing order.
     """
+    out = _Divisors((), order, nvars)
     if not gens:
-        return _Divisors((), order, nvars)
+        return out
     varset, ring = gens[0].varset, gens[0].ring
-    mul, sub, zero = ring.mul, ring.sub, ring.zero()
-    rank = _RANKS[order]
+    mul, sub, neg, zero, one = ring.mul, ring.sub, ring.neg, ring.zero(), ring.one()
+    columns: dict[tuple[int, ...], object] = {}
+    for g in gens:
+        columns.update(g._terms)
+    rank = dict(zip(columns, map(_RANKS[order], columns))).__getitem__
     rows: dict[tuple[int, ...], dict] = {}  # pivot -> its row's terms
     seen: set[tuple[int, ...]] = set()  # the earlier generators' terms: every row's are among them
     shared = False
     for g in gens:
-        shared = shared or not seen.isdisjoint(g._terms)
         work = dict(g._terms)
-        for e, v in g._terms.items():
-            row = rows.get(e)
-            if row is None:
-                continue
-            for n, c in row.items():
-                s = sub(work.get(n, zero), mul(v, c))
-                if s:
-                    work[n] = s
-                else:
-                    del work[n]
+        if not seen.isdisjoint(work):
+            shared = True
+            for e, v in g._terms.items():
+                row = rows.get(e)
+                if row is None:
+                    continue
+                for n, c in row.items():
+                    s = sub(work.get(n, zero), mul(v, c))
+                    if s:
+                        work[n] = s
+                    else:
+                        del work[n]
         if work:
             lead = min(work, key=rank)
             value = work[lead]
-            if value != ring.one():
+            if value != one:
                 inverse = ring.invert(value)
                 work = {e: mul(v, inverse) for e, v in work.items()}
             for row in rows.values() if lead in seen else ():
@@ -373,12 +393,12 @@ def _gauss_jordan(gens: Sequence[Polynomial], order: MonomialOrder, nvars: int) 
                         del row[n]
             rows[lead] = work
         seen.update(g._terms)
-    out = _Divisors((), order, nvars)
     for lead in sorted(rows, key=rank):
         row = rows[lead]
         if shared:
             row = {e: row[e] for e in sorted(row, key=rank)}
-        out.append(Polynomial._raw(varset, ring, row), lead)
+        tail = [(e, neg(v)) for e, v in row.items() if e != lead]
+        out._push(Polynomial._raw(varset, ring, row), lead, None, tail)
     return out
 
 

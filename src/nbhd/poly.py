@@ -28,6 +28,7 @@ from .errors import (
     UnknownVariable,
     VariableOutOfRange,
     VarSetMismatch,
+    require_names,
 )
 
 _IDENT_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
@@ -43,7 +44,7 @@ class VarSet:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", require_names("variable names", self.names))
         for name in self.names:
             if not isinstance(name, str) or not _IDENT_RE.fullmatch(name):
                 raise InvalidVariableName(f"invalid variable name {name!r}")

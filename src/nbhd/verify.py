@@ -32,6 +32,7 @@ from .errors import (
     UnknownCheck,
     UnknownFormat,
     require_integer,
+    require_names,
 )
 from .algebra import (
     AlgebraElement,
@@ -96,7 +97,7 @@ class SuiteConfig:
             raise InvalidArgument("degree_bound must be at least 2")
         if self.case_count < 1:
             raise InvalidArgument("case_count must be at least 1")
-        object.__setattr__(self, "rings", tuple(self.rings))
+        object.__setattr__(self, "rings", require_names("rings", self.rings))
         if not self.rings:
             raise InvalidArgument("need at least one ring")
         unknown = [r for r in self.rings if r not in ALLOWED_RINGS]

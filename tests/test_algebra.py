@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -828,3 +829,86 @@ def test_values_of_no_readable_type_raise_a_typed_type_error():
     # callers that catch TypeError keep working
     for raised in (error.value, relation.value):
         assert isinstance(raised, NbhdError) and isinstance(raised, TypeError)
+
+
+@pytest.mark.parametrize("ring", [None, "Q", 0, ("Q",)], ids=repr)
+def test_a_ring_that_is_not_a_ring_spec_raises_a_typed_error(ring):
+    text = re.escape(f"ring must be a RingSpec, got {ring!r}")
+    with pytest.raises(UninterpretableValue, match=text) as error:
+        FpAlgebra(ring, ["x"])
+    assert isinstance(error.value, TypeError)
+    with pytest.raises(UninterpretableValue, match="ring must be a RingSpec"):
+        universal_dtilde(2, 2, ring)
+
+
+@pytest.mark.parametrize("names", [None, 3, "xy"], ids=repr)
+def test_names_that_are_no_iterable_of_strings_raise_typed_errors(names):
+    # a string would be read character by character, "xy" as ("x", "y")
+    base = free_algebra(QQ, ["a"])
+    calls = (
+        lambda: FpAlgebra(QQ, names),
+        lambda: free_algebra(QQ, names),
+        lambda: adjoin_variables(base, names),
+    )
+    text = re.escape(f"variable names must be an iterable of names, got {names!r}")
+    for call in calls:
+        with pytest.raises(UninterpretableValue, match=text) as error:
+            call()
+        assert isinstance(error.value, TypeError)
+
+
+# -- identity: the signature is hashed when first asked for ------------------
+
+
+def _presented(kind):
+    if kind == "groebner":
+        return FpAlgebra(QQ, ("x", "y"), ["x^2 - y", "x*y"])
+    return FpAlgebra(QQ, ("x", "y"), ["x^2", "x*y"])
+
+
+@pytest.mark.parametrize("kind", ["groebner", "monomial"])
+@pytest.mark.parametrize("first", ["hash a", "hash b", "compare"])
+def test_equal_algebras_compare_and_hash_equal_whichever_is_hashed_first(kind, first):
+    a, b = _presented(kind), _presented(kind)
+    assert a is not b
+    if first == "hash a":
+        hash(a)
+    elif first == "hash b":
+        hash(b)
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1 and {a: 1}[b] == 1
+    # the relations in another order present the same algebra
+    reordered = FpAlgebra(QQ, ("x", "y"), list(reversed(a.relations)))
+    assert reordered == a and hash(reordered) == hash(a)
+
+
+@pytest.mark.parametrize("hashed", [False, True])
+def test_unequal_algebras_stay_unequal(hashed):
+    a = _presented("groebner")
+    others = [
+        _presented("monomial"),
+        FpAlgebra(RingSpec.modular(5), ("x", "y"), ["x^2 - y", "x*y"]),
+        FpAlgebra(QQ, ("x", "z"), ["x^2 - z", "x*z"]),
+        FpAlgebra(QQ, ("x", "y"), ["x^2 - y", "x*y"], MonomialOrder.LEX),
+        FpAlgebra(QQ, ("x", "y"), ["x^2 - y"]),
+    ]
+    for other in others:
+        if hashed:
+            hash(other)
+        assert a != other and other != a
+    assert len({a, *others}) == 1 + len(others)
+
+
+def test_a_presentation_hashes_no_relation(monkeypatch):
+    # building an algebra, even D~(3, 3) with its Groebner basis, compares
+    # no algebra, so no relation polynomial is hashed
+    def refuse(self):
+        raise AssertionError("a polynomial was hashed")
+
+    monkeypatch.setattr(Polynomial, "__hash__", refuse)
+    algebra, matrix = universal_dtilde(3, 3, QQ)
+    assert algebra.strategy == "groebner" and len(algebra.relations) > 0
+    assert matrix.codomain is algebra
+    with pytest.raises(AssertionError, match="a polynomial was hashed"):
+        hash(algebra)

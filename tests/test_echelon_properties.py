@@ -9,6 +9,11 @@ made monic.  Both must give the same rows, in decreasing order of their
 leads, each with its terms in the same dict order.  For generators of
 several degrees the oracle is a dense reduced row-echelon form of their
 coefficient matrix, whose columns are the monomials, biggest first.
+
+_gauss_jordan pushes each row onto its divisor list as it emits it: that
+list must be the one _Divisors.append builds from the same polynomials,
+with every row and exclusion bitset also rebuilt here from the leads, and
+its divisibility test must agree with a brute-force scan of the leads.
 """
 
 from fractions import Fraction
@@ -20,7 +25,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nbhd.arith import QQ, RingSpec  # noqa: E402
-from nbhd.ideal import _gauss_jordan, reduce_full  # noqa: E402
+from nbhd.ideal import _Divisors, _gauss_jordan, reduce_full  # noqa: E402
 from nbhd.poly import MonomialOrder, Polynomial, VarSet  # noqa: E402
 
 XYZ = VarSet(("X", "Y", "Z"))
@@ -167,3 +172,58 @@ def test_elimination_of_several_degrees_gives_the_dense_form(problem):
     monomials = [e for g in gens for e in g._terms]
     if len(set(monomials)) < len(monomials):  # a shared monomial: terms in decreasing order
         assert [list(g._terms) for g in echelon.polys] == [list(row) for row in expected]
+
+
+def expected_row(g, order):
+    """The divisor row of g, read here from g alone: its leading exponents,
+    the inverse of its leading coefficient (None for 1), the support mask of
+    its lead, its other terms negated in dict order and their top degree."""
+    lead, value = g.leading(order)
+    ring = g.ring
+    tail = [(e, ring.neg(v)) for e, v in g._terms.items() if e != lead]
+    inverse = None if value == ring.one() else ring.invert(value)
+    mask = sum(1 << v for v, x in enumerate(lead) if x)
+    return lead, inverse, mask, tail, max((sum(e) for e, _ in tail), default=0)
+
+
+def expected_excluded(leads, nvars):
+    """excluded[v][x]: the bitset of the leads whose exponent in variable v
+    exceeds x, for x below the largest such exponent."""
+    return [
+        [
+            sum(1 << i for i, lead in enumerate(leads) if lead[v] > x)
+            for x in range(max((lead[v] for lead in leads), default=0))
+        ]
+        for v in range(nvars)
+    ]
+
+
+def divides(lead, exps):
+    return all(a <= b for a, b in zip(lead, exps))
+
+
+@PROPERTY
+@given(st.one_of(one_degree_generators(), several_degree_generators()), st.data())
+def test_the_one_pass_list_is_the_list_append_builds(problem, data):
+    gens, order = problem
+    echelon = _gauss_jordan(gens, order, len(XYZ))
+    appended = _Divisors((), order, len(XYZ))
+    for g in echelon.polys:
+        appended.append(g)
+    assert [list(g._terms.items()) for g in echelon.polys] == [
+        list(g._terms.items()) for g in appended.polys
+    ]
+    assert echelon.rows == appended.rows == [expected_row(g, order) for g in echelon.polys]
+    leads = [row[0] for row in echelon.rows]
+    assert echelon.excluded == appended.excluded == expected_excluded(leads, len(XYZ))
+    # exponents up to 5 lie above every lead, whose exponents are at most 3
+    for exps in data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=8)):
+        expected = sum(1 << i for i, lead in enumerate(leads) if divides(lead, exps))
+        assert echelon.dividing(exps) == appended.dividing(exps) == expected
+
+
+@PROPERTY
+@given(st.tuples(*[st.integers(0, 5)] * 3), st.sampled_from(list(MonomialOrder)))
+def test_an_empty_divisor_list_divides_nothing(exps, order):
+    assert _Divisors((), order, len(XYZ)).dividing(exps) == 0
+    assert _gauss_jordan([], order, len(XYZ)).dividing(exps) == 0

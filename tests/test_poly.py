@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from nbhd.errors import (
     NbhdError,
     ParseError,
     RingMismatch,
+    UninterpretableValue,
     UnknownVariable,
     VariableOutOfRange,
     VarSetMismatch,
@@ -46,6 +48,15 @@ def test_varset_basics():
     assert vs.index("c_2") == 2
     assert str(vs) == "(a, b1, c_2)"
     assert vs.suffixed("_0").names == ("a_0", "b1_0", "c_2_0")
+
+
+@pytest.mark.parametrize("names", [None, 3, "xy"], ids=repr)
+def test_varset_names_must_be_an_iterable_of_strings(names):
+    # a string would be read character by character, "xy" as ("x", "y")
+    text = re.escape(f"variable names must be an iterable of names, got {names!r}")
+    with pytest.raises(UninterpretableValue, match=text) as error:
+        VarSet(names)
+    assert isinstance(error.value, TypeError)
 
 
 def test_varset_empty_is_allowed():

@@ -416,3 +416,74 @@ def test_ideal_divides_only_in_the_pair_loop_interreduction_and_normal_forms():
     ]
     found = [f"ideal.py:{node.lineno}" for node in calls if id(node) not in inside]
     assert calls and not found, f"reduce_full called outside the pair loop, _interreduce and normal_form at {found}"
+
+
+# calls that change a list in place
+MUTATING_METHODS = {"append", "extend", "insert", "pop", "remove", "clear", "sort", "reverse"}
+
+
+def _base(node):
+    """The object a chain of subscripts and method lookups starts from."""
+    while isinstance(node, (ast.Subscript, ast.Attribute)) and not (
+        isinstance(node, ast.Attribute) and node.attr == "excluded"
+    ):
+        node = node.value
+    return node
+
+
+def _exclusion_writes(function):
+    """The lines of a function that write into the exclusion bitsets: a
+    store, an augmented assignment or a mutating call on `.excluded`, on a
+    subscript of it, or on a name bound to it or to a subscript of it."""
+    nodes = list(ast.walk(function))
+    aliases = set()
+
+    def is_bitsets(node):
+        base = _base(node)
+        return (isinstance(base, ast.Attribute) and base.attr == "excluded") or (
+            isinstance(base, ast.Name) and base.id in aliases
+        )
+
+    for node in nodes:
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = (
+                zip(target.elts, node.value.elts)
+                if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                else [(target, node.value)]
+            )
+            aliases |= {t.id for t, value in pairs if isinstance(t, ast.Name) and is_bitsets(value)}
+    lines = []
+    for node in nodes:
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            lines += [
+                node.lineno
+                for t in targets
+                if isinstance(t, ast.Subscript) or (isinstance(t, ast.Attribute) and t.attr == "excluded")
+                if is_bitsets(t)
+            ]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if node.func.attr in MUTATING_METHODS and is_bitsets(node.func.value):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_one_helper_writes_the_exclusion_bitsets():
+    # one place sets a divisor's bits: _Divisors._push, which append and
+    # _gauss_jordan both push their rows through, so the exclusion-bit code
+    # exists once; __init__ only creates the empty lists
+    writers = {}
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for cls in [None, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+            body = tree.body if cls is None else cls.body
+            for function in (n for n in body if isinstance(n, ast.FunctionDef)):
+                name = function.name if cls is None else f"{cls.name}.{function.name}"
+                lines = _exclusion_writes(function)
+                if lines:
+                    writers[f"{path.name}:{name}"] = lines
+    init = writers.pop("ideal.py:_Divisors.__init__", [])
+    assert len(init) == 1, "_Divisors.__init__ does more than create the exclusion lists"
+    assert list(writers) == ["ideal.py:_Divisors._push"], f"exclusion bitsets written by {writers}"

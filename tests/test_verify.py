@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -60,6 +61,16 @@ def test_config_fields_must_be_integers(field, value):
     # seeded from the text of the seed
     with pytest.raises(UninterpretableValue, match=f"{field} must be an integer"):
         SuiteConfig(**{field: value})
+
+
+@pytest.mark.parametrize("rings", [None, 3, "Q", "Z/3"], ids=repr)
+def test_config_rings_must_be_an_iterable_of_names(rings):
+    # a string would be read character by character, "Z/3" as ("Z", "/", "3")
+    text = re.escape(f"rings must be an iterable of names, got {rings!r}")
+    with pytest.raises(UninterpretableValue, match=text) as error:
+        SuiteConfig(rings=rings)
+    assert isinstance(error.value, TypeError)
+    assert SuiteConfig(rings=["Q"]).rings == ("Q",)
 
 
 def test_config_defaults_and_dict():
