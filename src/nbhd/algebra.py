@@ -343,6 +343,17 @@ class FpAlgebra:
         """The element whose normal form has the given terms, unchecked."""
         return AlgebraElement(self, Polynomial._raw(self.varset, self.ring, terms))
 
+    def _elements(self, values) -> tuple:
+        """values as a tuple of this algebra's elements, for the constructors
+        that take many: an element whose parent is this very algebra, the one
+        identity test the arithmetic makes, is taken as it is, and anything
+        else goes through element(), with its values and errors."""
+        element = self.element
+        return tuple([
+            x if x.__class__ is AlgebraElement and x.parent is self else element(x)
+            for x in values
+        ])
+
     def element(self, value) -> "AlgebraElement":
         if isinstance(value, AlgebraElement):
             if value.parent is not self and value.parent != self:
@@ -508,7 +519,7 @@ class AlgebraMap:
             raise RingMismatch(f"{codomain.ring} vs {domain.ring}")
         self.domain = domain
         self.codomain = codomain
-        self.images = tuple(codomain.element(im) for im in images)
+        self.images = codomain._elements(images)
         for relation in domain.relations:
             value = self._evaluate(relation)
             if not value.is_zero():
@@ -753,7 +764,8 @@ def _vanish_by_support(rows: Sequence[Sequence], differences: bool = False) -> b
     Every factor of an equation is supported in one set U of monomials: the
     entries' supports, or with differences set those of every row_s - row_0
     (row_s - row_r is their difference, so it is supported there too),
-    found by comparing term dicts, with nothing subtracted.  When the
+    read as the monomials of the symmetric difference of the two term
+    dicts' items, with nothing subtracted.  When the
     product table deletes u * v for every u, v in U, each product of two
     factors is zero whatever their coefficients, and so is each sum of
     them.  Nothing is multiplied and no element is built; a table entry is
@@ -771,6 +783,7 @@ def _vanish_by_support(rows: Sequence[Sequence], differences: bool = False) -> b
     if table is None:
         return False
     support: set[tuple] = set()
+    first = operator.itemgetter(0)
     for row in rows:
         if len(row) != len(anchor):
             return False
@@ -780,8 +793,7 @@ def _vanish_by_support(rows: Sequence[Sequence], differences: bool = False) -> b
             if not differences:
                 support.update(x.rep._terms)
             elif x is not y:
-                a, b = y.rep._terms, x.rep._terms
-                support.update(e for e in a.keys() | b.keys() if a.get(e) != b.get(e))
+                support.update(map(first, y.rep._terms.items() ^ x.rep._terms.items()))
     monomials = list(support)
     table_rows = table.rows
     for k, u in enumerate(monomials):

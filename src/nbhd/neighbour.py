@@ -42,7 +42,8 @@ implementations, kept so that the verification suite can compare answers.
 Decision functions return a CheckResult, which is truthy on success and
 carries an explicit nonzero witness on failure: each yields its own
 equations, lazily, to _first_defect, the one scan that reports the first
-nonzero value.
+nonzero value and the one builder of results: a pass is shared by every
+scan with the same notes.
 """
 
 from __future__ import annotations
@@ -100,7 +101,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of a decision procedure; truthy iff the property holds."""
+    """Outcome of a decision procedure; truthy iff the property holds.
+
+    Results are immutable and built only by _first_defect, which returns one
+    shared pass per notes tuple: a passing result equals, but need not be, a
+    fresh CheckResult(True, None, notes).
+    """
 
     ok: bool
     witness: Witness | None = None
@@ -115,6 +121,12 @@ class CheckResult:
         return f"false ({self.witness})"
 
 
+# The pass results _first_defect has handed out, by notes tuple.  The notes
+# are a few fixed sentences, one naming a ring in which 2 is not invertible,
+# so there are only a few; the dict is cleared should it ever fill up.
+_PASSES: dict[tuple[str, ...], CheckResult] = {}
+
+
 def _first_defect(equations, notes: tuple[str, ...] = ()) -> CheckResult:
     """Fail with the first nonzero value among (indices, label, value) triples.
 
@@ -123,12 +135,19 @@ def _first_defect(equations, notes: tuple[str, ...] = ()) -> CheckResult:
     the values that do not vanish, so for them the first triple read is the
     witness; the product form and the square test yield every value.  When
     every value is zero, or none is yielded, the result passes; either way
-    it carries the notes.
+    it carries the notes.  This is the one builder of CheckResults: each
+    failure is built with its witness, and a pass is the one immutable pass
+    result with these notes, built on first use and shared after.
     """
     for indices, label, value in equations:
         if not value.is_zero():
             return CheckResult(False, Witness(indices, value, label), notes)
-    return CheckResult(True, None, notes)
+    passed = _PASSES.get(notes)
+    if passed is None:
+        if len(_PASSES) >= 64:
+            _PASSES.clear()
+        passed = _PASSES[notes] = CheckResult(True, None, notes)
+    return passed
 
 
 def _require_parallel(f: AlgebraMap, g: AlgebraMap) -> None:
@@ -214,7 +233,11 @@ class SimplexMatrix:
 
     Rows play the role of coordinate vectors of maps into the algebra; the
     same container serves both (p+1)-row simplices and p-row zero-anchored
-    difference matrices.
+    difference matrices.  The constructor checks the shape and reads each
+    entry through FpAlgebra._elements: the codomain's own elements as they
+    are, anything else through codomain.element.  Matrices built from the
+    entries of a checked one (transpose, prepend_zero_row, extend_matrix)
+    skip those checks through _raw.
     """
 
     __slots__ = ("codomain", "entries")
@@ -222,7 +245,7 @@ class SimplexMatrix:
     def __init__(self, codomain: FpAlgebra, rows: Sequence[Sequence]):
         if not rows:
             raise ShapeMismatch("a matrix needs at least one row")
-        entries = tuple(tuple(codomain.element(x) for x in row) for row in rows)
+        entries = tuple(map(codomain._elements, rows))
         width = len(entries[0])
         if width == 0:
             raise ShapeMismatch("a matrix needs at least one column")
@@ -230,6 +253,15 @@ class SimplexMatrix:
             raise ShapeMismatch("rows have unequal lengths")
         self.codomain = codomain
         self.entries = entries
+
+    @classmethod
+    def _raw(cls, codomain: FpAlgebra, entries: tuple) -> "SimplexMatrix":
+        # trusted: entries already a nonempty tuple of nonempty, equally long
+        # tuples of elements of codomain
+        matrix = object.__new__(cls)
+        matrix.codomain = codomain
+        matrix.entries = entries
+        return matrix
 
     @property
     def rows(self) -> int:
@@ -256,11 +288,11 @@ class SimplexMatrix:
         Z/2[e1,e2]/(e1^2,e2^2) the matrix [[e1+e2, e1*e2+e1], [0, 0]] is not
         in the variety (its row product is e1*e2), but its transpose is.
         """
-        return SimplexMatrix(self.codomain, tuple(zip(*self.entries)))
+        return SimplexMatrix._raw(self.codomain, tuple(zip(*self.entries)))
 
     def prepend_zero_row(self) -> "SimplexMatrix":
         zero_row = tuple(self.codomain.zero() for _ in range(self.cols))
-        return SimplexMatrix(self.codomain, (zero_row,) + self.entries)
+        return SimplexMatrix._raw(self.codomain, (zero_row,) + self.entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SimplexMatrix):
@@ -392,16 +424,20 @@ class CoefficientVector:
 
     def __init__(self, codomain: FpAlgebra, entries: Sequence):
         self.codomain = codomain
-        self.entries = tuple(codomain.element(x) for x in entries)
+        self.entries = codomain._elements(entries)
         if not self.entries:
             raise ShapeMismatch("need at least one coefficient")
         self._affine = False
 
     @classmethod
     def affine(cls, codomain: FpAlgebra, tail: Sequence) -> "CoefficientVector":
-        """The weights (1 - sum(tail), *tail), affine by construction."""
-        tail = [codomain.element(x) for x in tail]
-        vector = cls(codomain, [codomain.one() - sum(tail, codomain.zero()), *tail])
+        """The weights (1 - sum(tail), *tail), affine by construction: the
+        tail is read once, through FpAlgebra._elements, and the vector is
+        built from those elements and their complement, with no second pass."""
+        tail = codomain._elements(tail)
+        vector = object.__new__(cls)
+        vector.codomain = codomain
+        vector.entries = (codomain.one() - sum(tail, codomain.zero()), *tail)
         vector._affine = True
         return vector
 
@@ -656,20 +692,24 @@ def extend_matrix(matrix: SimplexMatrix, coefficients) -> SimplexMatrix:
     """Append the weighted row sum to a difference matrix.
 
     The input must satisfy in_dtilde (otherwise NotInDtilde, carrying the
-    witness); the weights are arbitrary elements, one per existing row.
-    The extended matrix satisfies in_dtilde again, which is what makes the
-    difference variety stable under taking affine combinations of the
-    anchored points.
+    witness); the weights are arbitrary elements, one per existing row,
+    read through FpAlgebra._elements, so the codomain's own elements are
+    taken as they are.  The extended matrix satisfies in_dtilde again,
+    which is what makes the difference variety stable under taking affine
+    combinations of the anchored points.  Its entries are the input's,
+    already checked, and the row the kernel built in the codomain, so it is
+    assembled by SimplexMatrix._raw; it equals SimplexMatrix(codomain, rows)
+    on the same rows.
     """
     verdict = in_dtilde(matrix)
     if not verdict:
         raise NotInDtilde(str(verdict.witness))
     codomain = matrix.codomain
-    weights = [codomain.element(c) for c in coefficients]
+    weights = codomain._elements(coefficients)
     if len(weights) != matrix.rows:
         raise ArityMismatch(f"{len(weights)} weights for {matrix.rows} rows")
     new_row = _weighted_row_sum(codomain, weights, matrix.entries)
-    return SimplexMatrix(codomain, matrix.entries + (new_row,))
+    return SimplexMatrix._raw(codomain, matrix.entries + (new_row,))
 
 
 def universal_dtilde(

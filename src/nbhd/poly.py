@@ -28,6 +28,7 @@ from .errors import (
     UnknownVariable,
     VariableOutOfRange,
     VarSetMismatch,
+    require_integer,
     require_names,
 )
 
@@ -192,10 +193,14 @@ class Polynomial:
 
     @classmethod
     def variable(cls, varset: VarSet, ring: RingSpec, which: int | str) -> "Polynomial":
-        i = varset.index(which) if isinstance(which, str) else which
+        if isinstance(which, str):
+            i = varset.index(which)
+        else:
+            require_integer("variable index", which)
+            i = which
         if not 0 <= i < len(varset):
             raise VariableOutOfRange(f"variable index {i} out of range")
-        exps = tuple(1 if j == i else 0 for j in range(len(varset)))
+        exps = (0,) * i + (1,) + (0,) * (len(varset) - i - 1)
         return cls._raw(varset, ring, {exps: ring.one()})
 
     @classmethod

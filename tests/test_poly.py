@@ -377,3 +377,21 @@ def test_variable_out_of_range_is_a_typed_index_error(which):
         Polynomial.variable(XYZ, QQ, which)
     # callers that catch IndexError keep working
     assert isinstance(error.value, NbhdError) and isinstance(error.value, IndexError)
+
+
+@pytest.mark.parametrize("n", range(26))
+def test_variables_are_the_unit_vectors(n):
+    varset = VarSet(tuple(f"x{i}" for i in range(n)))
+    variables = Polynomial.variables(varset, Z5)
+    assert len(variables) == n
+    for i, v in enumerate(variables):
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        assert v._terms == {unit: 1} and v.varset is varset and v.ring is Z5
+        assert v == Polynomial.variable(varset, Z5, f"x{i}")
+
+
+@pytest.mark.parametrize("which", [0.5, 1.0, True, None])
+def test_variable_index_must_be_an_integer_or_a_name(which):
+    # a fractional index once gave the constant 1 without complaint
+    with pytest.raises(UninterpretableValue, match="variable index must be an integer"):
+        Polynomial.variable(XYZ, QQ, which)

@@ -79,9 +79,11 @@ def test_no_bare_value_errors_outside_arith():
     assert not found, f"bare ValueError raised at {found}"
 
 
-def test_failing_check_results_are_built_only_by_first_defect():
-    # one witness scan: every decision procedure hands its equations to
-    # neighbour._first_defect, so no hand-written witness loop grows back
+def test_check_results_are_built_only_by_first_defect():
+    # one witness scan and one pass: every decision procedure hands its
+    # equations to neighbour._first_defect, which builds each failure and
+    # shares one pass per notes tuple, so no hand-written witness loop, and
+    # no fresh pass per scan, grows back
     found = []
     for path in sorted(SOURCE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -98,10 +100,9 @@ def test_failing_check_results_are_built_only_by_first_defect():
             for node in ast.walk(tree)
             if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
-            and _is_false(node.args[0] if node.args else _keyword(node, "ok"))
             and id(node) not in inside
         ]
-    assert not found, f"failing CheckResult built outside neighbour._first_defect at {found}"
+    assert not found, f"CheckResult built outside neighbour._first_defect at {found}"
 
 
 def test_witnesses_are_built_only_by_first_defect():
@@ -126,14 +127,6 @@ def test_witnesses_are_built_only_by_first_defect():
             and id(node) not in inside
         ]
     assert not found, f"Witness built outside neighbour._first_defect at {found}"
-
-
-def _keyword(call, name):
-    return next((k.value for k in call.keywords if k.arg == name), None)
-
-
-def _is_false(node):
-    return isinstance(node, ast.Constant) and node.value is False
 
 
 def test_groebner_bases_are_built_only_by_buchberger():
