@@ -158,6 +158,7 @@ class FpAlgebra:
         "_signature",
         "_hash",
         "_one",
+        "_gens",
     )
 
     def __init__(
@@ -204,6 +205,7 @@ class FpAlgebra:
         self._signature: tuple | None = None  # set by _identity when first compared
         self._hash: int | None = None
         self._one: Polynomial | None = None
+        self._gens: tuple[Polynomial, ...] | None = None
 
     @property
     def strategy(self) -> str:
@@ -364,8 +366,7 @@ class FpAlgebra:
         if isinstance(value, Polynomial):
             return AlgebraElement(self, self.normal_form(value))
         if isinstance(value, (int, Fraction)):
-            # a number's normal form is the number times the unit's
-            return AlgebraElement(self, self.one().rep.scale(value))
+            return AlgebraElement(self, self._number(self.ring.normalize(value)))
         if not isinstance(value, str):
             raise UninterpretableValue(f"cannot interpret {value!r} as an element")
         return AlgebraElement(self, self.normal_form(parse_poly(value, self.varset, self.ring)))
@@ -374,18 +375,53 @@ class FpAlgebra:
         return AlgebraElement(self, Polynomial.zero(self.varset, self.ring))
 
     def one(self) -> "AlgebraElement":
-        # the unit's normal form is computed once; the slot holds the
-        # polynomial, not an element, which would refer back to the algebra
-        # and keep it alive until the next garbage collection
+        return AlgebraElement(self, self._unit())
+
+    # The unit's and the generators' normal forms are computed once, on
+    # first use.  The slots hold polynomials, not elements: an element
+    # refers back to its algebra, so an algebra holding its own elements
+    # would form a reference cycle and stay alive until the next garbage
+    # collection instead of going when its last reference does.
+
+    def _unit(self) -> Polynomial:
         if self._one is None:
             self._one = self.normal_form(Polynomial.one(self.varset, self.ring))
-        return AlgebraElement(self, self._one)
+        return self._one
+
+    def _number(self, value) -> Polynomial:
+        """The normal form of a number, given as the ring's raw value (as
+        RingSpec.normalize returns it): the unit's normal form times it.
+        Under either engine that form is the constant 1, or 0 in a zero
+        ring (a relation that reduces 1 puts 1 in the ideal), so the product
+        is the constant value itself, or 0, and no coefficient is
+        multiplied."""
+        terms = {} if self.ring.is_zero(value) else dict.fromkeys(self._unit()._terms, value)
+        return Polynomial._raw(self.varset, self.ring, terms)
 
     def generator(self, which: int | str) -> "AlgebraElement":
+        """Generator `which`, by index or name.  A name is read by
+        VarSet.index, which raises UnknownVariable for one it lacks; an index
+        in range reads the normal forms of all the variables, which the
+        first such call computes into the _gens slot.  A bool or any other
+        index goes through Polynomial.variable and element(), with their
+        errors."""
+        if which.__class__ is str:
+            which = self.varset.index(which)
+        if which.__class__ is int and which >= 0:
+            forms = self._generator_forms()
+            if which < len(forms):
+                return AlgebraElement(self, forms[which])
         return self.element(Polynomial.variable(self.varset, self.ring, which))
 
     def generators(self) -> list["AlgebraElement"]:
-        return [self.generator(i) for i in range(len(self.varset))]
+        return [AlgebraElement(self, g) for g in self._generator_forms()]
+
+    def _generator_forms(self) -> tuple[Polynomial, ...]:
+        forms = self._gens
+        if forms is None:
+            variables = Polynomial.variables(self.varset, self.ring)
+            forms = self._gens = tuple(map(self.normal_form, variables))
+        return forms
 
     @property
     def is_free(self) -> bool:
@@ -597,12 +633,13 @@ def tensor(
 
 def _tensor_many(parts: Sequence[FpAlgebra]) -> tuple[FpAlgebra, tuple[AlgebraMap, ...]]:
     t = _tensor_algebra(parts)
+    gens = t.generators()
     inclusions = []
     offset = 0
     for part in parts:
-        images = [t.generator(offset + i) for i in range(len(part.varset))]
-        inclusions.append(AlgebraMap(part, t, images))
-        offset += len(part.varset)
+        width = len(part.varset)
+        inclusions.append(AlgebraMap(part, t, gens[offset : offset + width]))
+        offset += width
     return t, tuple(inclusions)
 
 
@@ -992,9 +1029,7 @@ def adjoin_variables(
         algebra.order,
         algebra.degree_cap,
     )
-    inclusion = AlgebraMap(
-        algebra, extended, [extended.generator(i) for i in range(len(algebra.varset))]
-    )
+    inclusion = AlgebraMap(algebra, extended, extended.generators()[: len(algebra.varset)])
     return extended, inclusion
 
 

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidArgument, ParseError
+from .errors import InvalidArgument, ParseError, UninterpretableValue
 
 # Moduli must fit in a machine word.
 MAX_MODULUS = 2**63 - 1
@@ -148,30 +148,34 @@ class RingSpec:
     def normalize(self, value):
         """Coerce an int / Fraction into this ring's canonical raw form.
 
-        A plain int is tested for first: isinstance(x, Fraction) on anything
-        but a Fraction runs the ABC machinery of the numbers tower.
+        Any other value raises UninterpretableValue (a TypeError), and a
+        Fraction the ring cannot hold InvalidArgument (a ValueError), both
+        NbhdErrors.  A plain int is tested for first: isinstance(x,
+        Fraction) on anything but a Fraction runs the ABC machinery of the
+        numbers tower.
         """
         if value.__class__ is not int:
             if isinstance(value, Fraction):
                 return self.from_fraction(value)
             if not isinstance(value, int):
                 what = "as a rational" if self.kind == "Q" else f"over {self}"
-                raise TypeError(f"cannot interpret {value!r} {what}")
+                raise UninterpretableValue(f"cannot interpret {value!r} {what}")
             value = int(value)  # bool -> int
         return value if self.modulus is None else value % self.modulus
 
     def from_fraction(self, q: Fraction):
-        """Map a rational into the ring; raises ValueError when impossible."""
+        """Map a rational into the ring; raises InvalidArgument (a
+        ValueError) when impossible."""
         if q.denominator == 1:
             return self.normalize(q.numerator)
         if self.kind == "Q":
             return q
         if self.kind == "Z":
-            raise ValueError(f"{q} is not an integer")
+            raise InvalidArgument(f"{q} is not an integer")
         d = q.denominator % self.modulus  # type: ignore[operator]
         inv = self.invert(d) if d else None  # a multiple of m has no inverse either
         if inv is None:
-            raise ValueError(f"denominator {q.denominator} is not invertible in {self}")
+            raise InvalidArgument(f"denominator {q.denominator} is not invertible in {self}")
         return q.numerator * inv % self.modulus  # type: ignore[operator]
 
     def zero(self):

@@ -49,6 +49,8 @@ scan with the same notes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import repeat
 from typing import Iterator, Sequence
 
 from .arith import RingSpec
@@ -413,6 +415,11 @@ def _dtilde_equations(rows: Sequence[Sequence]):
                             yield (r + 1, i + 1, j + 1), row, w
 
 
+# the exact number types CoefficientVector.affine reads in ring arithmetic;
+# a bool, an int or Fraction subclass, or anything else takes element()
+_EXACT_NUMBERS = frozenset((int, Fraction))
+
+
 class CoefficientVector:
     """A tuple of weights in an algebra, used for (affine) combinations.
 
@@ -431,13 +438,29 @@ class CoefficientVector:
 
     @classmethod
     def affine(cls, codomain: FpAlgebra, tail: Sequence) -> "CoefficientVector":
-        """The weights (1 - sum(tail), *tail), affine by construction: the
-        tail is read once, through FpAlgebra._elements, and the vector is
-        built from those elements and their complement, with no second pass."""
-        tail = codomain._elements(tail)
+        """The weights (1 - sum(tail), *tail), affine by construction.
+
+        A tail of exact ints and Fractions (no bool, no subclass) is read in
+        ring arithmetic: each value is normalised once, with normalize()'s
+        errors, the head weight is ring.sub(1, Σ) of their plain sum Σ, and
+        each weight is the unit's normal form times its value, through
+        FpAlgebra._number, the helper element() uses for a number; the
+        entries are the ones element() and element arithmetic would give.
+        Any other tail is read once through FpAlgebra._elements, and the
+        head is the unit minus the elements' sum.  Either way no second
+        pass is made over the weights."""
+        tail = tuple(tail)
+        if set(map(type, tail)) <= _EXACT_NUMBERS:
+            ring = codomain.ring
+            values = list(map(ring.normalize, tail))
+            weights = map(codomain._number, (ring.sub(ring.one(), sum(values)), *values))
+            entries = tuple(map(AlgebraElement, repeat(codomain), weights))
+        else:
+            tail = codomain._elements(tail)
+            entries = (codomain.one() - sum(tail, codomain.zero()), *tail)
         vector = object.__new__(cls)
         vector.codomain = codomain
-        vector.entries = (codomain.one() - sum(tail, codomain.zero()), *tail)
+        vector.entries = entries
         vector._affine = True
         return vector
 
@@ -659,9 +682,7 @@ def adjoin_weights(
     names = (prefix,) if p == 1 else tuple(f"{prefix}{r}" for r in range(1, p + 1))
     extended, inclusion = adjoin_variables(algebra, names)
     offset = len(algebra.varset)
-    weights = CoefficientVector.affine(
-        extended, [extended.generator(offset + k) for k in range(p)]
-    )
+    weights = CoefficientVector.affine(extended, extended.generators()[offset:])
     lifted = tuple(compose(inclusion, f) for f in maps)
     return extended, inclusion, weights, lifted
 
@@ -753,5 +774,9 @@ def universal_dtilde(
     generic = [variables[i * n : (i + 1) * n] for i in range(p)]
     relations = [value.rep for _, _, value in _dtilde_equations(generic)]
     algebra = _universal_quotient(ring, varset, relations, order, degree_cap, p, n, 0)
-    rows = [[algebra.generator(i * n + j) for j in range(n)] for i in range(p)]
+    # not algebra.generators(): its _gens slot would keep these normal
+    # forms alive for as long as the algebra, also for a caller that keeps
+    # the algebra and drops the matrix
+    gens = [algebra.element(v) for v in Polynomial.variables(varset, ring)]
+    rows = [gens[i * n : (i + 1) * n] for i in range(p)]
     return algebra, SimplexMatrix(algebra, rows)

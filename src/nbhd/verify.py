@@ -344,11 +344,12 @@ class PairCase:
 class Corpus:
     """The algebras and map pairs the checks sample from.
 
-    `algebras` holds the Weil algebras by (ring, pattern, n) and `domains`
-    the free domains on X1..Xn by (ring, n), where ring is the
-    configuration's shared RingSpec, for every n the checks reach; each is
-    built once, and the cases and the checks' map tuples share them instead
-    of presenting their own copies.
+    `algebras` holds the Weil algebras by (ring, pattern, n) for n up to
+    max(n_max, 3), and `domains` the free domains on X1..Xn by (ring, n) for
+    n up to one more, which precomposition's surjections start from; ring
+    is the configuration's shared RingSpec.  Each is built once, by
+    build_corpus alone, and the cases and every check share them instead of
+    presenting their own copies.
     """
 
     config: SuiteConfig
@@ -407,15 +408,18 @@ def build_corpus(config: SuiteConfig, sabotage: bool = False) -> Corpus:
     corpus = Corpus(config, sabotage)
     first = _ring_at(config, 0)
     # the row-extension and combination-pair checks deliberately reach n = 3
-    # even under smaller configured bounds, so stock algebras up to there
+    # even under smaller configured bounds, so stock algebras up to there,
+    # and precomposition's surjections need a free domain one wider
+    top = max(config.n_max, 3)
     for ring in config.ring_specs():
-        for n in range(1, max(config.n_max, 3) + 1):
+        for n in range(1, top + 1):
             corpus.domains[(ring, n)] = _free_domain(ring, n)
             rng = _rng(config, f"weil:{ring}:{n}")
             drop = sabotage and ring is first and n == 2
             corpus.algebras[(ring, "full", n)] = square_zero_full(ring, n, drop_cross=drop)
             corpus.algebras[(ring, "squares", n)] = squares_only(ring, n)
             corpus.algebras[(ring, "mixed", n)] = _mixed_weil_algebra(rng, ring, n)
+        corpus.domains[(ring, top + 1)] = _free_domain(ring, top + 1)
 
     # pinned case: (0,...) vs the generators in the full square-zero algebra;
     # exactly the case the sabotage hook breaks
@@ -607,8 +611,8 @@ def check_char_two_separation(config: SuiteConfig, corpus: Corpus) -> CheckOutco
     if "Z/2" not in config.rings:
         return CheckOutcome("skipped", "Z/2 not configured")
     ring = RingSpec.modular(2)
-    codomain = squares_only(ring, 2)
-    domain = _free_domain(ring, 2)
+    codomain = corpus.weil(ring, "squares", 2)
+    domain = corpus.domain(ring, 2)
     f = AlgebraMap(domain, codomain, [codomain.zero(), codomain.zero()])
     g = AlgebraMap(domain, codomain, codomain.generators())
     squares = is_square_zero_pair(f, g)
@@ -634,7 +638,7 @@ def check_precomposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     checked = 0
     for case in corpus.pairs[:budget]:
         n = len(case.domain.varset)
-        wide = _free_domain(case.codomain.ring, n + 1)
+        wide = corpus.domain(case.codomain.ring, n + 1)
         # surjective: keep the generators, send the extra one anywhere
         images = [case.domain.generator(i) for i in range(n)]
         images.append(_random_element(rng, case.domain, 2))
@@ -650,7 +654,7 @@ def check_precomposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
         checked += 1
         if before:
             # arbitrary (not necessarily onto) precomposition preserves it
-            narrow = _free_domain(case.codomain.ring, max(1, n - 1))
+            narrow = corpus.domain(case.codomain.ring, max(1, n - 1))
             arbitrary = AlgebraMap(
                 narrow,
                 case.domain,
@@ -695,14 +699,22 @@ def check_postcomposition(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
 
 
 def check_kernel_rewriting(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
+    """Kernel elements drawn over corpus bases (a free domain, or the
+    squares-only Weil algebra) re-expand from their rewriting.  The tensor
+    square tensor(base, base) the elements are drawn in is built once per
+    base, keyed by the corpus algebra, in a dict that lives for the call;
+    rewrite_kernel_element still builds its own copy."""
     rng = _rng(config, "kernel")
     done = 0
+    squares = {}
     for i in range(config.case_count):
         ring = _ring_at(config, i)
         n = rng.randint(1, config.n_max)
         presented = rng.random() < 0.25
-        base = corpus.weil(ring, "squares", n) if presented else _free_domain(ring, n)
-        t_algebra, include0, include1 = tensor(base, base)
+        base = corpus.weil(ring, "squares", n) if presented else corpus.domain(ring, n)
+        if base not in squares:
+            squares[base] = tensor(base, base)
+        t_algebra, include0, include1 = squares[base]
         total = t_algebra.zero()
         for _ in range(rng.randint(1, 2)):
             a = _random_element(rng, base, 2)
@@ -712,7 +724,7 @@ def check_kernel_rewriting(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
         done += 1
     # non-kernel elements must be rejected with their multiplication image
     ring = _ring_at(config, 0)
-    base = _free_domain(ring, 1)
+    base = corpus.domain(ring, 1)
     try:  # copy 0 of the generator, whose multiplication image is the generator
         rewrite_kernel_element(base, Polynomial.variable(pair_varset(base.varset), ring, 0))
         return CheckOutcome("fail", "a non-kernel element was accepted")
@@ -725,7 +737,7 @@ def check_diagonal_ideal_kernel(config: SuiteConfig, corpus: Corpus) -> CheckOut
     checked = 0
     for ring in config.ring_specs():
         for n in range(1, config.n_max + 1):
-            for base in (_free_domain(ring, n), corpus.weil(ring, "mixed", n)):
+            for base in (corpus.domain(ring, n), corpus.weil(ring, "mixed", n)):
                 mult = multiplication_map(base)
                 for gen in diagonal_ideal(base, 1).generators:
                     image = mult.apply(gen)
@@ -757,10 +769,17 @@ def check_difference_decomposition(config: SuiteConfig, corpus: Corpus) -> Check
 
 
 def check_universal_property(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
+    """Each corpus pair factors through the universal pair on its domain
+    exactly when it is a neighbour pair, and the factorization restores the
+    maps.  universal_simplex(domain, 1) is built once per corpus domain,
+    keyed by the domain, in a dict that lives for the call."""
     factored = 0
     rejected = 0
+    simplices = {}
     for case in corpus.pairs:
-        simplex = universal_simplex(case.domain, 1)
+        if case.domain not in simplices:
+            simplices[case.domain] = universal_simplex(case.domain, 1)
+        simplex = simplices[case.domain]
         expected = is_neighbour(case.f, case.g).ok
         try:
             mediating = classifying_map(simplex, [case.f, case.g])
@@ -790,14 +809,14 @@ def check_universal_simplex_neighbours(config: SuiteConfig, corpus: Corpus) -> C
     # p = 1 works over every configured ring, including non-fields
     for ring in config.ring_specs():
         for n in range(1, config.n_max + 1):
-            simplex = universal_simplex(_free_domain(ring, n), 1)
+            simplex = universal_simplex(corpus.domain(ring, n), 1)
             if not is_neighbour(simplex.maps[0], simplex.maps[1]):
                 return CheckOutcome("fail", f"p=1 universal pair fails over {ring}, n={n}")
             instances += 1
     for ring in _fields(config):
         for p in range(2, config.p_max + 1):
             for n in range(1, config.n_max + 1):
-                simplex = universal_simplex(_free_domain(ring, n), p)
+                simplex = universal_simplex(corpus.domain(ring, n), p)
                 for r in range(p + 1):
                     for s in range(r + 1, p + 1):
                         if not is_neighbour(simplex.maps[r], simplex.maps[s]):
@@ -808,7 +827,7 @@ def check_universal_simplex_neighbours(config: SuiteConfig, corpus: Corpus) -> C
                             )
                 instances += 1
         # presented base, tensor representation
-        base = squares_only(ring, 2)
+        base = corpus.weil(ring, "squares", 2)
         simplex = universal_simplex(base, 1)
         if not is_neighbour(simplex.maps[0], simplex.maps[1]):
             return CheckOutcome(
@@ -820,7 +839,7 @@ def check_universal_simplex_neighbours(config: SuiteConfig, corpus: Corpus) -> C
     if ring is not None:
         # the two representations of the free-base neighbourhood are isomorphic:
         # each factors through the other, and the composites restore the maps
-        free_base = _free_domain(ring, 2)
+        free_base = corpus.domain(ring, 2)
         diff_rep = universal_simplex(free_base, 1, representation="difference")
         tens_rep = universal_simplex(free_base, 1, representation="tensor")
         to_diff = classifying_map(tens_rep, list(diff_rep.maps))
@@ -855,8 +874,8 @@ def check_simplex_matrix_criterion(config: SuiteConfig, corpus: Corpus) -> Check
 def check_squares_insufficient(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     results = {}
     for ring in config.ring_specs():
-        codomain = squares_only(ring, 2)
-        domain = _free_domain(ring, 2)
+        codomain = corpus.weil(ring, "squares", 2)
+        domain = corpus.domain(ring, 2)
         f = AlgebraMap(domain, codomain, [codomain.zero(), codomain.zero()])
         g = AlgebraMap(domain, codomain, codomain.generators())
         deltas = [gi - fi for fi, gi in zip(f.images, g.images)]
@@ -877,8 +896,8 @@ def check_squares_insufficient(config: SuiteConfig, corpus: Corpus) -> CheckOutc
 
 def check_not_transitive(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
     for ring in config.ring_specs():
-        codomain = squares_only(ring, 2)
-        domain = _free_domain(ring, 2)
+        codomain = corpus.weil(ring, "squares", 2)
+        domain = corpus.domain(ring, 2)
         zero = codomain.zero()
         e1, e2 = codomain.generators()
         f = AlgebraMap(domain, codomain, [zero, zero])
@@ -968,7 +987,7 @@ def check_affine_multiplicative(config: SuiteConfig, corpus: Corpus) -> CheckOut
     if ring is not None:
         for p in range(1, config.p_max + 1):
             for n in range(1, config.n_max + 1):
-                base = _free_domain(ring, n)
+                base = corpus.domain(ring, n)
                 simplex = universal_simplex(base, p)
                 _, _, weights, lifted = generic_coefficients(simplex)
                 combined = affine_combination(lifted, weights)
@@ -1047,20 +1066,30 @@ def check_affine_postcomposition(config: SuiteConfig, corpus: Corpus) -> CheckOu
 
 
 def check_bracket_identity(config: SuiteConfig, corpus: Corpus) -> CheckOutcome:
+    """f(a)g(b) + g(a)f(b) = f(ab) + g(ab) for neighbours f, g: on every
+    pair of the universal simplex's maps at every pair of monomials, then on
+    corpus pairs.  In the universal part every map is applied to each
+    monomial once, keyed by the monomial, as the values of
+    check_affine_multiplicative are."""
     instances = 0
     ring = _primary_field(config)
     if ring is not None:
         p = min(config.p_max, 2)
         n = min(config.n_max, 2)
-        base = _free_domain(ring, n)
+        base = corpus.domain(ring, n)
         simplex = universal_simplex(base, p)
+        values = {}
         for r in range(p + 1):
             for s in range(r + 1, p + 1):
-                fr, fs = simplex.maps[r], simplex.maps[s]
                 for u, v in _monomial_pairs(base, config.degree_bound):
-                    ue, ve = base.element(u), base.element(v)
-                    lhs = fr.apply(ue) * fs.apply(ve) + fs.apply(ue) * fr.apply(ve)
-                    rhs = fr.apply(ue * ve) + fs.apply(ue * ve)
+                    uv = u * v
+                    for m in (u, v, uv):
+                        if m not in values:
+                            element = base.element(m)
+                            values[m] = [f.apply(element) for f in simplex.maps]
+                    fu, fv, fuv = values[u], values[v], values[uv]
+                    lhs = fu[r] * fv[s] + fu[s] * fv[r]
+                    rhs = fuv[r] + fuv[s]
                     if lhs != rhs:
                         return CheckOutcome(
                             "fail", f"universal bracket identity fails on {u}, {v}"
@@ -1095,7 +1124,7 @@ def check_combinations_neighbours(config: SuiteConfig, corpus: Corpus) -> CheckO
     if ring is not None:
         for p in range(1, config.p_max + 1):
             for n in range(1, config.n_max + 1):
-                simplex = universal_simplex(_free_domain(ring, n), p)
+                simplex = universal_simplex(corpus.domain(ring, n), p)
                 first, second = _two_generic_combinations(simplex)
                 verdict = is_neighbour(first, second)
                 if not verdict:
@@ -1128,7 +1157,7 @@ def check_combination_of_combinations(config: SuiteConfig, corpus: Corpus) -> Ch
     ring = _primary_field(config)
     if ring is not None:
         n = min(config.n_max, 2)
-        simplex = universal_simplex(_free_domain(ring, n), 1)
+        simplex = universal_simplex(corpus.domain(ring, n), 1)
         extended, _, _, lifted = generic_coefficients(simplex, "u")
         wider, inclusion = adjoin_variables(extended, ("v", "w"))
         maps = tuple(compose(inclusion, f) for f in lifted)
@@ -1171,7 +1200,7 @@ def check_generic_classifier(config: SuiteConfig, corpus: Corpus) -> CheckOutcom
     instances = 0
     # p = 1 on a free base works over every ring, and has a known shape
     for ring in config.ring_specs():
-        base = _free_domain(ring, min(config.n_max, 2))
+        base = corpus.domain(ring, min(config.n_max, 2))
         generic = canonical_map(base, 1)
         expected_names = [f"d_{v}" for v in base.varset.names]
         codomain = generic.codomain
@@ -1186,9 +1215,9 @@ def check_generic_classifier(config: SuiteConfig, corpus: Corpus) -> CheckOutcom
         instances += 1
     for ring in _fields(config):
         for p in range(1, config.p_max + 1):
-            canonical_map(_free_domain(ring, config.n_max), p)  # IllDefinedMap = bug
+            canonical_map(corpus.domain(ring, config.n_max), p)  # IllDefinedMap = bug
             instances += 1
-        canonical_map(squares_only(ring, 2), 1)
+        canonical_map(corpus.weil(ring, "squares", 2), 1)
         instances += 1
     return CheckOutcome("pass", None, {"instances": instances})
 

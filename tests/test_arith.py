@@ -5,7 +5,8 @@ import pytest
 
 from nbhd.algebra import FpAlgebra
 from nbhd.arith import MAX_MODULUS, QQ, RingSpec, ZZ
-from nbhd.errors import InvalidArgument, NbhdError, ParseError
+from nbhd.errors import InvalidArgument, NbhdError, ParseError, UninterpretableValue
+from nbhd.neighbour import CoefficientVector
 from nbhd.poly import Polynomial, VarSet, parse_poly
 
 
@@ -129,6 +130,36 @@ def test_plain_ints_first_bools_as_ints_and_the_same_refusals(name):
     assert x * 0 == 0 and algebra.one() == Fraction(3, 3) and x == x.rep
     assert x == algebra.element("x") and x != algebra.element("2*x")
     assert (x == "x") is False and (x != 1.5) is True
+
+
+def test_numbers_outside_the_ring_raise_typed_errors():
+    # a Fraction the ring cannot hold is an InvalidArgument (a ValueError),
+    # any other value an UninterpretableValue (a TypeError): both NbhdErrors,
+    # with the messages they had as bare builtin errors
+    x = VarSet(("x",))
+    z6 = RingSpec.modular(6)
+    algebra = FpAlgebra(ZZ, ["e"], ["e^2"])
+    e = algebra.generator(0)
+    refusals = (
+        (lambda: Polynomial(x, ZZ, {(1,): Fraction(1, 3)}), "1/3 is not an integer"),
+        (lambda: algebra.element(Fraction(1, 2)), "1/2 is not an integer"),
+        (lambda: CoefficientVector.affine(algebra, [Fraction(1, 2)]), "1/2 is not an integer"),
+        (lambda: e + Fraction(1, 2), "1/2 is not an integer"),
+        (lambda: z6.normalize(Fraction(1, 3)), "denominator 3 is not invertible in Z/6"),
+        (lambda: Polynomial.constant(x, z6, Fraction(1, 3)), "denominator 3 is not invertible in Z/6"),
+    )
+    for build, message in refusals:
+        with pytest.raises(InvalidArgument) as error:
+            build()
+        assert str(error.value) == message and isinstance(error.value, ValueError)
+    for ring, what in ((QQ, "as a rational"), (ZZ, "over Z"), (z6, "over Z/6")):
+        with pytest.raises(UninterpretableValue) as error:
+            Polynomial(x, ring, {(1,): 2.5})
+        assert str(error.value) == f"cannot interpret 2.5 {what}"
+        assert isinstance(error.value, TypeError)
+    # the parser still reports a refused coefficient with its position
+    with pytest.raises(ParseError, match=r"1/3 is not an integer \(at position 2\)"):
+        parse_poly("x+1/3", x, ZZ)
 
 
 def test_worked_arithmetic_examples():

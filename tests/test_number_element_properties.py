@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nbhd.algebra import FpAlgebra, free_algebra  # noqa: E402
 from nbhd.arith import RingSpec  # noqa: E402
+from nbhd.errors import NbhdError  # noqa: E402
 from nbhd.poly import Polynomial  # noqa: E402
 from nbhd.verify import WEIL_PATTERNS, random_weil_algebra  # noqa: E402
 
@@ -95,8 +96,12 @@ def test_both_engines_and_the_zero_ring_are_reached():
 )
 @pytest.mark.parametrize("relations", [(), ("e1^2",), ("1",)])
 def test_a_number_outside_the_ring_raises_as_its_constant_does(ring, value, relations):
+    # a typed NbhdError (InvalidArgument, still a ValueError), not a bare one
     algebra = FpAlgebra(RingSpec.parse(ring), ["e1"], relations)
-    with pytest.raises(ValueError):
+    with pytest.raises(NbhdError) as constant:
         Polynomial.constant(algebra.varset, algebra.ring, value)
-    with pytest.raises(ValueError):
+    with pytest.raises(NbhdError) as element:
         algebra.element(value)
+    assert type(element.value) is type(constant.value)
+    assert str(element.value) == str(constant.value)
+    assert isinstance(element.value, ValueError)

@@ -63,12 +63,10 @@ def test_no_true_division_outside_arith():
 
 
 def test_no_bare_value_errors_outside_arith():
-    # the library raises typed NbhdErrors; arith.py keeps the ValueErrors of
-    # RingSpec.normalize, which its callers catch and re-raise typed
+    # the library raises typed NbhdErrors, arith.py included: RingSpec
+    # refuses a value with InvalidArgument or UninterpretableValue
     found = []
     for path in sorted(SOURCE.glob("*.py")):
-        if path.name == "arith.py":
-            continue
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [
             f"{path.name}:{node.lineno}"
@@ -480,3 +478,26 @@ def test_only_one_helper_writes_the_exclusion_bitsets():
     init = writers.pop("ideal.py:_Divisors.__init__", [])
     assert len(init) == 1, "_Divisors.__init__ does more than create the exclusion lists"
     assert list(writers) == ["ideal.py:_Divisors._push"], f"exclusion bitsets written by {writers}"
+
+
+def test_only_build_corpus_presents_free_domains():
+    # the corpus holds the free domain on X1..Xn for every n a check
+    # reaches, so a check reads corpus.domain(ring, n) instead of
+    # presenting a copy of its own through verify._free_domain
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        inside = {
+            id(node)
+            for function in tree.body
+            if isinstance(function, ast.FunctionDef)
+            and path.name == "verify.py"
+            and function.name == "build_corpus"
+            for node in ast.walk(function)
+        }
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and _called_name(node) == "_free_domain" and id(node) not in inside
+        ]
+    assert not found, f"_free_domain called outside verify.build_corpus at {found}"

@@ -371,10 +371,11 @@ def test_rings_are_parsed_once_and_free_domains_built_once():
     assert all(a is b for a, b in zip(specs, config.ring_specs()))
     assert config == SuiteConfig(seed=5, rings=("Q", "Z/3"), case_count=30)
     corpus = build_corpus(config)
-    assert set(corpus.domains) == {(ring, n) for ring in specs for n in (1, 2, 3)}
+    # n = 4 is the one wider domain precomposition's surjections start from
+    assert set(corpus.domains) == {(ring, n) for ring in specs for n in (1, 2, 3, 4)}
     assert {id(ring) for ring, _ in corpus.domains} == {id(ring) for ring in specs}
     for ring in specs:
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             assert corpus.domain(ring, n).ring is ring
             assert corpus.domain(ring, n).varset.names == tuple(f"X{i + 1}" for i in range(n))
     for case in corpus.pairs:
