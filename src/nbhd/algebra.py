@@ -24,7 +24,9 @@ variable names (a free algebra's is the table of no relations), and normal
 forms read the same table; the tables are bounded and cleared when full.
 Checks happen at the boundary: element(), the constructors and operations
 mixing parents validate, while sums and products of two elements of the same
-parent object go straight to the arithmetic.  Maps are given by generator images, evaluate
+parent object go straight to the arithmetic; the scans' enumerations trust
+their rows, which neighbour.vectors_neighbour, the one entry taking raw
+rows, coerces first.  Maps are given by generator images, evaluate
 inside the codomain and are validated at construction: every relation of
 the domain must map to zero (the certificate for well-definedness);
 violations raise IllDefinedMap.
@@ -243,13 +245,14 @@ class FpAlgebra:
     def normal_form(self, p: Polynomial) -> Polynomial:
         """p reduced by the Groebner basis, or over monomial relations, its
         terms whose monomial the product table's unit row keeps: a monomial
-        any algebra of the same relation exponents has met costs one lookup."""
+        any algebra of the same relation exponents has met costs one lookup.
+        The basis, on this algebra's varset and ring, checks p itself."""
+        if self._gb is not None:
+            return self._gb.normal_form(p)
         if p.varset is not self.varset and p.varset != self.varset:
             raise VarSetMismatch(f"{p.varset} vs {self.varset}")
         if p.ring is not self.ring and p.ring != self.ring:
             raise RingMismatch(f"{p.ring} vs {self.ring}")
-        if self._gb is not None:
-            return self._gb.normal_form(p)
         unit = (0,) * len(self.varset)
         row, fill = self._table.rows.get(unit, _NO_ROW), self._table.fill
         kept = {
@@ -739,66 +742,34 @@ def _difference_products(rows: Sequence[Sequence]):
 
     The products of two differences are the equations of the neighbour
     relation and, over a free algebra's generators, the relations of the
-    universal simplices.  Each pair of rows has its differences formed once,
-    _summation reads them as elements and the kernel forms the products.
+    universal simplices.  The rows are trusted: equally long, of elements
+    of the first entry's algebra or of equal ones.  Each pair of rows has
+    its differences formed once, and the kernel forms their products.
     A product with a zero difference is zero, so it is neither formed nor
     yielded, and no product that vanishes is yielded either; when
     _vanish_by_support finds that every product vanishes, none is formed.
     """
-    if _vanish_by_support(rows, differences=True):
+    if not any(rows) or _vanish_by_support(rows, differences=True):
         return
-    read, value = _summation(rows)
+    algebra = rows[0][0].parent
+    kernel, build = algebra._sum_of_products, algebra._element
     for r, low in enumerate(rows):
         for s in range(r + 1, len(rows)):
-            diffs = read([b - a for a, b in zip(low, rows[s])])
+            diffs = [(b - a).rep._terms for a, b in zip(low, rows[s])]
             for i, d in enumerate(diffs):
                 if d:
                     for j in range(i, len(diffs)):
                         if diffs[j]:
-                            product = value(((d, diffs[j]),))
-                            if product is not None:
-                                yield (r, s, i, j), product
-
-
-def _summation(rows: Sequence[Sequence]):
-    """(read, value) for the enumerations of equations over rows, all of one
-    length: read(row) is a row of such entries as the enumerations read it,
-    and value(pairs) the sum of an equation's factor products u * v over the
-    pairs (u, v) of read entries.
-
-    Every entry is read as the terms of its normal form in the algebra of
-    the first element in the rows, in row-major order: that algebra's own
-    elements as they are, any other entry through its element(), so an
-    element of another algebra raises ParentMismatch and a number or
-    polynomial is coerced, as a product would.  Rows with entries but no
-    element raise UninterpretableValue; rows with no entries have nothing
-    to read.  The pairs go to the algebra's _sum_of_products, and the value
-    is an element built from its terms, or None when they vanish: a scan
-    builds an element only for an equation that does not hold, and reads
-    only the first of those.
-    """
-    algebra = next((x.parent for row in rows for x in row if isinstance(x, AlgebraElement)), None)
-    if algebra is None and any(rows):
-        raise UninterpretableValue("no entry of the rows is an algebra's element")
-
-    def read(row):
-        return [
-            (x if x.__class__ is AlgebraElement and x.parent is algebra else algebra.element(x)).rep._terms
-            for x in row
-        ]
-
-    def value(pairs):
-        terms = algebra._sum_of_products(pairs)
-        return algebra._element(terms) if terms else None
-
-    return read, value
+                            terms = kernel(((d, diffs[j]),))
+                            if terms:
+                                yield (r, s, i, j), build(terms)
 
 
 def _vanish_by_support(rows: Sequence[Sequence], differences: bool = False) -> bool:
     """Whether every equation of a scan over rows of elements vanishes by
     the supports of its factors alone, so the scan has nothing to yield.
 
-    Every factor of an equation is supported in one set U of monomials: the
+    The rows are a scan's, trusted as it trusts them.  Every factor of an equation is supported in one set U of monomials: the
     entries' supports, or with differences set those of every row_s - row_0
     (row_s - row_r is their difference, so it is supported there too),
     read as the monomials of the symmetric difference of the two term
@@ -807,26 +778,19 @@ def _vanish_by_support(rows: Sequence[Sequence], differences: bool = False) -> b
     factors is zero whatever their coefficients, and so is each sum of
     them.  Nothing is multiplied and no element is built; a table entry is
     read, or filled, per pair until one survives.  The answer is False at
-    once, and the scan runs in full with its own coercion, errors and
-    witness, when some entry is not the first entry's algebra's own element
-    (a polynomial, a number, an element of another algebra), that algebra
-    takes the Groebner engine, or the rows are empty or of unequal lengths.
+    once, and the scan runs in full, when the rows are empty or the
+    algebra takes the Groebner engine.
     """
-    if not rows or not rows[0] or rows[0][0].__class__ is not AlgebraElement:
+    if not rows or not rows[0]:
         return False
     anchor = rows[0]
-    algebra = anchor[0].parent
-    table = algebra._table
+    table = anchor[0].parent._table
     if table is None:
         return False
     support: set[tuple] = set()
     first = operator.itemgetter(0)
     for row in rows:
-        if len(row) != len(anchor):
-            return False
         for x, y in zip(row, anchor):
-            if x.__class__ is not AlgebraElement or x.parent is not algebra:
-                return False
             if not differences:
                 support.update(x.rep._terms)
             elif x is not y:

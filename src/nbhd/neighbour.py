@@ -27,7 +27,8 @@ through one kernel, FpAlgebra._sum_of_products, which accumulates the
 normal-form terms of a sum of products in one dict.  The scans decide
 without building: an equation's factor pairs go to the kernel, and an
 element is built only for an equation that does not vanish, which is the
-witness; a passing scan builds none.  Before
+witness; a passing scan builds none.  The scans trust their rows;
+vectors_neighbour, the one entry taking raw rows, coerces them.  Before
 either scan forms a product, algebra._vanish_by_support asks whether the
 product table deletes every product of two monomials of the factors'
 supports; when it does, every equation vanishes and the scan forms none,
@@ -64,6 +65,7 @@ from .errors import (
     NotNeighbours,
     ReexpansionFailed,
     ShapeMismatch,
+    UninterpretableValue,
     require_integer,
 )
 from .algebra import (
@@ -74,7 +76,6 @@ from .algebra import (
     _codiagonal,
     _difference_products,
     _free_generators,
-    _summation,
     _universal_quotient,
     _vanish_by_support,
     adjoin_variables,
@@ -221,9 +222,19 @@ def is_square_zero_pair(f: AlgebraMap, g: AlgebraMap) -> CheckResult:
 
 
 def vectors_neighbour(a: Sequence[AlgebraElement], b: Sequence[AlgebraElement]) -> CheckResult:
-    """Neighbour test for coordinate vectors (rows of a would-be simplex)."""
+    """Neighbour test for coordinate vectors (rows of a would-be simplex).
+
+    The one scan entry taking raw rows: they are read through the _elements
+    of the algebra of the first element in a, then b, so a number or
+    polynomial is coerced and another algebra's element raises
+    ParentMismatch; entries with no element raise UninterpretableValue."""
     if len(a) != len(b):
         raise ShapeMismatch(f"vector lengths {len(a)} vs {len(b)}")
+    if a:
+        algebra = next((x.parent for x in (*a, *b) if isinstance(x, AlgebraElement)), None)
+        if algebra is None:
+            raise UninterpretableValue("no entry of the rows is an algebra's element")
+        a, b = algebra._elements(a), algebra._elements(b)
     return _first_defect(
         ((i + 1, j + 1), "difference product", product)
         for (_, _, i, j), product in _difference_products((a, b))
@@ -376,19 +387,19 @@ def _dtilde_equations(rows: Sequence[Sequence]):
     a_ri * a_sj + a_si * a_rj for rows r < s and columns i <= j, then the row
     products a_ri * a_rj for columns i <= j, in that nesting order; a cross
     product with i = j is a_ri * a_si + a_si * a_ri, both products formed,
-    as the relation is written.  algebra._summation reads the entries as
-    elements of one algebra and forms the values: each equation's factor
-    pairs go to the algebra's _sum_of_products, and only an equation that
-    does not vanish is yielded, as an element.  Only the products of two
-    nonzero entries are formed, and an equation whose products all have a
-    zero factor is zero, so it is not yielded.  When
-    algebra._vanish_by_support finds that every equation vanishes, none is
-    formed.
+    as the relation is written.  The rows are trusted, as by
+    algebra._difference_products: each equation's factor pairs go to the
+    algebra's _sum_of_products, and only an equation that does not vanish
+    is yielded, as an element.  Only the products of two nonzero entries
+    are formed, and an equation whose products all have a zero factor is
+    zero, so it is not yielded.  When algebra._vanish_by_support finds that
+    every equation vanishes, none is formed.
     """
-    if _vanish_by_support(rows):
+    if not any(rows) or _vanish_by_support(rows):
         return
-    read, value = _summation(rows)
-    rows = list(map(read, rows))
+    algebra = rows[0][0].parent
+    kernel, build = algebra._sum_of_products, algebra._element
+    rows = [[x.rep._terms for x in row] for row in rows]
     cross, row = "cross products, rows r,s columns i,j", "row products, row r columns i,j"
     for r, x in enumerate(rows):
         for s in range(r + 1, len(rows)):
@@ -402,17 +413,17 @@ def _dtilde_equations(rows: Sequence[Sequence]):
                         pairs = ((b, d),)
                     else:
                         continue
-                    w = value(pairs)
-                    if w is not None:
-                        yield (r + 1, s + 1, i + 1, j + 1), cross, w
+                    terms = kernel(pairs)
+                    if terms:
+                        yield (r + 1, s + 1, i + 1, j + 1), cross, build(terms)
     for r, x in enumerate(rows):
         for i, u in enumerate(x):
             if u:
                 for j in range(i, len(x)):
                     if x[j]:
-                        w = value(((u, x[j]),))
-                        if w is not None:
-                            yield (r + 1, i + 1, j + 1), row, w
+                        terms = kernel(((u, x[j]),))
+                        if terms:
+                            yield (r + 1, i + 1, j + 1), row, build(terms)
 
 
 # the exact number types CoefficientVector.affine reads in ring arithmetic;

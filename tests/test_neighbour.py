@@ -214,6 +214,31 @@ def test_vectors_neighbour_reads_every_entry_in_the_first_entrys_algebra():
     assert str(refused.value) == "no entry of the rows is an algebra's element"
 
 
+@pytest.mark.parametrize(
+    "relations, engine",
+    [(["e1^2", "e2^2"], "monomial"), (["e1^2", "e2^2 + e2^3"], "groebner")],
+    ids=["monomial", "groebner"],
+)
+def test_is_neighbour_reads_an_equal_but_separate_codomain_as_its_own(relations, engine):
+    # maps into equal codomains are parallel, so their images, elements of
+    # two algebra objects, reach the scan as they are: the verdict and the
+    # witness are those of the same maps into one codomain, either way round
+    codomain, twin = (FpAlgebra(QQ, ("e1", "e2"), relations) for _ in range(2))
+    assert codomain == twin and codomain is not twin and codomain.strategy == engine
+    domain = free_algebra(QQ, ("X1", "X2"))
+    rows = (["e1", "0"], ["0", "e2"], ["e1 + e2", "e1"], ["2*e1", "e1*e2"], ["1", "e2"])
+    verdicts = set()
+    for u in rows:
+        for v in rows:
+            f, g = AlgebraMap(domain, codomain, u), AlgebraMap(domain, twin, v)
+            one_codomain = AlgebraMap(domain, codomain, v)
+            for ours, theirs in ((is_neighbour(f, g), is_neighbour(f, one_codomain)),
+                                 (is_neighbour(g, f), is_neighbour(one_codomain, f))):
+                assert ours == theirs and str(ours) == str(theirs)
+                verdicts.add(bool(ours))
+    assert verdicts == {True, False}
+
+
 # -- matrices -----------------------------------------------------------------
 
 

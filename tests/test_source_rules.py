@@ -253,12 +253,12 @@ def _called_name(call):
     return getattr(call.func, "id", getattr(call.func, "attr", None))
 
 
-# the enumerations of equations, the function forming their values, and the
-# weighted row sums: FpAlgebra._sum_of_products is the one place that
-# multiplies the factors of an equation, and the relation builders enumerate
-# theirs over a free algebra's generators
+# the enumerations of equations and the weighted row sums:
+# FpAlgebra._sum_of_products is the one place that multiplies the factors of
+# an equation, and the relation builders enumerate theirs over a free
+# algebra's generators
 SUMS_OF_PRODUCTS = {
-    "algebra.py": ("_difference_products", "_summation"),
+    "algebra.py": ("_difference_products",),
     "neighbour.py": ("_dtilde_equations", "_weighted_row_sum"),
 }
 RELATION_BUILDERS = {
@@ -267,23 +267,11 @@ RELATION_BUILDERS = {
 }
 
 
-def _own_nodes(function):
-    """The nodes of a function's body, not those of the functions it defines."""
-    stack, out = list(function.body), []
-    while stack:
-        node = stack.pop()
-        out.append(node)
-        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            stack.extend(ast.iter_child_nodes(node))
-    return out
-
-
 def test_scans_and_row_sums_sum_products_only_through_the_kernel():
-    # one sum-of-products path: the two enumerations take their values from
-    # algebra._summation, which, like the weighted row sums, hands the
-    # factor pairs to FpAlgebra._sum_of_products, in one branch; none of
+    # one sum-of-products path: the two enumerations, like the weighted row
+    # sums, hand the factor pairs to FpAlgebra._sum_of_products; none of
     # them multiplies, or reduce()s or sum()s element products, by hand,
-    # and no second value type has a sum of its own
+    # and no second sum of products is defined beside the kernel
     found, reads = [], {}
     for name, names in SUMS_OF_PRODUCTS.items():
         path = SOURCE / name
@@ -309,14 +297,26 @@ def test_scans_and_row_sums_sum_products_only_through_the_kernel():
                 if getattr(node, "id", None) == "reduce" or getattr(node, "name", None) == "reduce"
             ]
     assert not found, f"products summed outside FpAlgebra._sum_of_products at {found}"
-    for function in ("_summation", "_weighted_row_sum"):
+    for function in ("_difference_products", "_dtilde_equations", "_weighted_row_sum"):
         assert "_sum_of_products" in reads[function], f"{function} does not use the kernel"
-    for function in ("_difference_products", "_dtilde_equations"):
-        assert "_summation" in reads[function], f"{function} does not take its values from _summation"
     algebra = _functions("algebra.py")
-    assert not {"_free_sum", "_as_is"} & set(algebra), "a second sum of products is defined"
-    returns = [node for node in _own_nodes(algebra["_summation"]) if isinstance(node, ast.Return)]
-    assert len(returns) == 1, "_summation returns from more than one branch"
+    assert not {"_free_sum", "_as_is", "_summation"} & set(algebra), "a second sum of products is defined"
+
+
+def test_the_scans_trust_their_rows():
+    # the scans and the support test read their rows as one algebra's
+    # elements: coercion and type tests happen before, at the boundary
+    # (vectors_neighbour, SimplexMatrix, AlgebraMap), never again in them
+    scans = {"algebra.py": ("_difference_products", "_vanish_by_support"), "neighbour.py": ("_dtilde_equations",)}
+    found = []
+    for name, functions in scans.items():
+        for function in functions:
+            for node in ast.walk(_functions(name)[function]):
+                if isinstance(node, ast.Call) and _called_name(node) in ("element", "_elements", "isinstance"):
+                    found.append(f"{name}:{node.lineno} {function} calls {_called_name(node)}")
+                elif isinstance(node, ast.Attribute) and node.attr == "__class__":
+                    found.append(f"{name}:{node.lineno} {function} reads __class__")
+    assert not found, f"a scan checks or coerces its entries: {found}"
 
 
 def test_the_relation_builders_enumerate_over_free_generators():

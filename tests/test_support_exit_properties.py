@@ -176,8 +176,9 @@ def test_the_support_test_changes_no_verdict_and_no_witness(data):
 @given(st.data())
 def test_foreign_entries_are_read_as_the_full_scans_read_them(data):
     # a number, a polynomial or an element of an equal but separate algebra
-    # or of another algebra in the rows: beside any other entry the support
-    # test declines, and the scans coerce or raise as they do without it
+    # or of another algebra among the entries of the public scans: they
+    # coerce or raise at the boundary, vectors_neighbour and SimplexMatrix,
+    # and the scans then answer as they do with the support test declining
     codomain, simplex, dtilde = data.draw(cases())
     twin = FpAlgebra(codomain.ring, codomain.varset, codomain.relations)
     others = (
@@ -190,11 +191,10 @@ def test_foreign_entries_are_read_as_the_full_scans_read_them(data):
     for rows in (simplex, dtilde):
         r, j = data.draw(st.integers(0, len(rows) - 1)), data.draw(st.integers(0, len(rows[0]) - 1))
         rows[r][j] = foreign(rows[r][j])
-        if len(rows) * len(rows[0]) > 1:
-            assert not _vanish_by_support(rows) and not _vanish_by_support(rows, differences=True)
     scans = {
-        "difference products": lambda: list(nbhd.algebra._difference_products(simplex)),
-        "difference-variety equations": lambda: list(nbhd.neighbour._dtilde_equations(dtilde)),
+        "vectors_neighbour": lambda: vectors_neighbour(simplex[0], simplex[-1]),
+        "is_simplex": lambda: is_simplex(SimplexMatrix(codomain, simplex)),
+        "in_dtilde": lambda: in_dtilde(SimplexMatrix(codomain, dtilde)),
     }
     ours = {k: outcome(f) for k, f in scans.items()}
     with declining():
@@ -218,11 +218,8 @@ def test_the_support_test_decides_members_and_declines_the_rest():
     thin = squares_only(RingSpec.parse("Z/2"), 2)
     total = thin.element("e1 + e2")
     assert not (total * total) and not _vanish_by_support([[total, total]])
-    # empty rows, polynomials, and the Groebner engine
+    # empty rows and the Groebner engine
     assert not _vanish_by_support([]) and not _vanish_by_support([[]])
-    assert not _vanish_by_support([[e1.rep, e2.rep]])
     groebner = square_zero_by_groebner(QQ, 2)
     assert groebner.strategy == "groebner"
     assert not _vanish_by_support([[groebner.generator(0)]])
-    # rows of unequal lengths are left to the scan
-    assert not _vanish_by_support([[e1, e2], [e1]], differences=True)
