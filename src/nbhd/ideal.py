@@ -19,17 +19,24 @@ term dict with a heap of its monomials.  Its biggest term is reduced by the
 earliest divisor whose leading monomial divides it, found with per-variable
 bitsets.  Only that divisor's other terms are subtracted, in place, because
 its leading term cancels by construction.  A lead coefficient is inverted
-only once, and only for a divisor that is not monic.
+only once, and only for a divisor that is not monic.  The list also keeps
+the smallest total degree of its leads: a polynomial of lower total degree
+has no term a lead divides, so it is its own remainder, returned at once
+with its terms in decreasing order, the order the division emits them; so
+is every polynomial when the list is empty.  A basis passed as a sequence
+of polynomials must share p's varset and ring; a divisor list buchberger
+built for its own varset and ring is not checked again.
 
 Bases have one entry point, buchberger, and its input one path:
 _gauss_jordan brings the generators to reduced row-echelon form by
-Gauss-Jordan elimination on their coefficients, with no division, and
-emits the rows in decreasing order of their leads, straight into the
-divisor list the pair loop extends: each row's leading data comes from
-the lead elimination chose, so no row is read again.  The pair loop starts
-from that form and skips pairs by Buchberger's product and chain criteria
-and pairs of two single-term elements, whose S-polynomial is zero.  The
-form is flat when all its terms have one total degree.  A flat form to
+Gauss-Jordan elimination on their coefficients, with no division, and emits
+the rows in decreasing order of their leads, straight into the divisor list
+the pair loop extends: each row's leading data comes from the lead
+elimination chose, so no row is read again.  Each monomial is ranked once,
+as an int, so elimination compares ints and no tuples.  The pair loop
+starts from that form and skips pairs by Buchberger's product and chain
+criteria and pairs of two single-term elements, whose S-polynomial is zero.
+The form is flat when all its terms have one total degree.  A flat form to
 which the pair loop adds nothing is the reduced basis as it stands; any
 other basis is interreduced.  A caller may pass the quotient's Hilbert
 series: when the form is flat and its leads have it, no pair is queued
@@ -49,6 +56,7 @@ other raises InvalidArgument.
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 from dataclasses import dataclass
 from itertools import compress
@@ -60,6 +68,7 @@ from .errors import (
     InvalidArgument,
     NonFieldCoefficients,
     RingMismatch,
+    UninterpretableValue,
     VarSetMismatch,
 )
 from .poly import (
@@ -83,6 +92,17 @@ def _check_order_and_cap(order, degree_cap) -> None:
         raise InvalidArgument(f"monomial order must be a MonomialOrder, got {order!r}")
     if isinstance(degree_cap, bool) or not isinstance(degree_cap, int) or degree_cap < 0:
         raise InvalidArgument(f"degree cap must be a non-negative integer, got {degree_cap!r}")
+
+
+def _check_alike(g, p) -> None:
+    """Raise unless g is a Polynomial over p's varset and ring, p a
+    polynomial or an ideal, with the texts Ideal and GroebnerBasis use."""
+    if not isinstance(g, Polynomial):
+        raise UninterpretableValue(f"expected a polynomial, got {g!r}")
+    if g.varset is not p.varset and g.varset != p.varset:
+        raise VarSetMismatch(f"{g.varset} vs {p.varset}")
+    if g.ring is not p.ring and g.ring != p.ring:
+        raise RingMismatch(f"{g.ring} vs {p.ring}")
 
 
 @dataclass(frozen=True)
@@ -136,6 +156,14 @@ def _degrevlex_rank(exps: tuple[int, ...]):
 _RANKS = {MonomialOrder.LEX: _lex_rank, MonomialOrder.DEGREVLEX: _degrevlex_rank}
 
 
+def _decreasing(monomials: Iterable[tuple[int, ...]], order: MonomialOrder) -> list:
+    """The monomials, biggest first; under lex that is the tuples' own
+    order reversed, so no rank is formed."""
+    if order is MonomialOrder.LEX:
+        return sorted(monomials, reverse=True)
+    return sorted(monomials, key=_degrevlex_rank)
+
+
 class _Divisors:
     """Divisor polynomials with their leading data, read once per element.
 
@@ -145,19 +173,22 @@ class _Divisors:
     total degree among those terms.  excluded[v][x] is the bitset of the
     divisors whose leading exponent in variable v exceeds x, so the divisors
     whose leading monomial divides m are the bits left after removing the
-    union of excluded[v][m[v]] over v.  Every row is added by _push, the one
-    writer of the exclusion bitsets, from a lead its caller already knows:
-    append reads a polynomial's other terms for it, and _gauss_jordan hands
-    over the rows it has just formed.
+    union of excluded[v][m[v]] over v.  lead_degree is the smallest total
+    degree of a lead, infinite while there is none: no lead divides a
+    monomial of lower degree.  Every row is added by _push, the one writer
+    of the exclusion bitsets and of lead_degree, from a lead its caller
+    already knows: append reads a polynomial's other terms for it, and
+    _gauss_jordan hands over the rows it has just formed.
     """
 
-    __slots__ = ("order", "polys", "rows", "excluded")
+    __slots__ = ("order", "polys", "rows", "excluded", "lead_degree")
 
     def __init__(self, polys: Iterable[Polynomial], order: MonomialOrder, nvars: int):
         self.order = order
         self.polys: list[Polynomial] = []
         self.rows: list[tuple] = []
         self.excluded: list[list[int]] = [[] for _ in range(nvars)]
+        self.lead_degree = math.inf
         for g in polys:
             if not g.is_zero():  # zero has no leading term and divides nothing
                 self.append(g)
@@ -181,18 +212,20 @@ class _Divisors:
     def _push(self, g: Polynomial, lead: tuple[int, ...], inverse, tail: list) -> None:
         """Add g, led by lead, with the inverse of its leading coefficient
         and its other terms negated: the row is completed with its tail's
-        degree and its lead's support mask, and g's bit is set in the
-        exclusion bitsets of the lead's variables, read from its nonzero
-        exponents only."""
+        degree and its lead's support mask, g's bit is set in the exclusion
+        bitsets of the lead's variables, read from its nonzero exponents
+        only, and the lead's degree lowers lead_degree when smaller."""
         bit = 1 << len(self.rows)
         mask = 0
         for v in compress(range(len(lead)), lead):
             mask |= 1 << v
             excluded, x = self.excluded[v], lead[v]
-            excluded.extend([0] * (x - len(excluded)))
+            if x > len(excluded):
+                excluded.extend([0] * (x - len(excluded)))
             for y in range(x):
                 excluded[y] |= bit
-        tail_degree = max(map(mono_degree, dict(tail)), default=0)  # dict(tail) yields its monomials
+        self.lead_degree = min(self.lead_degree, sum(lead))
+        tail_degree = max(map(sum, map(operator.itemgetter(0), tail)), default=0)
         self.rows.append((lead, inverse, mask, tail, tail_degree))
         self.polys.append(g)
 
@@ -222,9 +255,16 @@ def reduce_full(
     reduction path is deterministic.  The remainder in progress is one term
     dict, changed in place.  DegreeGuardExceeded is raised when a step
     creates a term of total degree above max(degree_cap, degree of p).
-    basis may also be a divisor list buchberger built for the same order
-    (a GroebnerBasis holds its own), whose leading terms are not read
-    again.
+    A p of total degree below every lead's, or a basis with no nonzero
+    element, divides nothing: p is returned at once, its terms in
+    decreasing order as the division emits them.
+
+    basis is an iterable of polynomials over p's varset and ring, and p a
+    polynomial (UninterpretableValue, VarSetMismatch or RingMismatch
+    otherwise), or a divisor list buchberger built for the same order (a
+    GroebnerBasis holds its own), whose leading terms are not read again
+    and which is not checked: it was built for its algebra's own varset
+    and ring.
     """
     _check_order_and_cap(order, degree_cap)
     if isinstance(basis, _Divisors):
@@ -232,8 +272,20 @@ def reduce_full(
             raise InvalidArgument(f"divisors prepared for {basis.order}, not {order}")
         divisors = basis
     else:
+        try:
+            basis = list(basis)
+        except TypeError:
+            raise UninterpretableValue(
+                f"a basis must be an iterable of polynomials, got {basis!r}"
+            ) from None
+        for g in (p, *basis):  # p first, as in s_polynomial
+            _check_alike(g, p)
         divisors = _Divisors(basis, order, len(p.varset))
-    cap = max(degree_cap, p.total_degree())
+    degree = p.total_degree()
+    if degree < divisors.lead_degree:
+        terms = p._terms
+        return Polynomial._raw(p.varset, p.ring, {e: terms[e] for e in _decreasing(terms, order)})
+    cap = max(degree_cap, degree)
     ring = p.ring
     mul, add = ring.mul, ring.add
     rank = _RANKS[order]
@@ -283,8 +335,14 @@ def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder = DEFAULT_OR
     """The classical S-polynomial, cancelling the two leading terms.
 
     The two scaled leading terms cancel by construction and are never
-    formed; a monic input is not rescaled.
+    formed; a monic input is not rescaled.  f and g are nonzero polynomials
+    over one varset and ring: anything else raises UninterpretableValue,
+    VarSetMismatch or RingMismatch.
     """
+    for h in (f, g):  # f first: its type is checked before g is compared with it
+        _check_alike(h, f)
+    if not f._terms or not g._terms:
+        raise UninterpretableValue("the S-polynomial of a zero polynomial is undefined")
     f_exps, f_value = f.leading(order)
     g_exps, g_value = g.leading(order)
     lcm = mono_lcm(f_exps, g_exps)
@@ -335,7 +393,8 @@ def _gauss_jordan(gens: Sequence[Polynomial], order: MonomialOrder, nvars: int) 
     """The reduced row-echelon form of the generators, as a divisor list.
 
     The columns are the monomials, biggest first under the order, each
-    ranked once.  One row is kept per pivot, monic, and holding no other
+    ranked once, by its position among them, so every comparison after that
+    is of ints.  One row is kept per pivot, monic, and holding no other
     row's pivot.  A generator subtracts, for each of its own terms that is a
     pivot, that term's coefficient times the pivot row: one pass over its
     terms, which changes no other pivot's coefficient, and none when it
@@ -357,7 +416,8 @@ def _gauss_jordan(gens: Sequence[Polynomial], order: MonomialOrder, nvars: int) 
     columns: dict[tuple[int, ...], object] = {}
     for g in gens:
         columns.update(g._terms)
-    rank = dict(zip(columns, map(_RANKS[order], columns))).__getitem__
+    ranked = _decreasing(columns, order)
+    rank = dict(zip(ranked, range(len(ranked)))).__getitem__
     rows: dict[tuple[int, ...], dict] = {}  # pivot -> its row's terms
     seen: set[tuple[int, ...]] = set()  # the earlier generators' terms: every row's are among them
     shared = False
@@ -450,7 +510,7 @@ def _leads_have_series(divisors: _Divisors, hilbert: tuple[Sequence[int], int]) 
     for mask in masks:
         bound |= mask
     if len(divisors.excluded) - bound.bit_count() != free or any(
-        mono_degree(row[0]) != 2 for row in divisors.rows
+        sum(row[0]) != 2 for row in divisors.rows
     ):
         return False
     counts = _standard_counts(masks, bound)
@@ -535,7 +595,7 @@ def buchberger(
         return False
 
     echelon = len(rows)
-    flat = len({mono_degree(e) for g in polys for e in g._terms}) < 2
+    flat = len({sum(e) for g in polys for e in g._terms}) < 2
     if hilbert is None or not flat or not _leads_have_series(basis, hilbert):
         for k in range(echelon):
             queue(k)
@@ -603,8 +663,5 @@ def contains(
     An ideal of unit monomials is decided over any ring (its basis is its
     minimal generators); everything else needs field coefficients.
     """
-    if p.varset != ideal.varset:
-        raise VarSetMismatch(f"{p.varset} vs {ideal.varset}")
-    if p.ring != ideal.ring:
-        raise RingMismatch(f"{p.ring} vs {ideal.ring}")
+    _check_alike(p, ideal)
     return buchberger(ideal, order, degree_cap).contains(p)

@@ -89,7 +89,7 @@ class MonomialOrder(Enum):
         """Sort key; bigger key means bigger monomial."""
         if self is MonomialOrder.LEX:
             return exps
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+        return (sum(exps), tuple(map(operator.neg, reversed(exps))))
 
     @staticmethod
     def parse(text: str) -> "MonomialOrder":
@@ -205,7 +205,11 @@ class Polynomial:
 
     @classmethod
     def variables(cls, varset: VarSet, ring: RingSpec) -> list["Polynomial"]:
-        return [cls.variable(varset, ring, i) for i in range(len(varset))]
+        # the indices are in range by construction: no check per variable
+        n, one = len(varset), ring.one()
+        return [
+            cls._raw(varset, ring, {(0,) * i + (1,) + (0,) * (n - i - 1): one}) for i in range(n)
+        ]
 
     # -- inspection -----------------------------------------------------
 

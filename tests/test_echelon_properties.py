@@ -12,10 +12,12 @@ coefficient matrix, whose columns are the monomials, biggest first.
 
 _gauss_jordan pushes each row onto its divisor list as it emits it: that
 list must be the one _Divisors.append builds from the same polynomials,
-with every row and exclusion bitset also rebuilt here from the leads, and
-its divisibility test must agree with a brute-force scan of the leads.
+with every row, exclusion bitset and the smallest lead degree also rebuilt
+here from the leads, and its divisibility test must agree with a
+brute-force scan of the leads.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -216,6 +218,8 @@ def test_the_one_pass_list_is_the_list_append_builds(problem, data):
     assert echelon.rows == appended.rows == [expected_row(g, order) for g in echelon.polys]
     leads = [row[0] for row in echelon.rows]
     assert echelon.excluded == appended.excluded == expected_excluded(leads, len(XYZ))
+    least = min((sum(lead) for lead in leads), default=math.inf)
+    assert echelon.lead_degree == appended.lead_degree == least
     # exponents up to 5 lie above every lead, whose exponents are at most 3
     for exps in data.draw(st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=1, max_size=8)):
         expected = sum(1 << i for i, lead in enumerate(leads) if divides(lead, exps))

@@ -13,6 +13,7 @@ from nbhd.errors import (
     InvalidArgument,
     NonFieldCoefficients,
     RingMismatch,
+    UninterpretableValue,
     VarSetMismatch,
 )
 from nbhd.ideal import (
@@ -34,6 +35,8 @@ from nbhd.verify import square_zero_full
 
 XY = VarSet(("X", "Y"))
 XYZ = VarSet(("X", "Y", "Z"))
+UVW = VarSet(("U", "V", "W"))
+Z3 = RingSpec.modular(3)
 Z5 = RingSpec.modular(5)
 
 
@@ -430,6 +433,64 @@ def test_mismatched_inputs_rejected():
         gb.normal_form(P("X", ring=Z5))
     with pytest.raises(VarSetMismatch):
         Ideal(XY, QQ, (P("X", varset=XYZ),))
+
+
+@pytest.mark.parametrize(
+    "partner, error, text",
+    [
+        (P("U*V + W", UVW), VarSetMismatch, r"^\(U, V, W\) vs \(X, Y\)$"),
+        (P("U", UVW), VarSetMismatch, r"^\(U, V, W\) vs \(X, Y\)$"),
+        (P("X*Y + 1", ring=ZZ), RingMismatch, "^Z vs Q$"),
+        (P("X", ring=Z3), RingMismatch, "^Z/3 vs Q$"),
+    ],
+    ids=["uvw-quadric", "uvw-variable", "over-Z", "over-Z/3"],
+)
+def test_division_and_s_polynomials_refuse_a_partner_of_another_varset_or_ring(
+    partner, error, text
+):
+    # each partner used to be read over p's variables and ring: x^2 + y
+    # divided by u gave y, and its S-polynomial with u*v + w gave y^2 - x
+    p = P("X^2 + Y")
+    with pytest.raises(error, match=text):
+        s_polynomial(p, partner)
+    with pytest.raises(error, match=text):
+        reduce_full(p, [partner])
+    with pytest.raises(error, match=text):
+        reduce_full(p, (g for g in [P("X - 1"), partner]))
+    # the same texts as a normal form against a basis of p's algebra
+    with pytest.raises(error, match=text):
+        buchberger(I(["X^2 + Y"])).normal_form(partner)
+
+
+def test_division_and_s_polynomials_refuse_what_is_no_polynomial():
+    p, zero = P("X^2 + Y"), Polynomial.zero(XY, QQ)
+    undefined = "^the S-polynomial of a zero polynomial is undefined$"
+    for f, g in ((zero, P("X")), (P("X"), zero), (zero, zero)):
+        with pytest.raises(UninterpretableValue, match=undefined):
+            s_polynomial(f, g)
+    for f, g, shown in ((p, 1, "1"), ("X", p, "'X'"), (None, p, "None")):
+        with pytest.raises(UninterpretableValue, match=f"^expected a polynomial, got {shown}$"):
+            s_polynomial(f, g)
+    no_iterable = "^a basis must be an iterable of polynomials, got None$"
+    with pytest.raises(UninterpretableValue, match=no_iterable):
+        reduce_full(p, None)
+    for q, basis, shown in ((p, [1], "1"), (p, "X", "'X'"), (p, [P("X"), None], "None"), (0, [p], "0")):
+        with pytest.raises(UninterpretableValue, match=f"^expected a polynomial, got {shown}$"):
+            reduce_full(q, basis)
+    with pytest.raises(UninterpretableValue, match="^expected a polynomial, got 'X'$"):
+        contains(I(["X^2 + Y"]), "X")
+    # the refusals stay TypeErrors for callers that catch those
+    with pytest.raises(TypeError):
+        reduce_full(p, None)
+
+
+def test_division_by_a_list_of_no_nonzero_element_returns_p_at_once():
+    # zero divides nothing: the remainder is p, its terms biggest first
+    p, zero = P("Y + X^2 + 1"), Polynomial.zero(XY, QQ)
+    for basis in ([], [zero], (), iter([zero, zero])):
+        r = reduce_full(p, basis, MonomialOrder.LEX)
+        assert list(r._terms) == [(2, 0), (0, 1), (0, 0)]
+    assert reduce_full(zero, [], MonomialOrder.LEX).is_zero()
 
 
 def test_zero_generators_dropped():

@@ -4,7 +4,9 @@ The oracle divides the way the library always has: take the leading term of
 what is left, reduce it by the earliest basis element whose leading monomial
 divides it, otherwise move it to the remainder.  It works on whole
 polynomials, records the quotients and the total degree of what is left
-before every step, and shares no code with reduce_full.
+before every step, and shares no code with reduce_full.  Its remainder
+gets each term as the division reaches it, biggest first, so its dict
+order is the order reduce_full must emit too.
 """
 
 from fractions import Fraction
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from nbhd.arith import QQ, RingSpec  # noqa: E402
 from nbhd.errors import DegreeGuardExceeded  # noqa: E402
-from nbhd.ideal import reduce_full  # noqa: E402
+from nbhd.ideal import _Divisors, reduce_full  # noqa: E402
 from nbhd.poly import MonomialOrder, Polynomial, VarSet  # noqa: E402
 
 VARSETS = (VarSet(("X", "Y")), VarSet(("X", "Y", "Z")))
@@ -142,3 +144,50 @@ def test_degree_guard_trips_exactly_when_the_textbook_division_exceeds_it(proble
             reduce_full(p, basis, order, cap)
     else:
         assert reduce_full(p, basis, order, cap) == expected
+
+
+@st.composite
+def lead_degree_divisions(draw):
+    """p and up to three divisors whose leads have total degree deg p or
+    more: a lead is a monomial of degree deg p, often a top-degree term of
+    p, raised by 0 to 2 in drawn variables, and the divisor's other terms
+    are below it in the order.  A lead of degree deg p may divide a term of
+    p; no lead of higher degree can."""
+    varset = draw(st.sampled_from(VARSETS))
+    ring = draw(st.sampled_from(RINGS))
+    order = draw(st.sampled_from(list(MonomialOrder)))
+    p = draw(_polynomials(varset, ring, 6, 3))
+    degree = p.total_degree()
+    tops = [e for e in p._terms if sum(e) == degree]
+    variable = st.integers(0, len(varset) - 1)
+    terms = _polynomials(varset, ring, 3, 3)
+    basis = []
+    for _ in range(draw(st.integers(0, 3))):
+        if tops and draw(st.booleans()):
+            lead = list(draw(st.sampled_from(tops)))
+        else:
+            lead = [0] * len(varset)
+            for _ in range(degree):
+                lead[draw(variable)] += 1
+        for _ in range(draw(st.integers(0, 2))):
+            lead[draw(variable)] += 1
+        lead = tuple(lead)
+        below = {e: v for e, v in draw(terms)._terms.items() if order.key(e) < order.key(lead)}
+        value = draw(st.sampled_from([1, 2, 3]))  # nonzero in Q and Z/5
+        basis.append(Polynomial(varset, ring, {lead: value, **below}))
+    return p, basis, order
+
+
+@PROPERTY
+@given(lead_degree_divisions(), st.booleans())
+def test_a_polynomial_below_every_lead_degree_is_its_own_remainder_biggest_term_first(
+    problem, prepared
+):
+    p, basis, order = problem
+    divisors = _Divisors(basis, order, len(p.varset)) if prepared else basis
+    _, expected, _ = textbook_division(p, basis, order)
+    r = reduce_full(p, divisors, order)
+    assert list(r._terms.items()) == list(expected._terms.items())
+    if all(sum(g.leading(order)[0]) > p.total_degree() for g in basis):
+        decreasing = sorted(p._terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+        assert list(r._terms.items()) == decreasing

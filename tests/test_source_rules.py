@@ -461,23 +461,47 @@ def _exclusion_writes(function):
     return lines
 
 
+def _lead_degree_writes(function):
+    """The lines of a function that store `.lead_degree`, by assignment or
+    by a setattr call naming it or a name not written out."""
+    lines = []
+    for node in ast.walk(function):
+        if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            lines += [
+                node.lineno
+                for target in targets
+                for t in ast.walk(target)
+                if isinstance(t, ast.Attribute) and t.attr == "lead_degree"
+            ]
+        elif isinstance(node, ast.Call) and _called_name(node) in ("setattr", "__setattr__"):
+            lines += [
+                node.lineno
+                for arg in node.args[1:2]
+                if not (isinstance(arg, ast.Constant) and arg.value != "lead_degree")
+            ]
+    return lines
+
+
 def test_only_one_helper_writes_the_exclusion_bitsets():
-    # one place sets a divisor's bits: _Divisors._push, which append and
-    # _gauss_jordan both push their rows through, so the exclusion-bit code
-    # exists once; __init__ only creates the empty lists
-    writers = {}
-    for path in sorted(SOURCE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for cls in [None, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
-            body = tree.body if cls is None else cls.body
-            for function in (n for n in body if isinstance(n, ast.FunctionDef)):
-                name = function.name if cls is None else f"{cls.name}.{function.name}"
-                lines = _exclusion_writes(function)
-                if lines:
-                    writers[f"{path.name}:{name}"] = lines
-    init = writers.pop("ideal.py:_Divisors.__init__", [])
-    assert len(init) == 1, "_Divisors.__init__ does more than create the exclusion lists"
-    assert list(writers) == ["ideal.py:_Divisors._push"], f"exclusion bitsets written by {writers}"
+    # one place sets a divisor's bits and lowers the smallest lead degree
+    # that lets division return at once: _Divisors._push, which append and
+    # _gauss_jordan both push their rows through, so that code exists once;
+    # __init__ only creates the empty lists and the degree of no lead
+    for writes, what in ((_exclusion_writes, "exclusion bitsets"), (_lead_degree_writes, "lead_degree")):
+        writers = {}
+        for path in sorted(SOURCE.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+            for cls in [None, *(n for n in ast.walk(tree) if isinstance(n, ast.ClassDef))]:
+                body = tree.body if cls is None else cls.body
+                for function in (n for n in body if isinstance(n, ast.FunctionDef)):
+                    name = function.name if cls is None else f"{cls.name}.{function.name}"
+                    lines = writes(function)
+                    if lines:
+                        writers[f"{path.name}:{name}"] = lines
+        init = writers.pop("ideal.py:_Divisors.__init__", [])
+        assert len(init) == 1, f"_Divisors.__init__ does more than create the {what}"
+        assert list(writers) == ["ideal.py:_Divisors._push"], f"{what} written by {writers}"
 
 
 def test_only_build_corpus_presents_free_domains():
